@@ -9,12 +9,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigurationError, DivergentTrajectoryError
-from .integrator import (
-    IntegrationStatus,
-    IntegratorSettings,
-    integrate_augmented,
-    integrate_with_events,
-)
+from .integrator import GrowthLog, IntegrationStatus, IntegratorSettings, integrate_augmented, integrate_with_events
 from .model import ModelParams, SystemState
 
 __all__ = [
@@ -100,9 +95,7 @@ def poincare(
     direction_filter: str | int = "both",
 ) -> PoincareSection:
     """Collect all X = 0 crossings up to t_end (or divergence)."""
-    traj, events = integrate_with_events(
-        s0, p, t_end, settings, plane_value=0.0, direction_filter=direction_filter
-    )
+    traj, events = integrate_with_events(s0, p, t_end, settings, direction_filter=direction_filter)
     return PoincareSection(
         t=np.array([e.t_cross for e in events]),
         n1=np.array([e.state.n1 for e in events]),
@@ -144,6 +137,11 @@ def largest_lyapunov(
     log = integrate_augmented(
         s0, [_TANGENT0], p, total, settings, renorm_interval=renorm_interval
     )
+    return _estimate(log, transient, renorm_interval)
+
+
+def _estimate(log: GrowthLog, transient: float, renorm_interval: float) -> LyapunovEstimate:
+    """Benettin average of the growth log past the transient."""
     reached = log.times[-1] if len(log.times) else 0.0
     if log.status is IntegrationStatus.DIVERGED and reached <= transient:
         raise DivergentTrajectoryError("trajectory diverged before the transient completed", log.t_div)
@@ -211,17 +209,20 @@ def classify_regime(
 ) -> RegimeClassification:
     """Label a trajectory Periodic / Quasiperiodic / Chaotic / Divergent.
 
-    Divergence wins; then a significantly positive Lyapunov exponent means
-    Chaotic; otherwise the Poincare-section cluster structure separates
+    One augmented pass gives both pieces of evidence: the Benettin growth log
+    and the X = 0 crossings of its base state (up to the last renormalization
+    mark).  Divergence wins; then a significantly positive Lyapunov exponent
+    means Chaotic; otherwise the Poincare-section cluster structure separates
     Periodic (small saturating cluster count) from Quasiperiodic.  Fewer than
     50 crossings yields Inconclusive with the evidence attached.
     """
     transient = min(transient, budget / 4.0)
+    log = integrate_augmented(
+        s0, [_TANGENT0], p, budget, settings, renorm_interval=renorm_interval,
+        direction_filter="both",
+    )
     try:
-        est = largest_lyapunov(
-            s0, p, settings, transient=transient, total=budget,
-            renorm_interval=renorm_interval,
-        )
+        est = _estimate(log, transient, renorm_interval)
     except DivergentTrajectoryError as exc:
         return RegimeClassification(
             label=Regime.DIVERGENT, divergence_time=exc.t_div,
@@ -234,20 +235,14 @@ def classify_regime(
     if est.lambda_max > chaos_threshold and est.lambda_max > SIGNIFICANCE_SIGMA * est.standard_error:
         return RegimeClassification(label=Regime.CHAOTIC, lyapunov=est)
 
-    section = poincare(s0, p, budget, settings, direction_filter="both")
-    n_cross = len(section)
-    if section.status is IntegrationStatus.DIVERGED:
-        return RegimeClassification(
-            label=Regime.DIVERGENT, lyapunov=est,
-            divergence_time=section.t_div, n_crossings=n_cross,
-        )
+    n_cross = len(log.crossings)
     if n_cross < MIN_CROSSINGS:
         return RegimeClassification(
             label=Regime.INCONCLUSIVE, lyapunov=est, n_crossings=n_cross,
             notes=f"only {n_cross} crossings (< {MIN_CROSSINGS}) within the budget",
         )
-    pts = np.column_stack([section.om, section.op])
-    spread = max(float(np.ptp(section.om)), float(np.ptp(section.op)))
+    pts = np.array([(e.state.om, e.state.op) for e in log.crossings])
+    spread = float(np.max(np.ptp(pts, axis=0)))
     if spread == 0.0:
         return RegimeClassification(
             label=Regime.PERIODIC, lyapunov=est, n_crossings=n_cross, n_clusters=1

@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -130,29 +131,32 @@ def _build_params(cfg: dict) -> ModelParams:
         raise ConfigurationError(f"invalid params section: {exc}") from exc
 
 
-def _build_initial(cfg: dict, p: ModelParams) -> SystemState:
+def _initial_recipe(cfg: dict) -> InitialRecipe:
+    """Parse the initial section: (E_eff, I) constraints or a literal state."""
     sec = cfg.get("initial")
     if not isinstance(sec, dict):
         raise ConfigurationError("missing initial section")
     try:
         if "e_eff" in sec or "i_inv" in sec:
-            return make_initial(
-                float(sec["e_eff"]), float(sec["i_inv"]),
-                float(sec.get("ominus0", 0.0)), float(sec.get("oplus0", 0.0)),
-                float(sec.get("x0", 1.0)), float(sec.get("dn0", 0.0)),
-                p, momentum_sign=int(sec.get("momentum_sign", -1)),
+            return InitialRecipe(
+                e_eff=float(sec["e_eff"]), i_inv=float(sec["i_inv"]),
+                om0=float(sec.get("ominus0", 0.0)), op0=float(sec.get("oplus0", 0.0)),
+                x0=float(sec.get("x0", 1.0)), dn0=float(sec.get("dn0", 0.0)),
+                momentum_sign=int(sec.get("momentum_sign", -1)),
             )
-        return SystemState(
+        return InitialRecipe(state=SystemState(
             n1=float(sec["n0"]) + 1.0,
             om=float(sec.get("ominus0", 0.0)),
             op=float(sec.get("oplus0", 0.0)),
             x=float(sec["x0"]), p=float(sec["p0"]),
             dn=float(sec.get("dn0", 0.0)),
-        )
-    except InfeasibleConstraintError:
-        raise
+        ))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"invalid initial section: {exc}") from exc
+
+
+def _build_initial(cfg: dict, p: ModelParams) -> SystemState:
+    return _initial_recipe(cfg).build(p)
 
 
 def _build_settings(cfg: dict, default_tol: float) -> IntegratorSettings:
@@ -471,28 +475,28 @@ def cmd_sweep(args) -> int:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"sweep spec is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigurationError("sweep spec root must be a JSON object")
     p = _build_params(raw)
-    init = raw.get("initial", {})
-    if "e_eff" in init:
-        recipe = InitialRecipe(
-            e_eff=float(init["e_eff"]), i_inv=float(init["i_inv"]),
-            om0=float(init.get("ominus0", 0.0)), op0=float(init.get("oplus0", 0.0)),
-            x0=float(init.get("x0", 1.0)), dn0=float(init.get("dn0", 0.0)),
-            momentum_sign=int(init.get("momentum_sign", -1)),
+    try:
+        spec = SweepSpec(
+            axis1=_axis_from_json(raw.get("axis1")),
+            axis2=_axis_from_json(raw.get("axis2")),
+            base_params=p,
+            recipe=_initial_recipe(raw),
+            budget=float(raw.get("budget", 5000.0)),
+            transient=float(raw.get("transient", 200.0)),
+            renorm_interval=float(raw.get("renorm_interval", 1.0)),
+            settings=_build_settings(raw, _ANALYSIS_TOL),
         )
-    else:
-        recipe = InitialRecipe(state=_build_initial(raw, p))
-    spec = SweepSpec(
-        axis1=_axis_from_json(raw.get("axis1")),
-        axis2=_axis_from_json(raw.get("axis2")),
-        base_params=p,
-        recipe=recipe,
-        budget=float(raw.get("budget", 5000.0)),
-        transient=float(raw.get("transient", 200.0)),
-        renorm_interval=float(raw.get("renorm_interval", 1.0)),
-        settings=_build_settings(raw, _ANALYSIS_TOL),
-    )
+    except ConfigurationError:
+        raise
+    except (TypeError, ValueError) as exc:    # a budget or axis value that is not a number
+        raise ConfigurationError(f"invalid sweep spec: {exc}") from exc
     spec.validate()
+    workers = raw.get("workers")   # None: the pool's default, one per CPU
+    if workers is not None and (type(workers) is not int or not 1 <= workers <= (os.cpu_count() or 1)):
+        raise ConfigurationError(f"workers must be an integer from 1 to {os.cpu_count()}, got {workers!r}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     # fail on unwritable output before any computation
@@ -500,7 +504,7 @@ def cmd_sweep(args) -> int:
     target.touch()
 
     t0 = time.perf_counter()
-    regime_map = run_sweep(spec, max_workers=raw.get("workers"))
+    regime_map = run_sweep(spec, max_workers=workers)
     rows = []
     for cell in regime_map.cells:
         rows.append([

@@ -1,9 +1,11 @@
 """Adaptive Dormand-Prince 5(4) integration of the coupled system.
 
-One stepper drives three front ends: plain integration with dense-output
-sampling, integration with X = 0 plane-crossing events, and an augmented mode
-that co-integrates tangent vectors under the Jacobian flow with periodic
-Gram-Schmidt renormalization (the raw material for Lyapunov exponents).
+One driver, ``_drive``, steps a ``_Dopri5`` to the end time through optional
+stop marks; it owns the step budget, the divergence guard and the status.  A
+per-step hook (dense sampling or the X = 0 crossing scan) and a per-mark hook
+(Gram-Schmidt renormalization of tangent vectors carried by ``model.jvp``)
+make the front ends ``integrate``, ``integrate_with_events`` and
+``integrate_augmented``; the last can collect crossings in the same pass.
 
 Everything here is deterministic: identical inputs give bit-identical output
 on one platform.
@@ -19,7 +21,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import ConfigurationError, NumericalFailureError
-from .model import ModelParams, SystemState, rhs
+from .model import ModelParams, SystemState, jvp, rhs
 
 __all__ = [
     "IntegratorSettings",
@@ -151,6 +153,7 @@ class GrowthLog:
     t_div: float | None = None
     final_state: SystemState | None = None
     final_tangents: np.ndarray | None = None
+    crossings: list = field(default_factory=list)   # X = 0 transits, when requested
 
 
 class _Dopri5:
@@ -241,12 +244,53 @@ def _base_rhs(p: ModelParams):
     return lambda t, y: rhs(y, p)
 
 
+def _augmented_rhs(p: ModelParams, k: int):
+    """Base field plus k tangent vectors carried by its Jacobian, dv/dt = J(y) v."""
+    def f(t, y):
+        base = y[:5]
+        return np.concatenate((rhs(base, p), jvp(base, y[5:].reshape(k, 5), p).ravel()))
+    return f
+
+
 def _check_inputs(s0: SystemState, t_end: float, settings: IntegratorSettings):
     settings.validate()
     if not (math.isfinite(t_end) and t_end > 0):
         raise ConfigurationError(f"t_end must be positive and finite, got {t_end}")
     if not np.all(np.isfinite(s0.to_array())):
         raise ValueError(f"non-finite initial state {s0}")
+
+
+def _check_direction(direction_filter):
+    if direction_filter not in ("both", 1, -1):
+        raise ConfigurationError(f"direction_filter must be +1, -1 or 'both', got {direction_filter!r}")
+
+
+def _drive(stepper: _Dopri5, marks, on_step=None, on_mark=None):
+    """Advance stepper through ascending stop marks; returns (status, t_div).
+
+    Steps are clipped to land exactly on each mark.  on_step(stepper) runs
+    after every accepted step, before the divergence guard on the base state
+    (the first five components); on_mark(stepper) runs on reaching a mark.
+    """
+    for t_mark in marks:
+        while stepper.t < t_mark:
+            if not stepper.step(t_mark):
+                return IntegrationStatus.STEP_BUDGET_EXHAUSTED, None
+            if on_step is not None:
+                on_step(stepper)
+            if float(np.max(np.abs(stepper.y[:5]))) > stepper.s.divergence_norm:
+                return IntegrationStatus.DIVERGED, stepper.t
+        if on_mark is not None:
+            on_mark(stepper)
+    return IntegrationStatus.COMPLETED, None
+
+
+def _trajectory(stepper: _Dopri5, times, states, dn, status, t_div) -> Trajectory:
+    """Close the samples with the last state reached."""
+    if stepper.t > times[-1]:
+        times.append(stepper.t)
+        states.append(stepper.y.copy())
+    return Trajectory(np.array(times), np.array(states), dn, status, stepper.stats, t_div)
 
 
 def integrate(
@@ -271,49 +315,65 @@ def integrate(
     stepper = _Dopri5(_base_rhs(p), s0.to_array(), settings)
     times = [0.0]
     states = [s0.to_array()]
-    status = IntegrationStatus.STEP_BUDGET_EXHAUSTED
-    t_div = None
     k_next = 1
-    while stepper.t < t_end:
-        if not stepper.step(t_end):
-            break
-        while k_next * sample_interval <= stepper.t + 1e-12 * sample_interval:
+
+    def sample(st: _Dopri5):
+        nonlocal k_next
+        while k_next * sample_interval <= st.t + 1e-12 * sample_interval:
             ts = k_next * sample_interval
             if ts <= t_end:
                 times.append(ts)
-                states.append(stepper.dense(ts) if ts < stepper.t else stepper.y.copy())
+                states.append(st.dense(ts) if ts < st.t else st.y.copy())
             k_next += 1
-        if float(np.max(np.abs(stepper.y))) > settings.divergence_norm:
-            status = IntegrationStatus.DIVERGED
-            t_div = stepper.t
-            break
-    else:
-        status = IntegrationStatus.COMPLETED
-    if stepper.t > times[-1]:
-        times.append(stepper.t)
-        states.append(stepper.y.copy())
-    return Trajectory(
-        times=np.array(times),
-        states=np.array(states),
-        dn=s0.dn,
-        status=status,
-        stats=stepper.stats,
-        t_div=t_div,
-    )
+
+    status, t_div = _drive(stepper, [t_end], on_step=sample)
+    return _trajectory(stepper, times, states, s0.dn, status, t_div)
 
 
-def _refine_crossing(stepper: _Dopri5, ta: float, tb: float, plane_value: float):
-    """Locate the root of x(t) - plane_value on [ta, tb] of the dense interpolant."""
-    g = lambda t: stepper.dense(t)[3] - plane_value
-    t_cross = brentq(g, ta, tb, xtol=1e-15, rtol=4 * np.finfo(float).eps,
-                     maxiter=_EVENT_MAX_ITER)
-    y_cross = stepper.dense(t_cross)
+def _refine_crossing(stepper: _Dopri5, ta: float, tb: float):
+    """Locate the root of x(t) on [ta, tb] of the dense interpolant."""
+    g = lambda t: stepper.dense(t)[3]
+    try:
+        t_cross = brentq(g, ta, tb, xtol=1e-15, rtol=4 * np.finfo(float).eps,
+                         maxiter=_EVENT_MAX_ITER)
+    except (ValueError, RuntimeError) as exc:    # no bracket, or no convergence
+        raise NumericalFailureError(
+            f"crossing refinement on [{ta:.17g}, {tb:.17g}] failed: {exc}", last_good_time=ta
+        ) from exc
+    y_cross = stepper.dense(t_cross)[:5]
     tol = 1e-12 * (1.0 + float(np.linalg.norm(y_cross)))
-    if abs(y_cross[3] - plane_value) > tol:
+    if abs(y_cross[3]) > tol:
         raise NumericalFailureError(
             f"crossing refinement stalled at t={t_cross:.6g}", last_good_time=ta
         )
     return t_cross, y_cross
+
+
+def _crossing_scan(p: ModelParams, dn: float, direction_filter, events: list):
+    """Per-step hook appending the X = 0 transits of the last step to events.
+
+    x is read at the edges of _EVENT_SUBDIV subintervals off the step's dense
+    interpolant, the function brentq refines, so a sign change brackets a root.
+    """
+    def scan(st: _Dopri5):
+        edges = np.linspace(st.t_old, st.t, _EVENT_SUBDIV + 1)
+        ys = [st.dense(t) for t in edges]
+        for i in range(_EVENT_SUBDIV):
+            ga, gb = ys[i][3], ys[i + 1][3]
+            if ga == 0.0 or not (ga * gb < 0.0 or gb == 0.0):
+                continue
+            if gb == 0.0:
+                t_cross, y_cross = edges[i + 1], ys[i + 1][:5]
+            else:
+                t_cross, y_cross = _refine_crossing(st, edges[i], edges[i + 1])
+            direction = 1 if p.omega * y_cross[4] > 0 else -1
+            if direction_filter == "both" or direction == direction_filter:
+                events.append(CrossingEvent(
+                    t_cross=t_cross,
+                    state=SystemState.from_array(y_cross, dn=dn),
+                    direction=direction,
+                ))
+    return scan
 
 
 def integrate_with_events(
@@ -321,66 +381,24 @@ def integrate_with_events(
     p: ModelParams,
     t_end: float,
     settings: IntegratorSettings | None = None,
-    plane_value: float = 0.0,
     direction_filter: str | int = "both",
 ) -> tuple[Trajectory, list[CrossingEvent]]:
-    """Integrate and report every transit of the x = plane_value plane.
+    """Integrate and report every transit of the X = 0 plane.
 
     Events require a sign change across a step: a start point sitting exactly
     on the plane is not reported.  direction_filter selects the sign of dX/dt
-    at the crossing (+1, -1 or "both").
+    at the crossing (+1, -1 or "both").  The returned trajectory holds only
+    the start state and the last state reached.
     """
-    if direction_filter not in ("both", 1, -1, +1):
-        raise ConfigurationError(f"direction_filter must be +1, -1 or 'both', got {direction_filter!r}")
+    _check_direction(direction_filter)
     settings = settings or IntegratorSettings()
     _check_inputs(s0, t_end, settings)
 
     stepper = _Dopri5(_base_rhs(p), s0.to_array(), settings)
-    times = [0.0]
-    states = [s0.to_array()]
     events: list[CrossingEvent] = []
-    status = IntegrationStatus.STEP_BUDGET_EXHAUSTED
-    t_div = None
-    while stepper.t < t_end:
-        if not stepper.step(t_end):
-            break
-        # scan subintervals of the accepted step for sign changes of x
-        edges = np.linspace(stepper.t_old, stepper.t, _EVENT_SUBDIV + 1)
-        g_vals = [stepper.dense(t)[3] - plane_value for t in edges[:-1]]
-        g_vals.append(stepper.y[3] - plane_value)
-        for i in range(_EVENT_SUBDIV):
-            ga, gb = g_vals[i], g_vals[i + 1]
-            if ga == 0.0 or not (ga * gb < 0.0 or (gb == 0.0 and ga != 0.0)):
-                continue
-            if gb == 0.0:
-                t_cross, y_cross = edges[i + 1], stepper.dense(edges[i + 1])
-            else:
-                t_cross, y_cross = _refine_crossing(stepper, edges[i], edges[i + 1], plane_value)
-            dxdt = p.omega * y_cross[4]
-            direction = 1 if dxdt > 0 else -1
-            if direction_filter == "both" or direction == direction_filter:
-                events.append(CrossingEvent(
-                    t_cross=t_cross,
-                    state=SystemState.from_array(y_cross, dn=s0.dn),
-                    direction=direction,
-                ))
-        times.append(stepper.t)
-        states.append(stepper.y.copy())
-        if float(np.max(np.abs(stepper.y))) > settings.divergence_norm:
-            status = IntegrationStatus.DIVERGED
-            t_div = stepper.t
-            break
-    else:
-        status = IntegrationStatus.COMPLETED
-    traj = Trajectory(
-        times=np.array(times),
-        states=np.array(states),
-        dn=s0.dn,
-        status=status,
-        stats=stepper.stats,
-        t_div=t_div,
-    )
-    return traj, events
+    status, t_div = _drive(stepper, [t_end],
+                           on_step=_crossing_scan(p, s0.dn, direction_filter, events))
+    return _trajectory(stepper, [0.0], [s0.to_array()], s0.dn, status, t_div), events
 
 
 def _gram_schmidt(vectors: np.ndarray) -> np.ndarray:
@@ -405,6 +423,7 @@ def integrate_augmented(
     settings: IntegratorSettings | None = None,
     renorm_interval: float = 1.0,
     observer=None,
+    direction_filter: str | int | None = None,
 ) -> GrowthLog:
     """Co-integrate the state with tangent vectors dv/dt = J(s) v.
 
@@ -412,7 +431,12 @@ def integrate_augmented(
     Gram-Schmidt) and the pre-normalization log-norms are recorded.  Step
     control is driven by the base-state error only.  observer, when given, is
     called as observer(t, base_state_array, log_norms) at each renormalization.
+    direction_filter, when given (+1, -1 or "both"), also collects the X = 0
+    transits of the base state in the same pass into GrowthLog.crossings, as
+    integrate_with_events would report them.
     """
+    if direction_filter is not None:
+        _check_direction(direction_filter)
     settings = settings or IntegratorSettings()
     _check_inputs(s0, t_end, settings)
     if renorm_interval <= 0:
@@ -425,63 +449,25 @@ def integrate_augmented(
     k = tangents.shape[0]
     tangents = tangents / np.linalg.norm(tangents, axis=1)[:, None]
 
-    eps_, alpha_, omega_ = p.eps, p.alpha, p.omega
-
-    def f_aug(t, y):
-        n1, om, op, x, px = y[:5]
-        d = p.delta + alpha_ * x
-        out = np.empty_like(y)
-        out[0] = 2.0 * d * om
-        out[1] = 2.0 * d * n1 + 2.0 * eps_ * op
-        out[2] = -2.0 * eps_ * om
-        out[3] = omega_ * px
-        out[4] = -(omega_ * x + alpha_ * op)
-        v = y[5:].reshape(k, 5)
-        jv = np.empty_like(v)
-        # rows of the analytic Jacobian applied to each tangent vector
-        jv[:, 0] = 2.0 * d * v[:, 1] + 2.0 * alpha_ * om * v[:, 3]
-        jv[:, 1] = 2.0 * d * v[:, 0] + 2.0 * eps_ * v[:, 2] + 2.0 * alpha_ * n1 * v[:, 3]
-        jv[:, 2] = -2.0 * eps_ * v[:, 1]
-        jv[:, 3] = omega_ * v[:, 4]
-        jv[:, 4] = -alpha_ * v[:, 2] - omega_ * v[:, 3]
-        out[5:] = jv.ravel()
-        return out
-
     y0 = np.concatenate([s0.to_array(), tangents.ravel()])
-    stepper = _Dopri5(f_aug, y0, settings, err_dim=5)
+    stepper = _Dopri5(_augmented_rhs(p, k), y0, settings, err_dim=5)
     log_times = []
     log_norms = []
-    status = IntegrationStatus.STEP_BUDGET_EXHAUSTED
-    t_div = None
-    n_marks = max(1, round(t_end / renorm_interval))
-    mark = 1
-    budget_ok = True
-    while mark <= n_marks and budget_ok:
-        t_mark = min(mark * renorm_interval, t_end)
-        while stepper.t < t_mark:
-            if not stepper.step(t_mark):
-                budget_ok = False
-                break
-            if float(np.max(np.abs(stepper.y[:5]))) > settings.divergence_norm:
-                status = IntegrationStatus.DIVERGED
-                t_div = stepper.t
-                break
-        if t_div is not None:
-            break
-        if not budget_ok:
-            break
-        vecs = stepper.y[5:].reshape(k, 5)
-        norms = _gram_schmidt(vecs)
-        stepper.y[5:] = vecs.ravel()
-        stepper.k1 = stepper.f(stepper.t, stepper.y)   # FSAL stage is stale after renorm
+    crossings: list[CrossingEvent] = []
+
+    def renormalize(st: _Dopri5):
+        norms = _gram_schmidt(st.y[5:].reshape(k, 5))    # a view: updates st.y
+        st.k1 = st.f(st.t, st.y)                        # FSAL stage is stale after renorm
         logs = np.log(norms)
-        log_times.append(stepper.t)
+        log_times.append(st.t)
         log_norms.append(logs)
         if observer is not None:
-            observer(stepper.t, stepper.y[:5].copy(), logs)
-        mark += 1
-    else:
-        status = IntegrationStatus.COMPLETED
+            observer(st.t, st.y[:5].copy(), logs)
+
+    n_marks = max(1, round(t_end / renorm_interval))
+    marks = (min(m * renorm_interval, t_end) for m in range(1, n_marks + 1))
+    scan = None if direction_filter is None else _crossing_scan(p, s0.dn, direction_filter, crossings)
+    status, t_div = _drive(stepper, marks, on_step=scan, on_mark=renormalize)
     return GrowthLog(
         times=np.array(log_times),
         log_norms=np.array(log_norms).reshape(len(log_norms), k),
@@ -490,4 +476,5 @@ def integrate_augmented(
         t_div=t_div,
         final_state=SystemState.from_array(stepper.y[:5], dn=s0.dn),
         final_tangents=stepper.y[5:].reshape(k, 5).copy(),
+        crossings=crossings,
     )

@@ -33,6 +33,7 @@ __all__ = [
     "parity_map_params",
     "parity_map_state",
     "rhs",
+    "jvp",
     "jacobian_matrix",
 ]
 
@@ -153,18 +154,25 @@ def rhs(y: np.ndarray, p: ModelParams) -> np.ndarray:
     ])
 
 
-def jacobian_matrix(y: np.ndarray, p: ModelParams) -> np.ndarray:
-    """5x5 Jacobian of :func:`rhs`, row order (n1, om, op, x, p)."""
+def jvp(y: np.ndarray, v: np.ndarray, p: ModelParams) -> np.ndarray:
+    """Jacobian of :func:`rhs` at y applied to the vectors along v's last axis.
+
+    The one Jacobian definition: the augmented flow and jacobian_matrix use it.
+    """
     n1, om, op, x, px = y
     d = p.delta + p.alpha * x
-    a = p.alpha
-    return np.array([
-        [0.0, 2.0 * d, 0.0, 2.0 * a * om, 0.0],
-        [2.0 * d, 0.0, 2.0 * p.eps, 2.0 * a * n1, 0.0],
-        [0.0, -2.0 * p.eps, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 0.0, p.omega],
-        [0.0, 0.0, -a, -p.omega, 0.0],
-    ])
+    jv = np.empty(np.shape(v))
+    jv[..., 0] = 2.0 * d * v[..., 1] + 2.0 * p.alpha * om * v[..., 3]
+    jv[..., 1] = 2.0 * d * v[..., 0] + 2.0 * p.eps * v[..., 2] + 2.0 * p.alpha * n1 * v[..., 3]
+    jv[..., 2] = -2.0 * p.eps * v[..., 1]
+    jv[..., 3] = p.omega * v[..., 4]
+    jv[..., 4] = -p.alpha * v[..., 2] - p.omega * v[..., 3]
+    return jv
+
+
+def jacobian_matrix(y: np.ndarray, p: ModelParams) -> np.ndarray:
+    """5x5 Jacobian of :func:`rhs`, row order (n1, om, op, x, p); exact (jvp adds only zeros)."""
+    return jvp(y, np.eye(5), p).T
 
 
 def vector_field(s: SystemState, p: ModelParams) -> Derivative:

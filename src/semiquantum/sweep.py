@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import Regime, RegimeClassification, classify_regime
-from .errors import ConfigurationError, InfeasibleConstraintError
+from .errors import ConfigurationError, DivergentTrajectoryError, InfeasibleConstraintError, NumericalFailureError
 from .integrator import IntegratorSettings
 from .model import ModelParams, SystemState, make_initial
 
@@ -74,6 +74,8 @@ class InitialRecipe:
             raise ConfigurationError("initial recipe cannot mix a literal state with constraints")
         if constrained and (self.e_eff is None or self.i_inv is None):
             raise ConfigurationError("constrained recipe needs both e_eff and i_inv")
+        if self.momentum_sign not in (-1, 1):
+            raise ConfigurationError(f"momentum_sign must be +1 or -1, got {self.momentum_sign}")
 
     def build(self, p: ModelParams) -> SystemState:
         if self.state is not None:
@@ -100,8 +102,9 @@ class SweepSpec:
         self.axis2.validate()
         if self.axis1.name == self.axis2.name:
             raise ConfigurationError(f"axes must name distinct parameters, both are {self.axis1.name!r}")
-        if self.budget <= 0 or self.transient < 0 or self.renorm_interval <= 0:
-            raise ConfigurationError("sweep budgets must be positive")
+        if not (0 < self.budget < math.inf and 0 <= self.transient < math.inf
+                and 0 < self.renorm_interval < math.inf):
+            raise ConfigurationError("sweep budgets must be positive and finite")
         self.recipe.validate()
         self.settings.validate()
 
@@ -151,7 +154,7 @@ def _run_cell(args) -> CellResult:
             s0, p, spec.settings, budget=spec.budget,
             transient=spec.transient, renorm_interval=spec.renorm_interval,
         )
-    except Exception as exc:  # per-cell failures are data, never fatal
+    except (NumericalFailureError, DivergentTrajectoryError) as exc:  # numerical outcomes are data
         return CellResult(i, j, v1, v2, None, None, None, None, f"failed: {exc}")
     est = result.lyapunov
     return CellResult(

@@ -115,6 +115,13 @@ class TestClassifyRegime:
         assert r.label in (Regime.PERIODIC, Regime.QUASIPERIODIC)
         assert r.lyapunov is not None
         assert r.n_crossings >= 50
+        # the section collected in the Lyapunov pass tells the same story as
+        # a separate poincare() pass
+        sec = poincare(S_BASE, P_WEAK, 1500.0, ST)
+        pts = np.column_stack([sec.om, sec.op])
+        spread = max(float(np.ptp(sec.om)), float(np.ptp(sec.op)))
+        assert r.n_crossings == len(sec)
+        assert r.n_clusters == cluster_count(pts, 1e-3 * spread)
 
     def test_divergent_orbit(self):
         p = ModelParams(eps=2.0, gamma=0.0, delta=1.0, alpha=1.1, omega=1.0)

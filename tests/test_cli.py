@@ -1,9 +1,12 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
 
+import semiquantum.integrator as integrator
+import semiquantum.sweep as sweep
 from semiquantum.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_NUMERICAL, EXIT_OK, PRESETS, g17, main
 
 FAST_SIM = {
@@ -184,6 +187,16 @@ class TestPoincare:
         rows = read_csv(tmp_path / "up" / "section.csv")
         assert all(r[5] == "1" for r in rows[1:])
 
+    def test_refinement_failure_exits_numerical(self, tmp_path, monkeypatch):
+        def bad_brentq(*args, **kwargs):
+            raise ValueError("f(a) and f(b) must have different signs")
+
+        monkeypatch.setattr(integrator, "brentq", bad_brentq)
+        cfg = write_cfg(tmp_path, {"poincare": {"t_end": 20.0}})
+        code = main(["poincare", "--preset", "fig1b", "--config", cfg,
+                     "--out", str(tmp_path / "sec")])
+        assert code == EXIT_NUMERICAL
+
     def test_empty_section_warns_but_succeeds(self, tmp_path):
         # field mode at rest on the plane and decoupled: X stays identically 0
         cfg = write_cfg(tmp_path, {
@@ -254,3 +267,51 @@ class TestSweep:
             "axis2": {"name": "eps", "values": [1.1]},
         }, name="dup.json")
         assert main(["sweep", spec, "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
+SWEEP_SPEC = {
+    "params": {"eps": 1.05, "gamma": 0.0, "delta": 1.0, "alpha": 1e-4, "omega": 1.0},
+    "initial": {"e_eff": 4.8, "i_inv": 4.0},
+    "axis1": {"name": "eps", "values": [1.05]},
+    "axis2": {"name": "alpha", "values": [1e-4]},
+    "budget": 100.0,
+    "transient": 10.0,
+    "workers": 1,
+}
+
+
+class TestSweepSpecErrors:
+    """Bad sweep-spec values exit 1 before any cell runs or output is written."""
+
+    @pytest.fixture(autouse=True)
+    def no_pool(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", refuse)
+
+    def run_spec(self, tmp_path, **changes):
+        spec = {**SWEEP_SPEC, **changes}
+        path = write_cfg(tmp_path, spec, name="bad_sweep.json")
+        code = main(["sweep", path, "--out", str(tmp_path / "sw")])
+        assert not (tmp_path / "sw" / "regimes.csv").exists()
+        return code
+
+    @pytest.mark.parametrize("workers", ["2", 0, 1.0, True])
+    def test_workers_must_be_an_int_in_range(self, tmp_path, workers):
+        assert self.run_spec(tmp_path, workers=workers) == EXIT_CONFIG
+
+    def test_workers_above_cpu_count(self, tmp_path):
+        assert self.run_spec(tmp_path, workers=(os.cpu_count() or 1) + 1) == EXIT_CONFIG
+
+    def test_axis_values_not_a_list(self, tmp_path):
+        assert self.run_spec(tmp_path, axis1={"name": "eps", "values": 5}) == EXIT_CONFIG
+
+    def test_budget_not_a_number(self, tmp_path):
+        assert self.run_spec(tmp_path, budget=[100.0]) == EXIT_CONFIG
+
+    def test_e_eff_without_i_inv(self, tmp_path):
+        assert self.run_spec(tmp_path, initial={"e_eff": 4.8}) == EXIT_CONFIG
+
+    def test_bad_momentum_sign(self, tmp_path):
+        initial = {"e_eff": 4.8, "i_inv": 4.0, "momentum_sign": 2}
+        assert self.run_spec(tmp_path, initial=initial) == EXIT_CONFIG

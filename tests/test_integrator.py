@@ -178,6 +178,14 @@ class TestEvents:
             integrate_with_events(SystemState(1, 0, 0, 1, 0), self.p, 1.0,
                                   direction_filter="up")
 
+    def test_trajectory_holds_start_and_end(self):
+        s0 = SystemState(n1=1, om=0, op=0, x=1, p=0)
+        traj, _ = integrate_with_events(s0, self.p, 5.0, TIGHT)
+        assert traj.status is IntegrationStatus.COMPLETED
+        assert list(traj.times) == [0.0, 5.0]
+        assert np.array_equal(traj.states[0], s0.to_array())
+        assert abs(traj.states[1][3] - math.cos(5.0)) <= 1e-10
+
 
 class TestAugmented:
     def test_stable_linear_rates_vanish(self):
@@ -233,6 +241,34 @@ class TestAugmented:
             renorm_interval=1.0, observer=lambda t, y, logs: seen.append(t),
         )
         assert seen == pytest.approx([1.0, 2.0, 3.0])
+
+    def test_augmented_field_is_rhs_plus_jvp(self):
+        from semiquantum.integrator import _augmented_rhs
+        from semiquantum.model import jacobian_matrix, rhs
+
+        p = ModelParams(eps=1.05, gamma=0.0, delta=1.0, alpha=0.015, omega=1.0)
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            base = rng.uniform(-5, 5, size=5)
+            vecs = rng.normal(size=(3, 5))
+            out = _augmented_rhs(p, 3)(0.0, np.concatenate([base, vecs.ravel()]))
+            assert np.array_equal(out[:5], rhs(base, p))
+            expected = vecs @ jacobian_matrix(base, p).T
+            assert np.allclose(out[5:].reshape(3, 5), expected, rtol=1e-13, atol=1e-13)
+
+    def test_section_in_the_augmented_pass(self):
+        # the crossings of the base state, collected in the same pass, match
+        # integrate_with_events up to the step differences the renorm marks cause
+        p = ModelParams(eps=1.0, gamma=0.0, delta=0.0, alpha=0.0, omega=1.0)
+        s0 = SystemState(n1=1, om=0, op=0, x=1, p=0)
+        log = integrate_augmented(s0, [np.ones(5)], p, 20.0, TIGHT, renorm_interval=1.0,
+                                  direction_filter="both")
+        _, events = integrate_with_events(s0, p, 20.0, TIGHT)
+        assert len(log.crossings) == len(events) == 6
+        for a, b in zip(log.crossings, events):
+            assert abs(a.t_cross - b.t_cross) <= 1e-10
+            assert a.direction == b.direction
+        assert integrate_augmented(s0, [np.ones(5)], p, 20.0, TIGHT).crossings == []
 
     def test_rejects_zero_tangent(self):
         p = ModelParams(eps=1.05, gamma=0.0, delta=1.0, alpha=0.0, omega=1.0)

@@ -10,6 +10,8 @@ from semiquantum.model import (
     effective_energy,
     invariant_I,
     jacobian,
+    jacobian_matrix,
+    jvp,
     make_initial,
     parity_map_params,
     parity_map_state,
@@ -104,6 +106,16 @@ class TestJacobian:
                 e[k] = h
                 fd = (rhs(y + e, P_REF) - rhs(y - e, P_REF)) / (2 * h)
                 assert np.max(np.abs(j[:, k] - fd)) <= 1e-6
+
+    def test_jvp_matches_matrix_product(self):
+        rng = np.random.default_rng(17)
+        for s in random_states(50, rng):
+            y = s.to_array()
+            j = jacobian_matrix(y, P_REF)
+            v = rng.normal(size=5)
+            assert np.allclose(jvp(y, v, P_REF), j @ v, rtol=1e-13, atol=1e-13)
+            vs = rng.normal(size=(3, 5))
+            assert np.allclose(jvp(y, vs, P_REF), vs @ j.T, rtol=1e-13, atol=1e-13)
 
 
 class TestInvariants:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import semiquantum.sweep as sweep
 from semiquantum.analysis import Regime
-from semiquantum.errors import ConfigurationError
+from semiquantum.errors import ConfigurationError, NumericalFailureError
 from semiquantum.integrator import IntegratorSettings
 from semiquantum.model import ModelParams, SystemState
 from semiquantum.sweep import AxisSpec, InitialRecipe, RegimeMap, SweepSpec, run_sweep
@@ -100,3 +101,22 @@ class TestRunSweep:
         spec = small_spec(recipe=InitialRecipe(state=SystemState(2, 0, 0, 1, -2.5495)))
         rm = run_sweep(spec, max_workers=1)
         assert all(c.status == "ok" for c in rm.cells)
+
+
+class TestCellFailures:
+    def _raising(self, exc):
+        def classify(*args, **kwargs):
+            raise exc
+        return classify
+
+    def test_programming_error_propagates(self, monkeypatch):
+        monkeypatch.setattr(sweep, "classify_regime", self._raising(TypeError("bug")))
+        with pytest.raises(TypeError):
+            run_sweep(small_spec(), max_workers=1)
+
+    def test_numerical_failure_is_a_failed_cell(self, monkeypatch):
+        monkeypatch.setattr(sweep, "classify_regime",
+                            self._raising(NumericalFailureError("step size underflow")))
+        rm = run_sweep(small_spec(), max_workers=1)
+        assert all(c.status.startswith("failed: step size underflow") for c in rm.cells)
+        assert all(c.regime is None for c in rm.cells)
