@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -21,7 +21,6 @@ __all__ = [
     "largest_lyapunov",
     "classify_regime",
     "cluster_count",
-    "conic_fit_residual",
 ]
 
 CHAOS_THRESHOLD = 5e-3          # in units where delta = 1
@@ -128,7 +127,8 @@ def largest_lyapunov(
     The interval [0, transient] is discarded; per-interval growth rates are
     treated as independent samples for the standard error.  Divergence before
     the transient completes raises; divergence afterwards yields a partial
-    estimate with diverged_at set.
+    estimate with diverged_at set.  A renorm_interval that leaves fewer than
+    two growth samples past the transient is a ConfigurationError.
     """
     if total <= transient:
         raise ConfigurationError(f"total ({total}) must exceed transient ({transient})")
@@ -149,8 +149,11 @@ def _estimate(log: GrowthLog, transient: float, renorm_interval: float) -> Lyapu
     rates = log.log_norms[keep, 0] / renorm_interval
     n = int(keep.sum())
     if n < 2:
-        raise DivergentTrajectoryError(
-            "too few growth samples past the transient", log.t_div if log.t_div is not None else reached
+        if log.status is IntegrationStatus.DIVERGED:
+            raise DivergentTrajectoryError("too few growth samples past the transient", log.t_div)
+        raise ConfigurationError(
+            f"{n} growth sample(s) past the transient {transient:g} up to t={reached:g}: "
+            f"renorm_interval {renorm_interval:g} is too long, at least 2 are needed"
         )
     span = log.times[keep][-1] - transient
     lam = float(log.log_norms[keep, 0].sum() / span)
@@ -175,27 +178,6 @@ def cluster_count(points: np.ndarray, radius: float) -> int:
         else:
             centers.append(pt)
     return len(centers)
-
-
-def conic_fit_residual(x: np.ndarray, y: np.ndarray) -> float:
-    """RMS residual of the best-fit conic through the points, on normalized scale.
-
-    Points are centered and scaled to unit RMS radius first; the conic
-    coefficient vector is the unit singular vector minimizing the algebraic
-    residual, so the result is dimensionless and comparable across sections.
-    """
-    if len(x) < 6:
-        raise ValueError(f"need at least 6 points for a conic fit, got {len(x)}")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    scale = math.sqrt(float(np.mean(xc * xc + yc * yc)))
-    if scale == 0.0:
-        return 0.0
-    u, v = xc / scale, yc / scale
-    design = np.column_stack([u * u, u * v, v * v, u, v, np.ones_like(u)])
-    _, svals, vt = np.linalg.svd(design, full_matrices=False)
-    coef = vt[-1]
-    return float(np.sqrt(np.mean((design @ coef) ** 2)))
 
 
 def classify_regime(

@@ -1,8 +1,9 @@
 """Command-line front end: presets, JSON configs, CSV/JSON/SVG emission.
 
 Subcommands: simulate | oracle | poincare | lyapunov | sweep.
-Exit codes: 0 success, 1 configuration error, 2 numerical failure,
-3 unexpected divergence.
+Exit codes, mapped from exceptions in ``main`` only: 0 success,
+1 configuration or usage error, 2 numerical failure (an exhausted step
+budget included), 3 unexpected divergence.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, linear_oracle
+from . import analysis
 from .errors import (
     ConfigurationError,
     CriticalityError,
@@ -91,6 +92,19 @@ def g17(v) -> str:
     return format(float(v), ".17g")
 
 
+def _read_json_object(path, what: str) -> dict:
+    path = Path(path)
+    if not path.is_file():
+        raise ConfigurationError(f"{what} not found: {path}")
+    try:
+        raw = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"{what} root must be a JSON object")
+    return raw
+
+
 def _load_config(args) -> dict:
     cfg = {}
     if args.preset:
@@ -100,16 +114,7 @@ def _load_config(args) -> dict:
             )
         cfg = copy.deepcopy(PRESETS[args.preset])
     if args.config:
-        path = Path(args.config)
-        if not path.is_file():
-            raise ConfigurationError(f"config file not found: {path}")
-        try:
-            overrides = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(overrides, dict):
-            raise ConfigurationError("config root must be a JSON object")
-        for key, val in overrides.items():
+        for key, val in _read_json_object(args.config, "config file").items():
             if isinstance(val, dict) and isinstance(cfg.get(key), dict):
                 cfg[key] = {**cfg[key], **val}
             else:
@@ -159,18 +164,35 @@ def _build_initial(cfg: dict, p: ModelParams) -> SystemState:
     return _initial_recipe(cfg).build(p)
 
 
-def _build_settings(cfg: dict, default_tol: float) -> IntegratorSettings:
-    sec = cfg.get("integrator", {})
+def _section(cfg: dict, name: str, defaults: dict) -> dict:
+    """Read a numeric config section over its defaults.
+
+    Each value takes the type of its default (int or float).  A section that
+    is not an object, a value that is not a number and an unknown key are
+    configuration errors.
+    """
+    sec = cfg.get(name, {})
     if not isinstance(sec, dict):
-        raise ConfigurationError("integrator section must be an object")
-    base = IntegratorSettings(abs_tol=default_tol, rel_tol=default_tol)
-    try:
-        settings = dataclasses.replace(
-            base,
-            **{k: (int(v) if k == "max_steps" else float(v)) for k, v in sec.items()},
+        raise ConfigurationError(f"{name} section must be an object, got {sec!r}")
+    unknown = sorted(set(sec) - set(defaults))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown {name} key(s) {', '.join(unknown)}; valid: {', '.join(defaults)}"
         )
-    except TypeError as exc:
-        raise ConfigurationError(f"invalid integrator section: {exc}") from exc
+    values = dict(defaults)
+    for key, val in sec.items():
+        if type(val) not in (int, float):
+            raise ConfigurationError(f"{name}.{key} must be a number, got {val!r}")
+        try:
+            values[key] = type(defaults[key])(val)
+        except (ValueError, OverflowError) as exc:    # int() of nan or inf
+            raise ConfigurationError(f"{name}.{key}: {exc}") from exc
+    return values
+
+
+def _build_settings(cfg: dict, default_tol: float) -> IntegratorSettings:
+    defaults = dataclasses.asdict(IntegratorSettings(abs_tol=default_tol, rel_tol=default_tol))
+    settings = IntegratorSettings(**_section(cfg, "integrator", defaults))
     settings.validate()
     return settings
 
@@ -195,9 +217,8 @@ def cmd_simulate(args) -> int:
     p = _build_params(cfg)
     s0 = _build_initial(cfg, p)
     settings = _build_settings(cfg, 1e-14)
-    sim = cfg.get("simulate", {})
-    t_end = float(sim.get("t_end", 1000.0))
-    interval = float(sim.get("sample_interval", 0.5))
+    sim = _section(cfg, "simulate", {"t_end": 1000.0, "sample_interval": 0.5})
+    t_end, interval = sim["t_end"], sim["sample_interval"]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
@@ -208,8 +229,7 @@ def cmd_simulate(args) -> int:
             "command": "simulate", "params": _params_dict(p),
             "status": "numerical_failure", "error": str(exc),
         })
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        raise
     wall = time.perf_counter() - t0
 
     rows = []
@@ -245,9 +265,6 @@ def cmd_simulate(args) -> int:
     if traj.status is IntegrationStatus.DIVERGED and not args.expect_divergence:
         print(f"unexpected divergence at t={traj.t_div:.6g}", file=sys.stderr)
         return EXIT_DIVERGED
-    if traj.status is IntegrationStatus.STEP_BUDGET_EXHAUSTED:
-        print("step budget exhausted", file=sys.stderr)
-        return EXIT_NUMERICAL
     return EXIT_OK
 
 
@@ -293,23 +310,16 @@ def cmd_oracle(args) -> int:
     }
     if mode != "classify":
         if p.alpha != 0.0:
-            print("oracle evolution comparison requires alpha = 0", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigurationError("oracle evolution comparison requires alpha = 0")
         if mode == "critical" and regime.label is not StabilityClass.CRITICAL:
-            print("oracle critical mode requires |delta| = eps", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigurationError("oracle critical mode requires |delta| = eps")
         s0 = _build_initial(cfg, p)
         settings = _build_settings(cfg, 1e-12)
-        osec = cfg.get("oracle", {})
-        t_end = float(osec.get("t_end", 10.0))
-        n_samples = int(osec.get("samples", 101))
-        try:
-            traj, max_abs, max_rel = _oracle_compare(
-                p, s0, settings, t_end, n_samples, critical=(mode == "critical")
-            )
-        except NumericalFailureError as exc:
-            print(f"numerical failure: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
+        osec = _section(cfg, "oracle", {"t_end": 10.0, "samples": 101})
+        t_end = osec["t_end"]
+        traj, max_abs, max_rel = _oracle_compare(
+            p, s0, settings, t_end, osec["samples"], critical=(mode == "critical")
+        )
         report.update({
             "t_end": t_end,
             "max_abs_deviation": max_abs,
@@ -348,17 +358,11 @@ def cmd_poincare(args) -> int:
     p = _build_params(cfg)
     s0 = _build_initial(cfg, p)
     settings = _build_settings(cfg, _ANALYSIS_TOL)
-    sec_cfg = cfg.get("poincare", {})
-    t_end = float(sec_cfg.get("t_end", 5000.0))
+    t_end = _section(cfg, "poincare", {"t_end": 5000.0})["t_end"]
     direction = args.direction
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    try:
-        initials = _family_initials(s0, p, args.families) if args.families > 1 else [s0]
-    except InfeasibleConstraintError as exc:
-        print(f"infeasible family construction: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    initials = _family_initials(s0, p, args.families) if args.families > 1 else [s0]
 
     t0 = time.perf_counter()
     member_reports = []
@@ -366,11 +370,7 @@ def cmd_poincare(args) -> int:
     diverged = False
     header = ["t_cross", "ominus", "oplus", "n1", "p", "direction"]
     for idx, ic in enumerate(initials):
-        try:
-            section = analysis.poincare(ic, p, t_end, settings, direction_filter=direction)
-        except NumericalFailureError as exc:
-            print(f"numerical failure: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
+        section = analysis.poincare(ic, p, t_end, settings, direction_filter=direction)
         rows = [
             [g17(t), g17(om), g17(op), g17(n1), g17(pp), str(int(d))]
             for t, om, op, n1, pp, d in zip(
@@ -417,10 +417,8 @@ def cmd_lyapunov(args) -> int:
     p = _build_params(cfg)
     s0 = _build_initial(cfg, p)
     settings = _build_settings(cfg, _ANALYSIS_TOL)
-    lsec = cfg.get("lyapunov", {})
-    transient = float(lsec.get("transient", 200.0))
-    total = float(lsec.get("total", 5000.0))
-    renorm = float(lsec.get("renorm_interval", 1.0))
+    lsec = _section(cfg, "lyapunov", {"transient": 200.0, "total": 5000.0, "renorm_interval": 1.0})
+    transient, total, renorm = lsec["transient"], lsec["total"], lsec["renorm_interval"]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
@@ -434,11 +432,7 @@ def cmd_lyapunov(args) -> int:
             "status": "diverged", "t_div": exc.t_div,
             "transient": transient, "total": total,
         })
-        print(f"divergence before the transient completed: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except NumericalFailureError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        raise
     report = {
         "command": "lyapunov",
         "params": _params_dict(p),
@@ -468,15 +462,7 @@ def _axis_from_json(sec) -> AxisSpec:
 
 
 def cmd_sweep(args) -> int:
-    path = Path(args.specfile)
-    if not path.is_file():
-        raise ConfigurationError(f"sweep spec not found: {path}")
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"sweep spec is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigurationError("sweep spec root must be a JSON object")
+    raw = _read_json_object(args.specfile, "sweep spec")
     p = _build_params(raw)
     try:
         spec = SweepSpec(
@@ -542,33 +528,52 @@ def _parse_direction(text):
     raise argparse.ArgumentTypeError(f"direction must be +1, -1 or both, got {text!r}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON run configuration")
-    common.add_argument("--preset", help=f"figure preset: {', '.join(sorted(PRESETS))}")
-    common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--plot", action="store_true", help="emit SVG plots")
-    common.add_argument("--expect-divergence", action="store_true",
-                        help="treat divergence as a normal outcome")
-    common.add_argument("--families", type=int, default=1,
-                        help="generate N initial conditions at fixed (E_eff, I)")
-    common.add_argument("--direction", type=_parse_direction, default="both",
-                        help="crossing direction filter: +1, -1 or both")
+def _family_count(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"families must be >= 1, got {n}")
+    return n
 
-    parser = argparse.ArgumentParser(
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a configuration error: exit 1, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The sqlab parser; each subcommand takes only the flags it reads."""
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--config", help="JSON run configuration")
+    run.add_argument("--preset", help=f"figure preset: {', '.join(sorted(PRESETS))}")
+    run.add_argument("--out", default=".", help="output directory")
+    orbit = argparse.ArgumentParser(add_help=False)
+    orbit.add_argument("--plot", action="store_true", help="emit SVG plots")
+    orbit.add_argument("--expect-divergence", action="store_true",
+                       help="treat divergence as a normal outcome")
+
+    parser = _Parser(
         prog="sqlab",
         description="Semiquantum boson-field dynamics laboratory",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("simulate", parents=[common]).set_defaults(func=cmd_simulate)
-    oracle = sub.add_parser("oracle", parents=[common])
+    sub.add_parser("simulate", parents=[run, orbit]).set_defaults(func=cmd_simulate)
+    oracle = sub.add_parser("oracle", parents=[run])
     oracle.add_argument("--mode", choices=("linear", "critical", "classify"),
                         default="classify")
     oracle.set_defaults(func=cmd_oracle)
-    sub.add_parser("poincare", parents=[common]).set_defaults(func=cmd_poincare)
-    sub.add_parser("lyapunov", parents=[common]).set_defaults(func=cmd_lyapunov)
-    sweep_p = sub.add_parser("sweep", parents=[common])
+    poincare = sub.add_parser("poincare", parents=[run, orbit])
+    poincare.add_argument("--families", type=_family_count, default=1,
+                          help="generate N initial conditions at fixed (E_eff, I)")
+    poincare.add_argument("--direction", type=_parse_direction, default="both",
+                          help="crossing direction filter: +1, -1 or both")
+    poincare.set_defaults(func=cmd_poincare)
+    sub.add_parser("lyapunov", parents=[run]).set_defaults(func=cmd_lyapunov)
+    sweep_p = sub.add_parser("sweep")
     sweep_p.add_argument("specfile", help="JSON sweep specification")
+    sweep_p.add_argument("--out", default=".", help="output directory")
     sweep_p.set_defaults(func=cmd_sweep)
     return parser
 
@@ -584,6 +589,9 @@ def main(argv=None) -> int:
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except DivergentTrajectoryError as exc:
+        print(f"divergence: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ class CriticalityError(ValueError):
 
 
 class NumericalFailureError(RuntimeError):
-    """Integration failed (non-finite state, vanishing step or root refinement stall)."""
+    """Integration failed (non-finite state, vanishing step, spent step budget or refinement stall)."""
 
     def __init__(self, message, last_good_time=None):
         self.last_good_time = last_good_time

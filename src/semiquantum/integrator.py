@@ -1,7 +1,8 @@
 """Adaptive Dormand-Prince 5(4) integration of the coupled system.
 
 One driver, ``_drive``, steps a ``_Dopri5`` to the end time through optional
-stop marks; it owns the step budget, the divergence guard and the status.  A
+stop marks; it owns the divergence guard and the status.  The stepper raises
+``NumericalFailureError`` when its step budget runs out.  A
 per-step hook (dense sampling or the X = 0 crossing scan) and a per-mark hook
 (Gram-Schmidt renormalization of tangent vectors carried by ``model.jvp``)
 make the front ends ``integrate``, ``integrate_with_events`` and
@@ -104,7 +105,6 @@ class IntegratorSettings:
 class IntegrationStatus(Enum):
     COMPLETED = "completed"
     DIVERGED = "diverged"
-    STEP_BUDGET_EXHAUSTED = "step_budget_exhausted"
 
 
 @dataclass
@@ -184,7 +184,7 @@ class _Dopri5:
         s = self.s
         while True:
             if self.stats.accepted + self.stats.rejected >= s.max_steps:
-                return False
+                raise NumericalFailureError("step budget exhausted", last_good_time=self.t)
             h_clip = t_limit - self.t
             h = min(self.h, s.h_max, h_clip)
             if h <= 16.0 * np.finfo(float).eps * max(1.0, abs(self.t)):
@@ -229,7 +229,7 @@ class _Dopri5:
                 self.stats.accepted += 1
                 self.stats.h_min = min(self.stats.h_min, h)
                 self.stats.h_max = max(self.stats.h_max, h)
-                return True
+                return
             self.h = h * max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
             self.stats.rejected += 1
 
@@ -274,8 +274,7 @@ def _drive(stepper: _Dopri5, marks, on_step=None, on_mark=None):
     """
     for t_mark in marks:
         while stepper.t < t_mark:
-            if not stepper.step(t_mark):
-                return IntegrationStatus.STEP_BUDGET_EXHAUSTED, None
+            stepper.step(t_mark)
             if on_step is not None:
                 on_step(stepper)
             if float(np.max(np.abs(stepper.y[:5]))) > stepper.s.divergence_norm:

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import Regime, RegimeClassification, classify_regime
+from .analysis import Regime, classify_regime
 from .errors import ConfigurationError, DivergentTrajectoryError, InfeasibleConstraintError, NumericalFailureError
 from .integrator import IntegratorSettings
 from .model import ModelParams, SystemState, make_initial
@@ -171,15 +172,21 @@ def run_sweep(spec: SweepSpec, max_workers: int | None = None) -> RegimeMap:
     """Classify every grid cell; identical output for any worker count.
 
     Cells are independent; results are assembled in (axis1 index, axis2
-    index) order regardless of completion order.
+    index) order regardless of completion order.  At most os.cpu_count()
+    worker processes run (None: that many); one worker runs the cells in
+    this process.
     """
     spec.validate()
+    if max_workers is not None and max_workers < 1:
+        raise ConfigurationError(f"max_workers must be >= 1, got {max_workers}")
+    cpus = os.cpu_count() or 1
+    workers = min(max_workers or cpus, cpus)
     work = [(spec, i, j)
             for i in range(len(spec.axis1.values))
             for j in range(len(spec.axis2.values))]
-    if max_workers is not None and max_workers <= 1:
+    if workers == 1:
         cells = [_run_cell(w) for w in work]
     else:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(_run_cell, work))
     return RegimeMap(spec=spec, cells=cells)

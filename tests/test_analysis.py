@@ -7,7 +7,6 @@ from semiquantum.analysis import (
     Regime,
     classify_regime,
     cluster_count,
-    conic_fit_residual,
     largest_lyapunov,
     poincare,
 )
@@ -60,28 +59,6 @@ class TestClusterAndConic:
         assert cluster_count(pts, 1e-3) == 3
         assert cluster_count(pts, 10.0) == 1
 
-    def test_conic_fit_exact_ellipse(self):
-        th = np.linspace(0, 2 * math.pi, 200, endpoint=False)
-        x = 0.3 + 2.0 * np.cos(th)
-        y = -1.0 + 0.5 * np.sin(th)
-        assert conic_fit_residual(x, y) <= 1e-12
-
-    def test_conic_fit_rejects_scatter(self):
-        rng = np.random.default_rng(9)
-        x = rng.uniform(-1, 1, 300)
-        y = rng.uniform(-1, 1, 300)
-        assert conic_fit_residual(x, y) > 1e-2
-
-    def test_conic_fit_needs_points(self):
-        with pytest.raises(ValueError):
-            conic_fit_residual(np.zeros(4), np.zeros(4))
-
-    def test_near_linear_section_is_conic_like(self):
-        # weak coupling: the section of a regular orbit hugs a smooth curve
-        sec = poincare(S_BASE, P_WEAK, 400.0, ST)
-        assert len(sec) >= 50
-        assert conic_fit_residual(sec.om, sec.op) <= 1e-3
-
 
 class TestLyapunov:
     def test_regular_orbit_small_exponent(self):
@@ -128,6 +105,13 @@ class TestClassifyRegime:
         r = classify_regime(S_BASE, p, ST, budget=1000.0)
         assert r.label is Regime.DIVERGENT
         assert r.divergence_time is not None
+
+    def test_too_few_growth_samples_is_a_configuration_error(self):
+        # one renormalization mark (t = 150) past the transient on a regular
+        # orbit: no estimate is possible, and the orbit did not diverge
+        with pytest.raises(ConfigurationError, match="renorm_interval"):
+            classify_regime(S_BASE, P_WEAK, ST, budget=200.0, transient=10.0,
+                            renorm_interval=150.0)
 
     def test_short_budget_inconclusive(self):
         r = classify_regime(S_BASE, P_WEAK, ST, budget=40.0, transient=10.0)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -7,7 +8,16 @@ import pytest
 
 import semiquantum.integrator as integrator
 import semiquantum.sweep as sweep
-from semiquantum.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_NUMERICAL, EXIT_OK, PRESETS, g17, main
+from semiquantum.cli import (
+    EXIT_CONFIG,
+    EXIT_DIVERGED,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    PRESETS,
+    build_parser,
+    g17,
+    main,
+)
 
 FAST_SIM = {
     "simulate": {"t_end": 20.0, "sample_interval": 0.5},
@@ -58,6 +68,121 @@ class TestConfigHandling:
             "fig1a", "fig1b", "fig1c", "fig2a", "fig2b",
             "fig2c", "fig2d", "fig3a", "fig3b", "fig4",
         }
+
+
+# every optional flag of sqlab, with a valid value where it takes one, and
+# the flags each subcommand reads
+FLAGS = {
+    "--config": "cfg.json", "--preset": "fig1a", "--out": "out", "--plot": None,
+    "--expect-divergence": None, "--families": "2", "--direction": "both", "--mode": "linear",
+}
+COMMAND_FLAGS = {
+    "simulate": {"--config", "--preset", "--out", "--plot", "--expect-divergence"},
+    "oracle": {"--config", "--preset", "--out", "--mode"},
+    "poincare": {"--config", "--preset", "--out", "--plot", "--expect-divergence",
+                 "--families", "--direction"},
+    "lyapunov": {"--config", "--preset", "--out"},
+    "sweep": {"--out"},
+}
+
+
+def usage_exit(argv):
+    """The exit code of an argv that the parser rejects."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    return info.value.code
+
+
+class TestFlags:
+    def test_each_subcommand_takes_only_its_own_flags(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        settable = {
+            name: {opt for a in cmd._actions if not isinstance(a, argparse._HelpAction)
+                   for opt in (a.option_strings or [a.dest])}
+            for name, cmd in sub.choices.items()
+        }
+        assert settable == {name: flags | ({"specfile"} if name == "sweep" else set())
+                            for name, flags in COMMAND_FLAGS.items()}
+        assert sum(len(flags) for flags in settable.values()) == 21
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, own in COMMAND_FLAGS.items()
+        for flag in FLAGS if flag not in own
+    ])
+    def test_flag_not_read_is_a_usage_error(self, command, flag):
+        argv = [command] + (["spec.json"] if command == "sweep" else [])
+        argv += [flag] + ([] if FLAGS[flag] is None else [FLAGS[flag]])
+        assert usage_exit(argv) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("flag, value", [("--direction", "up"), ("--families", "0")])
+    def test_bad_flag_value_is_a_usage_error(self, flag, value):
+        assert usage_exit(["poincare", "--preset", "fig1b", flag, value]) == EXIT_CONFIG
+
+
+# a command that reads the section, and one key it knows
+SECTION_RUNS = {
+    "simulate": (["simulate", "--preset", "fig1b"], "t_end"),
+    "integrator": (["simulate", "--preset", "fig1b"], "abs_tol"),
+    "oracle": (["oracle", "--preset", "fig1a", "--mode", "linear"], "samples"),
+    "poincare": (["poincare", "--preset", "fig1b"], "t_end"),
+    "lyapunov": (["lyapunov", "--preset", "fig1b"], "total"),
+}
+
+
+class TestNumericSections:
+    @pytest.mark.parametrize("section", sorted(SECTION_RUNS))
+    @pytest.mark.parametrize("bad", ["not_an_object", "list_value", "string_value", "unknown_key"])
+    def test_bad_section_is_config_error(self, tmp_path, capsys, section, bad):
+        argv, key = SECTION_RUNS[section]
+        payload = {
+            "not_an_object": 5,
+            "list_value": {key: [1]},
+            "string_value": {key: "1"},
+            "unknown_key": {key + "_typo": 1.0},
+        }[bad]
+        # alpha = 0 lets the oracle comparison reach its section
+        cfg = write_cfg(tmp_path, {"params": {"alpha": 0.0}, section: payload})
+        assert main(argv + ["--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert section in capsys.readouterr().err
+
+
+BUDGET_300 = {
+    "integrator": {"max_steps": 300},
+    "simulate": {"t_end": 200.0},
+    "poincare": {"t_end": 200.0},
+    "lyapunov": {"transient": 10.0, "total": 200.0},
+}
+
+
+class TestStepBudget:
+    """An exhausted step budget is a numerical failure on every command."""
+
+    @pytest.mark.parametrize("command", ["simulate", "poincare", "lyapunov"])
+    def test_commands_exit_numerical(self, tmp_path, command):
+        cfg = write_cfg(tmp_path, BUDGET_300)
+        out = tmp_path / "run"
+        assert main([command, "--preset", "fig2d", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+        if command == "simulate":
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["status"] == "numerical_failure"
+            assert "step budget exhausted" in summary["error"]
+            assert not (out / "trajectory.csv").exists()
+
+    def test_sweep_cell_fails(self, tmp_path):
+        spec = write_cfg(tmp_path, {
+            "params": PRESETS["fig2d"]["params"],
+            "initial": {"e_eff": 4.8, "i_inv": 4.0},
+            "axis1": {"name": "eps", "values": [1.05]},
+            "axis2": {"name": "alpha", "values": [0.015]},
+            "budget": 200.0, "transient": 10.0,
+            "integrator": {"max_steps": 300},
+            "workers": 1,
+        }, name="sweep.json")
+        assert main(["sweep", spec, "--out", str(tmp_path / "sw")]) == EXIT_OK
+        rows = read_csv(tmp_path / "sw" / "regimes.csv")
+        assert len(rows) == 2
+        assert rows[1][4] == ""
+        assert rows[1][8].startswith("failed: step budget exhausted")
 
 
 class TestSimulate:
@@ -230,6 +355,14 @@ class TestLyapunov:
         assert code == EXIT_DIVERGED
         report = json.loads((tmp_path / "ld" / "lyapunov.json").read_text())
         assert report["status"] == "diverged"
+
+    def test_too_few_growth_samples_is_config_error(self, tmp_path):
+        # one renormalization (t = 150) past the transient of a regular orbit
+        cfg = write_cfg(tmp_path, {"lyapunov": {"transient": 10.0, "total": 200.0,
+                                                "renorm_interval": 150.0}})
+        code = main(["lyapunov", "--preset", "fig1a", "--config", cfg,
+                     "--out", str(tmp_path / "lr")])
+        assert code == EXIT_CONFIG
 
 
 class TestSweep:

@@ -107,8 +107,10 @@ class TestOracleAgreement:
     def test_step_budget(self):
         p = ModelParams(eps=1.05, gamma=0.0, delta=1.0, alpha=0.015, omega=1.0)
         s0 = SystemState(2, 0, 0, 1, 0)
-        traj = integrate(s0, p, 100.0, IntegratorSettings(max_steps=50), sample_interval=1.0)
-        assert traj.status is IntegrationStatus.STEP_BUDGET_EXHAUSTED
+        with pytest.raises(NumericalFailureError, match="step budget exhausted"):
+            integrate(s0, p, 100.0, IntegratorSettings(max_steps=50), sample_interval=1.0)
+        # an exhausted budget is a failure, never a status a trajectory can carry
+        assert {s.name for s in IntegrationStatus} == {"COMPLETED", "DIVERGED"}
 
 
 class TestInvariantDrift:

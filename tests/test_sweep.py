@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,45 @@ class TestRunSweep:
         spec = small_spec(recipe=InitialRecipe(state=SystemState(2, 0, 0, 1, -2.5495)))
         rm = run_sweep(spec, max_workers=1)
         assert all(c.status == "ok" for c in rm.cells)
+
+
+class TestWorkerBound:
+    """run_sweep starts at most os.cpu_count() workers; the fake pool starts none."""
+
+    @pytest.fixture
+    def requested(self, monkeypatch):
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, work):
+                return map(fn, work)
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", SerialPool)
+        return asked
+
+    def one_cell(self):
+        return small_spec(axis1=AxisSpec("eps", (1.05,)), axis2=AxisSpec("alpha", (1e-4,)),
+                          budget=40.0, transient=10.0)
+
+    def test_pool_capped_at_cpu_count(self, requested):
+        cpus = os.cpu_count() or 1
+        rm = run_sweep(self.one_cell(), max_workers=cpus + 1)
+        assert rm.cells[0].status == "ok"
+        assert requested == ([] if cpus == 1 else [cpus])
+
+    def test_zero_workers_rejected(self, requested):
+        with pytest.raises(ConfigurationError):
+            run_sweep(self.one_cell(), max_workers=0)
+        assert requested == []
 
 
 class TestCellFailures:
