@@ -43,13 +43,11 @@ from .linear_oracle import (
 )
 from .model import (
     Derivative,
-    InvariantPair,
     ModelParams,
     SystemState,
     ValidityReport,
     effective_energy,
     invariant_I,
-    invariants,
     jacobian,
     make_initial,
     validate_state,

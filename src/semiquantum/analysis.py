@@ -44,9 +44,6 @@ class PoincareSection:
     op: np.ndarray
     p: np.ndarray
     directions: np.ndarray
-    params: ModelParams
-    initial_state: SystemState
-    direction_filter: str | int
     status: IntegrationStatus
     t_div: float | None = None
 
@@ -102,9 +99,6 @@ def poincare(
         op=np.array([e.state.op for e in events]),
         p=np.array([e.state.p for e in events]),
         directions=np.array([e.direction for e in events], dtype=int),
-        params=p,
-        initial_state=s0,
-        direction_filter=direction_filter,
         status=traj.status,
         t_div=traj.t_div,
     )

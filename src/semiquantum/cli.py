@@ -9,7 +9,6 @@ budget included), 3 unexpected divergence.
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import dataclasses
 import json
@@ -24,7 +23,6 @@ import numpy as np
 from . import analysis
 from .errors import (
     ConfigurationError,
-    CriticalityError,
     DivergentTrajectoryError,
     InfeasibleConstraintError,
     NumericalFailureError,
@@ -48,24 +46,15 @@ EXIT_DIVERGED = 3
 
 # initial condition shared by all figure presets; the momentum value is kept
 # verbatim rather than recomputed from the energy shell
-_BASE_INITIAL = {
-    "n0": 1.0, "ominus0": 0.0, "oplus0": 0.0,
-    "x0": 1.0, "p0": -2.54950976, "dn0": 0.0,
-}
+_BASE_INITIAL = {"n0": 1.0, "x0": 1.0, "p0": -2.54950976}
 
 
-def _preset(eps, alpha, delta=1.0, **extra):
-    cfg = {
-        "params": {"eps": eps, "gamma": 0.0, "delta": delta, "alpha": alpha, "omega": 1.0},
-        "initial": dict(_BASE_INITIAL),
-        "simulate": {"t_end": 1000.0, "sample_interval": 0.5},
-        "poincare": {"t_end": 5000.0},
-        "lyapunov": {"transient": 200.0, "total": 5000.0, "renorm_interval": 1.0},
-        "oracle": {"t_end": 10.0, "samples": 101},
+def _preset(eps, alpha, **sections):
+    return {
+        "params": {"eps": eps, "delta": 1.0, "alpha": alpha, "omega": 1.0},
+        "initial": _BASE_INITIAL,
+        **sections,
     }
-    for key, val in extra.items():
-        cfg[key] = {**cfg.get(key, {}), **val}
-    return cfg
 
 
 PRESETS = {
@@ -86,123 +75,143 @@ PRESETS = {
 # over t ~ 5000 stay desk-scale
 _ANALYSIS_TOL = 1e-10
 
+# Every config object, key by key: a default, whose type is the key's kind,
+# or the kind of a required key.  README.md has the same table.
+_SECTIONS = {
+    "config file": {name: {} for name in (
+        "params", "initial", "simulate", "oracle", "poincare", "lyapunov", "integrator")},
+    "params": {"eps": float, "gamma": 0.0, "delta": float, "alpha": float, "omega": float},
+    "initial (literal)": {"n0": float, "ominus0": 0.0, "oplus0": 0.0,
+                          "x0": float, "p0": float, "dn0": 0.0},
+    "initial (constrained)": {"e_eff": float, "i_inv": float, "ominus0": 0.0, "oplus0": 0.0,
+                              "x0": 1.0, "dn0": 0.0, "momentum_sign": -1},
+    "simulate": {"t_end": 1000.0, "sample_interval": 0.5},
+    "oracle": {"t_end": 10.0, "samples": 101},
+    "poincare": {"t_end": 5000.0},
+    "lyapunov": {"transient": 200.0, "total": 5000.0, "renorm_interval": 1.0},
+    # abs_tol and rel_tol default per command, see _build_settings
+    "integrator": dataclasses.asdict(IntegratorSettings()),
+    "sweep spec": {"params": dict, "initial": dict, "axis1": dict, "axis2": dict,
+                   "budget": 5000.0, "transient": 200.0, "renorm_interval": 1.0,
+                   "integrator": {}, "workers": os.cpu_count() or 1},
+    "axis (values)": {"name": str, "values": list},
+    "axis (min/max/count)": {"name": str, "min": float, "max": float, "count": int},
+}
+
+_KINDS = {float: "a finite number", int: "an integer", str: "a string",
+          list: "a list of finite numbers", dict: "an object"}
+
 
 def g17(v) -> str:
     """17-significant-digit decimal; round-trips IEEE doubles exactly."""
     return format(float(v), ".17g")
 
 
-def _read_json_object(path, what: str) -> dict:
+def _read(obj, name: str, fields: dict) -> dict:
+    """Read one config object: every key of fields, and no other.
+
+    A float takes a finite JSON number, an int a JSON integer (booleans are
+    never numbers), a list finite numbers (read as a tuple of floats); a
+    string and an object take their own JSON kind.  A non-object, an
+    unknown key, a missing required key and a value of the wrong kind are
+    configuration errors that name the object and the key.
+    """
+    def finite(v):
+        return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+    if type(obj) is not dict:
+        raise ConfigurationError(f"{name} must be an object, got {obj!r}")
+    unknown = sorted(set(obj) - set(fields))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown {name} key(s) {', '.join(unknown)}; valid: {', '.join(fields)}"
+        )
+    values = {}
+    for key, field in fields.items():
+        required = isinstance(field, type)
+        if key not in obj:
+            if required:
+                raise ConfigurationError(f"{name} is missing required key {key}")
+            values[key] = field
+            continue
+        kind, val = field if required else type(field), obj[key]
+        if kind is float and finite(val):
+            values[key] = float(val)
+        elif kind is list and type(val) is list and all(map(finite, val)):
+            values[key] = tuple(float(v) for v in val)
+        elif kind in (int, str, dict) and type(val) is kind:
+            values[key] = val
+        else:
+            raise ConfigurationError(f"{name}.{key} must be {_KINDS[kind]}, got {val!r}")
+    return values
+
+
+def _read_json(path, what: str):
     path = Path(path)
     if not path.is_file():
         raise ConfigurationError(f"{what} not found: {path}")
     try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        return json.loads(path.read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"{what} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"{what} root must be a JSON object")
-    return raw
 
 
 def _load_config(args) -> dict:
-    cfg = {}
-    if args.preset:
-        if args.preset not in PRESETS:
-            raise ConfigurationError(
-                f"unknown preset {args.preset!r}; valid: {', '.join(sorted(PRESETS))}"
-            )
-        cfg = copy.deepcopy(PRESETS[args.preset])
-    if args.config:
-        for key, val in _read_json_object(args.config, "config file").items():
-            if isinstance(val, dict) and isinstance(cfg.get(key), dict):
-                cfg[key] = {**cfg[key], **val}
-            else:
-                cfg[key] = val
-    if not cfg:
+    """The preset's sections overlaid by the config file's.
+
+    A file's initial replaces the preset's whole, because the literal and
+    constrained forms take different keys; every other section overlays key
+    by key.
+    """
+    if not (args.preset or args.config):
         raise ConfigurationError("no configuration: pass --preset and/or --config")
+    if args.preset and args.preset not in PRESETS:
+        raise ConfigurationError(
+            f"unknown preset {args.preset!r}; valid: {', '.join(sorted(PRESETS))}"
+        )
+    cfg = _read(PRESETS[args.preset] if args.preset else {}, "preset", _SECTIONS["config file"])
+    if args.config:
+        overlay = _read_json(args.config, "config file")
+        _read(overlay, "config file", _SECTIONS["config file"])
+        for name, sec in overlay.items():
+            cfg[name] = sec if name == "initial" else {**cfg[name], **sec}
     return cfg
 
 
-def _build_params(cfg: dict) -> ModelParams:
+def _build_params(sec: dict) -> ModelParams:
+    values = _read(sec, "params", _SECTIONS["params"])
     try:
-        sec = cfg["params"]
-        return ModelParams(
-            eps=float(sec["eps"]), gamma=float(sec.get("gamma", 0.0)),
-            delta=float(sec["delta"]), alpha=float(sec["alpha"]),
-            omega=float(sec["omega"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"invalid params section: {exc}") from exc
+        return ModelParams(**values)
+    except ValueError as exc:     # a non-positive eps or omega, or |gamma| >= eps
+        raise ConfigurationError(f"params: {exc}") from exc
 
 
-def _initial_recipe(cfg: dict) -> InitialRecipe:
+def _initial_recipe(sec: dict) -> InitialRecipe:
     """Parse the initial section: (E_eff, I) constraints or a literal state."""
-    sec = cfg.get("initial")
-    if not isinstance(sec, dict):
-        raise ConfigurationError("missing initial section")
-    try:
-        if "e_eff" in sec or "i_inv" in sec:
-            return InitialRecipe(
-                e_eff=float(sec["e_eff"]), i_inv=float(sec["i_inv"]),
-                om0=float(sec.get("ominus0", 0.0)), op0=float(sec.get("oplus0", 0.0)),
-                x0=float(sec.get("x0", 1.0)), dn0=float(sec.get("dn0", 0.0)),
-                momentum_sign=int(sec.get("momentum_sign", -1)),
-            )
-        return InitialRecipe(state=SystemState(
-            n1=float(sec["n0"]) + 1.0,
-            om=float(sec.get("ominus0", 0.0)),
-            op=float(sec.get("oplus0", 0.0)),
-            x=float(sec["x0"]), p=float(sec["p0"]),
-            dn=float(sec.get("dn0", 0.0)),
-        ))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"invalid initial section: {exc}") from exc
-
-
-def _build_initial(cfg: dict, p: ModelParams) -> SystemState:
-    return _initial_recipe(cfg).build(p)
-
-
-def _section(cfg: dict, name: str, defaults: dict) -> dict:
-    """Read a numeric config section over its defaults.
-
-    Each value takes the type of its default (int or float).  A section that
-    is not an object, a value that is not a number and an unknown key are
-    configuration errors.
-    """
-    sec = cfg.get(name, {})
-    if not isinstance(sec, dict):
-        raise ConfigurationError(f"{name} section must be an object, got {sec!r}")
-    unknown = sorted(set(sec) - set(defaults))
-    if unknown:
-        raise ConfigurationError(
-            f"unknown {name} key(s) {', '.join(unknown)}; valid: {', '.join(defaults)}"
+    if "e_eff" in sec or "i_inv" in sec:
+        v = _read(sec, "initial", _SECTIONS["initial (constrained)"])
+        recipe = InitialRecipe(
+            e_eff=v["e_eff"], i_inv=v["i_inv"], om0=v["ominus0"], op0=v["oplus0"],
+            x0=v["x0"], dn0=v["dn0"], momentum_sign=v["momentum_sign"],
         )
-    values = dict(defaults)
-    for key, val in sec.items():
-        if type(val) not in (int, float):
-            raise ConfigurationError(f"{name}.{key} must be a number, got {val!r}")
-        try:
-            values[key] = type(defaults[key])(val)
-        except (ValueError, OverflowError) as exc:    # int() of nan or inf
-            raise ConfigurationError(f"{name}.{key}: {exc}") from exc
-    return values
+    else:
+        v = _read(sec, "initial", _SECTIONS["initial (literal)"])
+        recipe = InitialRecipe(state=SystemState(
+            n1=v["n0"] + 1.0, om=v["ominus0"], op=v["oplus0"], x=v["x0"], p=v["p0"], dn=v["dn0"],
+        ))
+    recipe.validate()
+    return recipe
 
 
-def _build_settings(cfg: dict, default_tol: float) -> IntegratorSettings:
-    defaults = dataclasses.asdict(IntegratorSettings(abs_tol=default_tol, rel_tol=default_tol))
-    settings = IntegratorSettings(**_section(cfg, "integrator", defaults))
+def _build_settings(sec: dict, default_tol: float) -> IntegratorSettings:
+    fields = {**_SECTIONS["integrator"], "abs_tol": default_tol, "rel_tol": default_tol}
+    settings = IntegratorSettings(**_read(sec, "integrator", fields))
     settings.validate()
     return settings
 
 
 def _summary(path: Path, payload: dict):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _params_dict(p: ModelParams) -> dict:
-    return dataclasses.asdict(p)
 
 
 def _write_csv(path: Path, header, rows):
@@ -214,10 +223,10 @@ def _write_csv(path: Path, header, rows):
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    p = _build_params(cfg)
-    s0 = _build_initial(cfg, p)
-    settings = _build_settings(cfg, 1e-14)
-    sim = _section(cfg, "simulate", {"t_end": 1000.0, "sample_interval": 0.5})
+    p = _build_params(cfg["params"])
+    s0 = _initial_recipe(cfg["initial"]).build(p)
+    settings = _build_settings(cfg["integrator"], 1e-14)
+    sim = _read(cfg["simulate"], "simulate", _SECTIONS["simulate"])
     t_end, interval = sim["t_end"], sim["sample_interval"]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -226,7 +235,7 @@ def cmd_simulate(args) -> int:
         traj = integrate(s0, p, t_end, settings, sample_interval=interval)
     except NumericalFailureError as exc:
         _summary(out / "summary.json", {
-            "command": "simulate", "params": _params_dict(p),
+            "command": "simulate", "params": dataclasses.asdict(p),
             "status": "numerical_failure", "error": str(exc),
         })
         raise
@@ -243,7 +252,7 @@ def cmd_simulate(args) -> int:
                ["t", "n1", "ominus", "oplus", "x", "p", "e_eff", "i_inv"], rows)
     _summary(out / "summary.json", {
         "command": "simulate",
-        "params": _params_dict(p),
+        "params": dataclasses.asdict(p),
         "initial": dataclasses.asdict(s0),
         "settings": dataclasses.asdict(settings),
         "t_end": t_end,
@@ -269,7 +278,7 @@ def cmd_simulate(args) -> int:
 
 
 def _oracle_compare(p, s0, settings, t_end, n_samples, critical):
-    traj = integrate(s0, p, t_end, settings, sample_interval=t_end / max(1, n_samples - 1))
+    traj = integrate(s0, p, t_end, settings, sample_interval=t_end / (n_samples - 1))
     q0 = QuantumTriple(n1=s0.n1, om=s0.om, op=s0.op)
     flip = critical and p.delta < 0
     max_abs = 0.0
@@ -292,7 +301,7 @@ def _oracle_compare(p, s0, settings, t_end, n_samples, critical):
 
 def cmd_oracle(args) -> int:
     cfg = _load_config(args)
-    p = _build_params(cfg)
+    p = _build_params(cfg["params"])
     mode = args.mode
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -300,7 +309,7 @@ def cmd_oracle(args) -> int:
     report = {
         "command": "oracle",
         "mode": mode,
-        "params": _params_dict(p),
+        "params": dataclasses.asdict(p),
         "classification": {
             "label": regime.label.value,
             "eta": {"re": regime.eta.real, "im": regime.eta.imag},
@@ -313,9 +322,11 @@ def cmd_oracle(args) -> int:
             raise ConfigurationError("oracle evolution comparison requires alpha = 0")
         if mode == "critical" and regime.label is not StabilityClass.CRITICAL:
             raise ConfigurationError("oracle critical mode requires |delta| = eps")
-        s0 = _build_initial(cfg, p)
-        settings = _build_settings(cfg, 1e-12)
-        osec = _section(cfg, "oracle", {"t_end": 10.0, "samples": 101})
+        s0 = _initial_recipe(cfg["initial"]).build(p)
+        settings = _build_settings(cfg["integrator"], 1e-12)
+        osec = _read(cfg["oracle"], "oracle", _SECTIONS["oracle"])
+        if osec["samples"] < 2:
+            raise ConfigurationError(f"oracle.samples must be at least 2, got {osec['samples']}")
         t_end = osec["t_end"]
         traj, max_abs, max_rel = _oracle_compare(
             p, s0, settings, t_end, osec["samples"], critical=(mode == "critical")
@@ -355,10 +366,10 @@ def _family_initials(s0, p, n_families):
 
 def cmd_poincare(args) -> int:
     cfg = _load_config(args)
-    p = _build_params(cfg)
-    s0 = _build_initial(cfg, p)
-    settings = _build_settings(cfg, _ANALYSIS_TOL)
-    t_end = _section(cfg, "poincare", {"t_end": 5000.0})["t_end"]
+    p = _build_params(cfg["params"])
+    s0 = _initial_recipe(cfg["initial"]).build(p)
+    settings = _build_settings(cfg["integrator"], _ANALYSIS_TOL)
+    t_end = _read(cfg["poincare"], "poincare", _SECTIONS["poincare"])["t_end"]
     direction = args.direction
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -394,7 +405,7 @@ def cmd_poincare(args) -> int:
         all_series.append((section.om, section.op))
     _summary(out / "summary.json", {
         "command": "poincare",
-        "params": _params_dict(p),
+        "params": dataclasses.asdict(p),
         "settings": dataclasses.asdict(settings),
         "t_end": t_end,
         "direction_filter": str(direction),
@@ -414,10 +425,10 @@ def cmd_poincare(args) -> int:
 
 def cmd_lyapunov(args) -> int:
     cfg = _load_config(args)
-    p = _build_params(cfg)
-    s0 = _build_initial(cfg, p)
-    settings = _build_settings(cfg, _ANALYSIS_TOL)
-    lsec = _section(cfg, "lyapunov", {"transient": 200.0, "total": 5000.0, "renorm_interval": 1.0})
+    p = _build_params(cfg["params"])
+    s0 = _initial_recipe(cfg["initial"]).build(p)
+    settings = _build_settings(cfg["integrator"], _ANALYSIS_TOL)
+    lsec = _read(cfg["lyapunov"], "lyapunov", _SECTIONS["lyapunov"])
     transient, total, renorm = lsec["transient"], lsec["total"], lsec["renorm_interval"]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -428,14 +439,14 @@ def cmd_lyapunov(args) -> int:
         )
     except DivergentTrajectoryError as exc:
         _summary(out / "lyapunov.json", {
-            "command": "lyapunov", "params": _params_dict(p),
+            "command": "lyapunov", "params": dataclasses.asdict(p),
             "status": "diverged", "t_div": exc.t_div,
             "transient": transient, "total": total,
         })
         raise
     report = {
         "command": "lyapunov",
-        "params": _params_dict(p),
+        "params": dataclasses.asdict(p),
         "initial": dataclasses.asdict(s0),
         "lambda_max": est.lambda_max,
         "standard_error": est.standard_error,
@@ -450,39 +461,30 @@ def cmd_lyapunov(args) -> int:
     return EXIT_OK
 
 
-def _axis_from_json(sec) -> AxisSpec:
-    if not isinstance(sec, dict) or "name" not in sec:
-        raise ConfigurationError(f"axis must be an object with a name, got {sec!r}")
+def _axis(sec: dict, name: str) -> AxisSpec:
     if "values" in sec:
-        return AxisSpec(name=sec["name"], values=tuple(float(v) for v in sec["values"]))
-    try:
-        return AxisSpec.linspace(sec["name"], float(sec["min"]), float(sec["max"]), int(sec["count"]))
-    except KeyError as exc:
-        raise ConfigurationError(f"axis needs values or min/max/count: missing {exc}") from exc
+        return AxisSpec(**_read(sec, name, _SECTIONS["axis (values)"]))
+    v = _read(sec, name, _SECTIONS["axis (min/max/count)"])
+    return AxisSpec.linspace(v["name"], v["min"], v["max"], v["count"])
 
 
 def cmd_sweep(args) -> int:
-    raw = _read_json_object(args.specfile, "sweep spec")
-    p = _build_params(raw)
-    try:
-        spec = SweepSpec(
-            axis1=_axis_from_json(raw.get("axis1")),
-            axis2=_axis_from_json(raw.get("axis2")),
-            base_params=p,
-            recipe=_initial_recipe(raw),
-            budget=float(raw.get("budget", 5000.0)),
-            transient=float(raw.get("transient", 200.0)),
-            renorm_interval=float(raw.get("renorm_interval", 1.0)),
-            settings=_build_settings(raw, _ANALYSIS_TOL),
-        )
-    except ConfigurationError:
-        raise
-    except (TypeError, ValueError) as exc:    # a budget or axis value that is not a number
-        raise ConfigurationError(f"invalid sweep spec: {exc}") from exc
+    raw = _read(_read_json(args.specfile, "sweep spec"), "sweep spec", _SECTIONS["sweep spec"])
+    p = _build_params(raw["params"])
+    spec = SweepSpec(
+        axis1=_axis(raw["axis1"], "axis1"),
+        axis2=_axis(raw["axis2"], "axis2"),
+        base_params=p,
+        recipe=_initial_recipe(raw["initial"]),
+        budget=raw["budget"],
+        transient=raw["transient"],
+        renorm_interval=raw["renorm_interval"],
+        settings=_build_settings(raw["integrator"], _ANALYSIS_TOL),
+    )
     spec.validate()
-    workers = raw.get("workers")   # None: the pool's default, one per CPU
-    if workers is not None and (type(workers) is not int or not 1 <= workers <= (os.cpu_count() or 1)):
-        raise ConfigurationError(f"workers must be an integer from 1 to {os.cpu_count()}, got {workers!r}")
+    workers = raw["workers"]
+    if not 1 <= workers <= (os.cpu_count() or 1):
+        raise ConfigurationError(f"sweep spec.workers must be from 1 to {os.cpu_count()}, got {workers}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     # fail on unwritable output before any computation
@@ -508,7 +510,7 @@ def cmd_sweep(args) -> int:
                rows)
     _summary(out / "summary.json", {
         "command": "sweep",
-        "base_params": _params_dict(p),
+        "base_params": dataclasses.asdict(p),
         "axis1": {"name": spec.axis1.name, "values": list(spec.axis1.values)},
         "axis2": {"name": spec.axis2.name, "values": list(spec.axis2.values)},
         "budget": spec.budget,
@@ -583,7 +585,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, InfeasibleConstraintError, CriticalityError, ValueError) as exc:
+    except (ConfigurationError, InfeasibleConstraintError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalFailureError as exc:

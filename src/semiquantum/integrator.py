@@ -111,8 +111,6 @@ class IntegrationStatus(Enum):
 class StepStats:
     accepted: int = 0
     rejected: int = 0
-    h_min: float = math.inf
-    h_max: float = 0.0
 
 
 @dataclass
@@ -151,7 +149,6 @@ class GrowthLog:
     status: IntegrationStatus
     stats: StepStats
     t_div: float | None = None
-    final_state: SystemState | None = None
     final_tangents: np.ndarray | None = None
     crossings: list = field(default_factory=list)   # X = 0 transits, when requested
 
@@ -227,8 +224,6 @@ class _Dopri5:
                 self.h = h * factor
                 self.err_prev = max(err, 1e-10)
                 self.stats.accepted += 1
-                self.stats.h_min = min(self.stats.h_min, h)
-                self.stats.h_max = max(self.stats.h_max, h)
                 return
             self.h = h * max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
             self.stats.rejected += 1
@@ -473,7 +468,6 @@ def integrate_augmented(
         status=status,
         stats=stepper.stats,
         t_div=t_div,
-        final_state=SystemState.from_array(stepper.y[:5], dn=s0.dn),
         final_tangents=stepper.y[5:].reshape(k, 5).copy(),
         crossings=crossings,
     )

@@ -52,14 +52,6 @@ class QuantumRegime:
     lambda_minus: complex
     eta: complex
 
-    @property
-    def stable(self) -> bool:
-        return self.label in (
-            StabilityClass.STABLE_POSITIVE_DEFINITE,
-            StabilityClass.STABLE_SEMIDEFINITE,
-            StabilityClass.STABLE_NON_POSITIVE,
-        )
-
 
 @dataclass(frozen=True)
 class QuantumTriple:

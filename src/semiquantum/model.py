@@ -21,13 +21,11 @@ __all__ = [
     "ModelParams",
     "SystemState",
     "Derivative",
-    "InvariantPair",
     "ValidityReport",
     "vector_field",
     "jacobian",
     "invariant_I",
     "effective_energy",
-    "invariants",
     "validate_state",
     "make_initial",
     "parity_map_params",
@@ -118,14 +116,6 @@ class Derivative:
 
 
 @dataclass(frozen=True)
-class InvariantPair:
-    """The two conserved quantities of a trajectory."""
-
-    e_eff: float
-    i_inv: float
-
-
-@dataclass(frozen=True)
 class ValidityReport:
     """Outcome of the physical-admissibility check.
 
@@ -203,10 +193,6 @@ def effective_energy(s: SystemState, p: ModelParams) -> float:
         + (p.delta + p.alpha * s.x) * s.op
         + 0.5 * p.omega * (s.p * s.p + s.x * s.x)
     )
-
-
-def invariants(s: SystemState, p: ModelParams) -> InvariantPair:
-    return InvariantPair(e_eff=effective_energy(s, p), i_inv=invariant_I(s))
 
 
 def validate_state(s: SystemState) -> ValidityReport:

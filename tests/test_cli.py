@@ -2,10 +2,12 @@ import argparse
 import csv
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import semiquantum.cli as cli
 import semiquantum.integrator as integrator
 import semiquantum.sweep as sweep
 from semiquantum.cli import (
@@ -69,6 +71,71 @@ class TestConfigHandling:
             "fig2c", "fig2d", "fig3a", "fig3b", "fig4",
         }
 
+    def test_undecodable_file_is_config_error(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe\xfd")
+        assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == EXIT_CONFIG
+
+    def test_only_configuration_errors_exit_config(self, tmp_path, monkeypatch, capsys):
+        def broken_rhs(y, p):
+            raise ValueError("a programming error")
+
+        monkeypatch.setattr(integrator, "rhs", broken_rhs)
+        with pytest.raises(ValueError, match="a programming error"):
+            main(["simulate", "--preset", "fig1b", "--out", str(tmp_path)])
+        assert "configuration error" not in capsys.readouterr().err
+
+
+class TestPresets:
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_every_preset_parses_for_every_command(self, preset, tmp_path):
+        cfg = cli._load_config(argparse.Namespace(preset=preset, config=None))
+        p = cli._build_params(cfg["params"])
+        cli._initial_recipe(cfg["initial"]).build(p)
+        for name in ("simulate", "oracle", "poincare", "lyapunov"):
+            cli._read(cfg[name], name, cli._SECTIONS[name])
+        cli._build_settings(cfg["integrator"], 1e-10)
+        assert main(["oracle", "--preset", preset, "--out", str(tmp_path)]) == EXIT_OK
+
+    def test_config_initial_replaces_the_preset_initial(self, tmp_path):
+        cfg = write_cfg(tmp_path, {"initial": {"e_eff": 4.8, "i_inv": 4.0, "ominus0": 2.5},
+                                   **FAST_SIM})
+        out = tmp_path / "run"
+        assert main(["simulate", "--preset", "fig2d", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["initial"]["om"] == 2.5
+
+
+def readme_config_table():
+    """The README's config-key table: object -> {key: (kind, default column)}."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| object | key | kind | default |") + 2
+    table = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        obj, key, kind, default = (cell.strip() for cell in line.strip("|").split("|"))
+        table.setdefault(obj.strip("`"), {})[key.strip("`")] = (kind, default)
+    return table
+
+
+class TestReadmeConfigTable:
+    KIND_NAMES = {float: "float", int: "int", str: "string", list: "list", dict: "object"}
+
+    def test_objects_and_keys_match_the_reader(self):
+        table = readme_config_table()
+        assert {obj: set(keys) for obj, keys in table.items()} == \
+            {obj: set(fields) for obj, fields in cli._SECTIONS.items()}
+
+    def test_kinds_and_required_keys_match_the_reader(self):
+        table = readme_config_table()
+        for obj, fields in cli._SECTIONS.items():
+            for key, field in fields.items():
+                required = isinstance(field, type)
+                kind, default = table[obj][key]
+                assert kind == self.KIND_NAMES[field if required else type(field)], (obj, key)
+                assert default.startswith("required") == required, (obj, key)
+
 
 # every optional flag of sqlab, with a valid value where it takes one, and
 # the flags each subcommand reads
@@ -129,9 +196,18 @@ SECTION_RUNS = {
 }
 
 
+# the int key of a section, and a key whose NaN the parent's checks let through
+INT_KEYS = {"oracle": "samples", "integrator": "max_steps"}
+NAN_KEYS = {"simulate": "sample_interval", "integrator": "divergence_norm"}
+SECTION_CASES = [
+    (bad, section)
+    for bad in ("list_value", "not_an_object", "string_value", "unknown_key", "bool_value", "nan_value")
+    for section in sorted(SECTION_RUNS)
+] + [("fractional_int", section) for section in sorted(INT_KEYS)]
+
+
 class TestNumericSections:
-    @pytest.mark.parametrize("section", sorted(SECTION_RUNS))
-    @pytest.mark.parametrize("bad", ["not_an_object", "list_value", "string_value", "unknown_key"])
+    @pytest.mark.parametrize("bad, section", SECTION_CASES, ids=[f"{b}-{s}" for b, s in SECTION_CASES])
     def test_bad_section_is_config_error(self, tmp_path, capsys, section, bad):
         argv, key = SECTION_RUNS[section]
         payload = {
@@ -139,6 +215,9 @@ class TestNumericSections:
             "list_value": {key: [1]},
             "string_value": {key: "1"},
             "unknown_key": {key + "_typo": 1.0},
+            "bool_value": {key: True},
+            "nan_value": {NAN_KEYS.get(section, key): float("nan")},
+            "fractional_int": {INT_KEYS.get(section): 20.5},
         }[bad]
         # alpha = 0 lets the oracle comparison reach its section
         cfg = write_cfg(tmp_path, {"params": {"alpha": 0.0}, section: payload})
@@ -411,6 +490,50 @@ SWEEP_SPEC = {
     "transient": 10.0,
     "workers": 1,
 }
+
+
+LITERAL = {"n0": 1.0, "x0": 1.0, "p0": -2.54950976}
+SHORT = {"simulate": {"t_end": 2.0}}
+# argv before --config (None: a sweep spec), the file, and the object and key
+# the message must name
+OBJECT_CASES = {
+    "section_typo": (["lyapunov", "--preset", "fig1a"],
+                     {"lyapnov": {"total": 50.0}, "lyapunov": {"transient": 5.0, "total": 30.0}},
+                     "config file", "lyapnov"),
+    "params_key": (["simulate", "--preset", "fig1b"], {"params": {"gama": 0.1}, **SHORT},
+                   "params", "gama"),
+    "literal_initial_key": (["simulate", "--preset", "fig1b"],
+                            {"initial": {**LITERAL, "om0": 0.5}, **SHORT}, "initial", "om0"),
+    "constrained_initial_key": (["simulate", "--preset", "fig1b"],
+                                {"initial": {"e_eff": 4.8, "i_inv": 4.0, "om0": 0.5}, **SHORT},
+                                "initial", "om0"),
+    "momentum_sign": (["simulate", "--preset", "fig1b"],
+                      {"initial": {"e_eff": 4.8, "i_inv": 4.0, "momentum_sign": 1.5}, **SHORT},
+                      "initial", "momentum_sign"),
+    "samples": (["oracle", "--preset", "fig1a", "--mode", "linear"],
+                {"params": {"alpha": 0.0}, "oracle": {"samples": 1}}, "oracle", "samples"),
+    "sweep_key": (None, {**SWEEP_SPEC, "renorm_intervall": 50.0}, "sweep spec", "renorm_intervall"),
+    "values_axis_key": (None, {**SWEEP_SPEC, "axis1": {"name": "eps", "values": [1.05], "count": 3}},
+                        "axis1", "count"),
+    "linspace_axis_key": (None, {**SWEEP_SPEC, "axis1": {"name": "eps", "min": 1.0, "max": 1.1,
+                                                         "count": 2, "step": 0.1}}, "axis1", "step"),
+    "count": (None, {**SWEEP_SPEC, "axis1": {"name": "eps", "min": 1.0, "max": 1.1, "count": 2.5}},
+              "axis1", "count"),
+}
+
+
+class TestConfigObjects:
+    """Each config object rejects what it does not read, naming the object and the key."""
+
+    @pytest.mark.parametrize("case", sorted(OBJECT_CASES))
+    def test_bad_object_is_config_error(self, tmp_path, capsys, case):
+        argv, payload, obj, key = OBJECT_CASES[case]
+        path = write_cfg(tmp_path, payload)
+        out = str(tmp_path / "o")
+        argv = ["sweep", path, "--out", out] if argv is None else argv + ["--config", path, "--out", out]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert obj in err and key in err
 
 
 class TestSweepSpecErrors:
