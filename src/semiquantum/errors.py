@@ -15,7 +15,7 @@ class InfeasibleConstraintError(ValueError):
         self.constraint = constraint
         self.radicand = radicand
         super().__init__(
-            f"constraint '{constraint}' infeasible (radicand {radicand:.6g} < 0)"
+            f"constraint '{constraint}' infeasible (radicand {radicand:.6g})"
         )
 
 

@@ -4,7 +4,7 @@ One driver, ``_drive``, steps a ``_Dopri5`` to the end time through optional
 stop marks; it owns the divergence guard and the status.  The stepper raises
 ``NumericalFailureError`` when its step budget runs out.  A
 per-step hook (dense sampling or the X = 0 crossing scan) and a per-mark hook
-(Gram-Schmidt renormalization of tangent vectors carried by ``model.jvp``)
+(Gram-Schmidt renormalization of tangent vectors carried by ``field_jvp``)
 make the front ends ``integrate``, ``integrate_with_events`` and
 ``integrate_augmented``; the last can collect crossings in the same pass.
 
@@ -15,6 +15,7 @@ on one platform.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -22,7 +23,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import ConfigurationError, NumericalFailureError
-from .model import ModelParams, SystemState, jvp, rhs
+from .model import ModelParams, SystemState, field_jvp
+# the stepper calls the float field by this module name, where tracers and tests replace it
+from .model import field as rhs
 
 __all__ = [
     "IntegratorSettings",
@@ -36,33 +39,7 @@ __all__ = [
     "integrate_augmented",
 ]
 
-# Dormand-Prince 5(4) tableau
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-# difference between 5th and embedded 4th order weights
-_E = np.array([
-    71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40,
-])
-# 4th-order dense-output interpolant coefficients (columns: theta..theta^4 weights)
-_P = np.array([
-    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-    [0.0, 0.0, 0.0, 0.0],
-    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-])
-
+_EPS = sys.float_info.epsilon
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
@@ -156,57 +133,64 @@ class GrowthLog:
 class _Dopri5:
     """Single-trajectory Dormand-Prince 5(4) stepper with PI step control.
 
+    State, stages and dense output are lists of Python floats, and each stage
+    is one comprehension over the components, for any length of state.
     err_dim limits the error norm to the leading components of the state
-    vector (the augmented mode controls the step on the base state only).
+    (the augmented mode controls the step on the base state only).
     """
 
     def __init__(self, f, y0, settings: IntegratorSettings, err_dim=None):
         self.f = f
         self.t = 0.0
-        self.y = np.asarray(y0, dtype=float)
+        self.y = [float(v) for v in y0]
         self.s = settings
         self.err_dim = err_dim if err_dim is not None else len(self.y)
         self.h = min(settings.h_init, settings.h_max)
         self.k1 = f(self.t, self.y)          # FSAL stage
         self.err_prev = None
         self.stats = StepStats()
-        # filled by step(): previous accepted interval for dense output
+        # filled by step(): the last accepted interval and its y_old, k1, k3..k7
         self.t_old = 0.0
-        self.y_old = self.y
         self.h_last = 0.0
-        self.K = None
+        self.last = None
 
     def step(self, t_limit: float):
         """Advance by one accepted step, not beyond t_limit."""
-        s = self.s
+        s, f, t, y, k1 = self.s, self.f, self.t, self.y, self.k1
+        n_err = self.err_dim
         while True:
             if self.stats.accepted + self.stats.rejected >= s.max_steps:
-                raise NumericalFailureError("step budget exhausted", last_good_time=self.t)
-            h_clip = t_limit - self.t
+                raise NumericalFailureError("step budget exhausted", last_good_time=t)
+            h_clip = t_limit - t
             h = min(self.h, s.h_max, h_clip)
-            if h <= 16.0 * np.finfo(float).eps * max(1.0, abs(self.t)):
-                raise NumericalFailureError("step size underflow", last_good_time=self.t)
-            K = np.empty((7, len(self.y)))
-            K[0] = self.k1
-            ok = True
-            for i in range(1, 7):
-                yi = self.y + h * (K[:i].T @ _A[i])
-                if not np.all(np.isfinite(yi)):
-                    ok = False
-                    break
-                K[i] = self.f(self.t + _C[i] * h, yi)
-                if not np.all(np.isfinite(K[i])):
-                    ok = False
-                    break
-            if ok:
-                y_new = self.y + h * (K.T @ _B)
-                err_vec = h * (K[:, : self.err_dim].T @ _E)
-                scale = s.abs_tol + s.rel_tol * np.maximum(
-                    np.abs(self.y[: self.err_dim]), np.abs(y_new[: self.err_dim])
-                )
-                err = math.sqrt(float(np.mean((err_vec / scale) ** 2)))
-                ok = math.isfinite(err) and np.all(np.isfinite(y_new))
-            if not ok:
+            if h <= 16.0 * _EPS * max(1.0, abs(t)):
+                raise NumericalFailureError("step size underflow", last_good_time=t)
+            # Dormand & Prince (1980) tableau; gi is component i of stage ki
+            k2 = f(t + 1 / 5 * h, [y0 + h * (1 / 5 * g1) for y0, g1 in zip(y, k1)])
+            k3 = f(t + 3 / 10 * h, [y0 + h * (3 / 40 * g1 + 9 / 40 * g2) for y0, g1, g2 in zip(y, k1, k2)])
+            k4 = f(t + 4 / 5 * h, [y0 + h * (44 / 45 * g1 - 56 / 15 * g2 + 32 / 9 * g3)
+                                   for y0, g1, g2, g3 in zip(y, k1, k2, k3)])
+            k5 = f(t + 8 / 9 * h, [
+                y0 + h * (19372 / 6561 * g1 - 25360 / 2187 * g2 + 64448 / 6561 * g3 - 212 / 729 * g4)
+                for y0, g1, g2, g3, g4 in zip(y, k1, k2, k3, k4)])
+            k6 = f(t + h, [
+                y0 + h * (9017 / 3168 * g1 - 355 / 33 * g2 + 46732 / 5247 * g3 + 49 / 176 * g4 - 5103 / 18656 * g5)
+                for y0, g1, g2, g3, g4, g5 in zip(y, k1, k2, k3, k4, k5)])
+            y_new = [y0 + h * (35 / 384 * g1 + 500 / 1113 * g3 + 125 / 192 * g4 - 2187 / 6784 * g5 + 11 / 84 * g6)
+                     for y0, g1, g3, g4, g5, g6 in zip(y, k1, k3, k4, k5, k6)]
+            k7 = f(t + h, y_new)
+            # RMS of the scaled 5th- minus 4th-order solution (e * e, as ** raises on overflow)
+            err = [
+                h * ((71 / 57600 * g1 - 71 / 16695 * g3 + 71 / 1920 * g4 - 17253 / 339200 * g5
+                      + 22 / 525 * g6 - 1 / 40 * g7) / (s.abs_tol + s.rel_tol * max(abs(y0), abs(y1))))
+                for y0, y1, g1, g3, g4, g5, g6, g7 in zip(y[:n_err], y_new, k1, k3, k4, k5, k6, k7)
+            ]
+            err = math.sqrt(sum([e * e for e in err]) / n_err)
+            # One finiteness check is enough: the field is autonomous and each
+            # of its inputs reaches an output (0 * inf is NaN), so a non-finite
+            # trial stage reaches y_new or the error through b3..b6.
+            if not (math.isfinite(err) and all(map(math.isfinite, y_new))
+                    and all(map(math.isfinite, k7))):
                 self.h = h * 0.1
                 self.stats.rejected += 1
                 continue
@@ -216,11 +200,11 @@ class _Dopri5:
                 else:
                     factor = _SAFETY * err ** (-_PI_ALPHA) * self.err_prev ** _PI_BETA
                 factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-                self.t_old, self.y_old, self.h_last, self.K = self.t, self.y, h, K
+                self.t_old, self.h_last, self.last = t, h, (y, k1, k3, k4, k5, k6, k7)
                 # land exactly on the limit when the step was clipped to it
-                self.t = t_limit if h == h_clip else self.t + h
+                self.t = t_limit if h == h_clip else t + h
                 self.y = y_new
-                self.k1 = K[6]               # FSAL
+                self.k1 = k7                 # FSAL
                 self.h = h * factor
                 self.err_prev = max(err, 1e-10)
                 self.stats.accepted += 1
@@ -228,11 +212,35 @@ class _Dopri5:
             self.h = h * max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
             self.stats.rejected += 1
 
-    def dense(self, t: float) -> np.ndarray:
-        """4th-order interpolant on the last accepted step."""
+    def quartic(self, i: int) -> tuple:
+        """Component i of the 4th-order dense interpolant on the last accepted step
+        (Hairer, Norsett & Wanner, Solving ODEs I, II.6): its polynomial in
+        theta = (t - t_old) / h_last, coefficients from the constant term up."""
+        y0, g1, g3, g4, g5, g6, g7 = (r[i] for r in self.last)
+        h = self.h_last
+        return (
+            y0,
+            h * g1,
+            h * (-8048581381 / 2820520608 * g1 + 131558114200 / 32700410799 * g3
+                 - 1754552775 / 470086768 * g4 + 127303824393 / 49829197408 * g5
+                 - 282668133 / 205662961 * g6 + 40617522 / 29380423 * g7),
+            h * (8663915743 / 2820520608 * g1 - 68118460800 / 10900136933 * g3
+                 + 14199869525 / 1410260304 * g4 - 318862633887 / 49829197408 * g5
+                 + 2019193451 / 616988883 * g6 - 110615467 / 29380423 * g7),
+            h * (-12715105075 / 11282082432 * g1 + 87487479700 / 32700410799 * g3
+                 - 10690763975 / 1880347072 * g4 + 701980252875 / 199316789632 * g5
+                 - 1453857185 / 822651844 * g6 + 69997945 / 29380423 * g7),
+        )
+
+    def dense(self, t: float) -> list:
+        """The interpolant at t, every component."""
         theta = (t - self.t_old) / self.h_last
-        q = _P @ np.array([theta, theta ** 2, theta ** 3, theta ** 4])
-        return self.y_old + self.h_last * (self.K.T @ q)
+        return [_horner(self.quartic(i), theta) for i in range(len(self.y))]
+
+
+def _horner(c, theta: float) -> float:
+    c0, c1, c2, c3, c4 = c
+    return c0 + theta * (c1 + theta * (c2 + theta * (c3 + theta * c4)))
 
 
 def _base_rhs(p: ModelParams):
@@ -243,16 +251,17 @@ def _augmented_rhs(p: ModelParams, k: int):
     """Base field plus k tangent vectors carried by its Jacobian, dv/dt = J(y) v."""
     def f(t, y):
         base = y[:5]
-        return np.concatenate((rhs(base, p), jvp(base, y[5:].reshape(k, 5), p).ravel()))
+        out = rhs(base, p)
+        for j in range(5, 5 + 5 * k, 5):
+            out += field_jvp(base, y[j:j + 5], p)
+        return out
     return f
 
 
-def _check_inputs(s0: SystemState, t_end: float, settings: IntegratorSettings):
+def _check_inputs(t_end: float, settings: IntegratorSettings):
     settings.validate()
     if not (math.isfinite(t_end) and t_end > 0):
         raise ConfigurationError(f"t_end must be positive and finite, got {t_end}")
-    if not np.all(np.isfinite(s0.to_array())):
-        raise ValueError(f"non-finite initial state {s0}")
 
 
 def _check_direction(direction_filter):
@@ -272,7 +281,7 @@ def _drive(stepper: _Dopri5, marks, on_step=None, on_mark=None):
             stepper.step(t_mark)
             if on_step is not None:
                 on_step(stepper)
-            if float(np.max(np.abs(stepper.y[:5]))) > stepper.s.divergence_norm:
+            if max(map(abs, stepper.y[:5])) > stepper.s.divergence_norm:
                 return IntegrationStatus.DIVERGED, stepper.t
         if on_mark is not None:
             on_mark(stepper)
@@ -302,7 +311,7 @@ def integrate(
     of the state exceeds settings.divergence_norm.
     """
     settings = settings or IntegratorSettings()
-    _check_inputs(s0, t_end, settings)
+    _check_inputs(t_end, settings)
     if sample_interval <= 0:
         raise ConfigurationError(f"sample_interval must be positive, got {sample_interval}")
 
@@ -324,18 +333,16 @@ def integrate(
     return _trajectory(stepper, times, states, s0.dn, status, t_div)
 
 
-def _refine_crossing(stepper: _Dopri5, ta: float, tb: float):
-    """Locate the root of x(t) on [ta, tb] of the dense interpolant."""
-    g = lambda t: stepper.dense(t)[3]
+def _refine_crossing(stepper: _Dopri5, x, ta: float, tb: float):
+    """Locate the root of the interpolated x(t) on [ta, tb]."""
     try:
-        t_cross = brentq(g, ta, tb, xtol=1e-15, rtol=4 * np.finfo(float).eps,
-                         maxiter=_EVENT_MAX_ITER)
+        t_cross = brentq(x, ta, tb, xtol=1e-15, rtol=4 * _EPS, maxiter=_EVENT_MAX_ITER)
     except (ValueError, RuntimeError) as exc:    # no bracket, or no convergence
         raise NumericalFailureError(
             f"crossing refinement on [{ta:.17g}, {tb:.17g}] failed: {exc}", last_good_time=ta
         ) from exc
     y_cross = stepper.dense(t_cross)[:5]
-    tol = 1e-12 * (1.0 + float(np.linalg.norm(y_cross)))
+    tol = 1e-12 * (1.0 + math.hypot(*y_cross))
     if abs(y_cross[3]) > tol:
         raise NumericalFailureError(
             f"crossing refinement stalled at t={t_cross:.6g}", last_good_time=ta
@@ -346,20 +353,28 @@ def _refine_crossing(stepper: _Dopri5, ta: float, tb: float):
 def _crossing_scan(p: ModelParams, dn: float, direction_filter, events: list):
     """Per-step hook appending the X = 0 transits of the last step to events.
 
-    x is read at the edges of _EVENT_SUBDIV subintervals off the step's dense
-    interpolant, the function brentq refines, so a sign change brackets a root.
+    x is read at the edges of _EVENT_SUBDIV subintervals off the quartic in
+    theta that the step's dense interpolant gives x, the function brentq
+    refines, so a sign change brackets a root.
     """
     def scan(st: _Dopri5):
-        edges = np.linspace(st.t_old, st.t, _EVENT_SUBDIV + 1)
-        ys = [st.dense(t) for t in edges]
+        q = st.quartic(3)
+        # |x - q0| <= |q1| + ... + |q4| for 0 <= theta <= 1: with this margin no
+        # rounding of an edge value can reach zero or q0's opposite sign
+        if abs(q[0]) > 2.0 * (abs(q[1]) + abs(q[2]) + abs(q[3]) + abs(q[4])):
+            return
+        x = lambda t: _horner(q, (t - st.t_old) / st.h_last)
+        dt = (st.t - st.t_old) / _EVENT_SUBDIV
+        edges = [st.t_old + i * dt for i in range(_EVENT_SUBDIV)] + [st.t]
+        xs = [x(t) for t in edges]
         for i in range(_EVENT_SUBDIV):
-            ga, gb = ys[i][3], ys[i + 1][3]
+            ga, gb = xs[i], xs[i + 1]
             if ga == 0.0 or not (ga * gb < 0.0 or gb == 0.0):
                 continue
             if gb == 0.0:
-                t_cross, y_cross = edges[i + 1], ys[i + 1][:5]
+                t_cross, y_cross = edges[i + 1], st.dense(edges[i + 1])[:5]
             else:
-                t_cross, y_cross = _refine_crossing(st, edges[i], edges[i + 1])
+                t_cross, y_cross = _refine_crossing(st, x, edges[i], edges[i + 1])
             direction = 1 if p.omega * y_cross[4] > 0 else -1
             if direction_filter == "both" or direction == direction_filter:
                 events.append(CrossingEvent(
@@ -386,7 +401,7 @@ def integrate_with_events(
     """
     _check_direction(direction_filter)
     settings = settings or IntegratorSettings()
-    _check_inputs(s0, t_end, settings)
+    _check_inputs(t_end, settings)
 
     stepper = _Dopri5(_base_rhs(p), s0.to_array(), settings)
     events: list[CrossingEvent] = []
@@ -416,23 +431,21 @@ def integrate_augmented(
     t_end: float,
     settings: IntegratorSettings | None = None,
     renorm_interval: float = 1.0,
-    observer=None,
     direction_filter: str | int | None = None,
 ) -> GrowthLog:
     """Co-integrate the state with tangent vectors dv/dt = J(s) v.
 
     Every renorm_interval the tangent set is orthonormalized (modified
     Gram-Schmidt) and the pre-normalization log-norms are recorded.  Step
-    control is driven by the base-state error only.  observer, when given, is
-    called as observer(t, base_state_array, log_norms) at each renormalization.
-    direction_filter, when given (+1, -1 or "both"), also collects the X = 0
-    transits of the base state in the same pass into GrowthLog.crossings, as
-    integrate_with_events would report them.
+    control is driven by the base-state error only.  direction_filter, when
+    given (+1, -1 or "both"), also collects the X = 0 transits of the base
+    state in the same pass into GrowthLog.crossings, as integrate_with_events
+    would report them.
     """
     if direction_filter is not None:
         _check_direction(direction_filter)
     settings = settings or IntegratorSettings()
-    _check_inputs(s0, t_end, settings)
+    _check_inputs(t_end, settings)
     if renorm_interval <= 0:
         raise ConfigurationError(f"renorm_interval must be positive, got {renorm_interval}")
     tangents = np.array([np.asarray(v, dtype=float) for v in tangent0])
@@ -450,13 +463,11 @@ def integrate_augmented(
     crossings: list[CrossingEvent] = []
 
     def renormalize(st: _Dopri5):
-        norms = _gram_schmidt(st.y[5:].reshape(k, 5))    # a view: updates st.y
-        st.k1 = st.f(st.t, st.y)                        # FSAL stage is stale after renorm
-        logs = np.log(norms)
+        vectors = np.array(st.y[5:]).reshape(k, 5)
+        log_norms.append(np.log(_gram_schmidt(vectors)))
         log_times.append(st.t)
-        log_norms.append(logs)
-        if observer is not None:
-            observer(st.t, st.y[:5].copy(), logs)
+        st.y = st.y[:5] + vectors.ravel().tolist()
+        st.k1 = st.f(st.t, st.y)                        # FSAL stage is stale after renorm
 
     n_marks = max(1, round(t_end / renorm_interval))
     marks = (min(m * renorm_interval, t_end) for m in range(1, n_marks + 1))
@@ -468,6 +479,6 @@ def integrate_augmented(
         status=status,
         stats=stepper.stats,
         t_div=t_div,
-        final_tangents=stepper.y[5:].reshape(k, 5).copy(),
+        final_tangents=np.array(stepper.y[5:]).reshape(k, 5),
         crossings=crossings,
     )

@@ -30,6 +30,8 @@ __all__ = [
     "make_initial",
     "parity_map_params",
     "parity_map_state",
+    "field",
+    "field_jvp",
     "rhs",
     "jvp",
     "jacobian_matrix",
@@ -127,41 +129,48 @@ class ValidityReport:
     failures: tuple = ()
 
 
-def rhs(y: np.ndarray, p: ModelParams) -> np.ndarray:
-    """Array-valued right-hand side of the equations of motion.
-
-    Component order (n1, om, op, x, p).  No finiteness checks: this is the
-    hot path used by the integrator, which may probe unphysical trial points.
+def field(y, p: ModelParams) -> list:
+    """The one vector field: y's components (n1, om, op, x, p) are floats or
+    equal-shape arrays (lanes), and so are the five derivatives returned.  No
+    finiteness checks: the integrator may probe unphysical trial points.
     """
     n1, om, op, x, px = y
     d = p.delta + p.alpha * x
-    return np.array([
+    return [
         2.0 * d * om,
         2.0 * d * n1 + 2.0 * p.eps * op,
         -2.0 * p.eps * om,
         p.omega * px,
         -(p.omega * x + p.alpha * op),
-    ])
+    ]
+
+
+def field_jvp(y, v, p: ModelParams) -> list:
+    """The one Jacobian definition: J(y) v for :func:`field`, with v of the same kind as y."""
+    n1, om, op, x, px = y
+    v0, v1, v2, v3, v4 = v
+    d = p.delta + p.alpha * x
+    return [
+        2.0 * d * v1 + 2.0 * p.alpha * om * v3,
+        2.0 * d * v0 + 2.0 * p.eps * v2 + 2.0 * p.alpha * n1 * v3,
+        -2.0 * p.eps * v1,
+        p.omega * v4,
+        -p.alpha * v2 - p.omega * v3,
+    ]
+
+
+def rhs(y: np.ndarray, p: ModelParams) -> np.ndarray:
+    """:func:`field` as an array, component order (n1, om, op, x, p) on the first axis."""
+    return np.array(field(y, p))
 
 
 def jvp(y: np.ndarray, v: np.ndarray, p: ModelParams) -> np.ndarray:
-    """Jacobian of :func:`rhs` at y applied to the vectors along v's last axis.
-
-    The one Jacobian definition: the augmented flow and jacobian_matrix use it.
-    """
-    n1, om, op, x, px = y
-    d = p.delta + p.alpha * x
-    jv = np.empty(np.shape(v))
-    jv[..., 0] = 2.0 * d * v[..., 1] + 2.0 * p.alpha * om * v[..., 3]
-    jv[..., 1] = 2.0 * d * v[..., 0] + 2.0 * p.eps * v[..., 2] + 2.0 * p.alpha * n1 * v[..., 3]
-    jv[..., 2] = -2.0 * p.eps * v[..., 1]
-    jv[..., 3] = p.omega * v[..., 4]
-    jv[..., 4] = -p.alpha * v[..., 2] - p.omega * v[..., 3]
-    return jv
+    """:func:`field_jvp` at y applied to the vectors along v's last axis."""
+    return np.stack(field_jvp(y, np.moveaxis(v, -1, 0), p), axis=-1)
 
 
 def jacobian_matrix(y: np.ndarray, p: ModelParams) -> np.ndarray:
-    """5x5 Jacobian of :func:`rhs`, row order (n1, om, op, x, p); exact (jvp adds only zeros)."""
+    """5x5 Jacobian of :func:`field`, row order (n1, om, op, x, p); exact (jvp adds only zeros)."""
     return jvp(y, np.eye(5), p).T
 
 
@@ -228,8 +237,8 @@ def make_initial(
     if momentum_sign not in (-1, 1):
         raise ValueError(f"momentum_sign must be +1 or -1, got {momentum_sign}")
     n1_sq = i_target + om0 * om0 + op0 * op0
-    if n1_sq < 0.0:
-        raise InfeasibleConstraintError("n1^2 = I + om0^2 + op0^2 >= 0", n1_sq)
+    if not 0.0 <= n1_sq < math.inf:
+        raise InfeasibleConstraintError("0 <= n1^2 = I + om0^2 + op0^2 < inf", n1_sq)
     n1 = math.sqrt(n1_sq)
     if n1 < 1.0:
         raise InfeasibleConstraintError("n1 >= 1", n1 - 1.0)
@@ -237,8 +246,8 @@ def make_initial(
         2.0 / p.omega * (e_target - p.eps * (n1 - 1.0) - (p.delta + p.alpha * x0) * op0)
         - x0 * x0
     )
-    if p_sq < 0.0:
-        raise InfeasibleConstraintError("p^2 = (2/omega)*(E - eps*(n1-1) - (delta+alpha*x0)*op0) - x0^2 >= 0", p_sq)
+    if not 0.0 <= p_sq < math.inf:
+        raise InfeasibleConstraintError("0 <= p^2 = (2/omega)*(E - eps*(n1-1) - (delta+alpha*x0)*op0) - x0^2 < inf", p_sq)
     return SystemState(n1=n1, om=om0, op=op0, x=x0, p=momentum_sign * math.sqrt(p_sq), dn=dn0)
 
 

@@ -306,6 +306,14 @@ class TestSimulate:
                      "--out", str(tmp_path / "s")])
         assert code == EXIT_NUMERICAL
 
+    def test_non_finite_radicand_is_infeasible(self, tmp_path, capsys):
+        # p^2 overflows to inf: an infeasible constraint, not a state traceback
+        cfg = write_cfg(tmp_path, {"initial": {"e_eff": 1e308, "i_inv": 4.0}, **FAST_SIM})
+        code = main(["simulate", "--preset", "fig1b", "--config", cfg,
+                     "--out", str(tmp_path / "s")])
+        assert code == EXIT_CONFIG
+        assert "radicand inf" in capsys.readouterr().err
+
     def test_plot_emitted(self, tmp_path):
         cfg = write_cfg(tmp_path, FAST_SIM)
         assert main(["simulate", "--preset", "fig1a", "--config", cfg, "--plot",

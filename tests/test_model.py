@@ -8,6 +8,8 @@ from semiquantum.model import (
     ModelParams,
     SystemState,
     effective_energy,
+    field,
+    field_jvp,
     invariant_I,
     jacobian,
     jacobian_matrix,
@@ -106,6 +108,28 @@ class TestJacobian:
                 e[k] = h
                 fd = (rhs(y + e, P_REF) - rhs(y - e, P_REF)) / (2 * h)
                 assert np.max(np.abs(j[:, k] - fd)) <= 1e-6
+
+    def test_array_adapters_and_lanes_match_the_float_definitions(self):
+        rng = np.random.default_rng(29)
+        ys = rng.uniform(-5, 5, size=(5, 64))
+        vs = rng.normal(size=(5, 64))
+        lanes_f = field(ys, P_REF)
+        lanes_jv = field_jvp(ys, vs, P_REF)
+        for n in range(64):
+            y = [float(c) for c in ys[:, n]]
+            v = [float(c) for c in vs[:, n]]
+            f = field(y, P_REF)
+            jv = field_jvp(y, v, P_REF)
+            assert all(type(c) is float for c in f + jv)
+            assert [float(c[n]) for c in lanes_f] == f
+            assert [float(c[n]) for c in lanes_jv] == jv
+            assert rhs(ys[:, n], P_REF).tolist() == f
+            assert jvp(ys[:, n], vs[:, n], P_REF).tolist() == jv
+            assert jvp(ys[:, n], vs.T[:3], P_REF).tolist() == [
+                field_jvp(y, [float(c) for c in row], P_REF) for row in vs.T[:3]]
+            j = jacobian_matrix(ys[:, n], P_REF)
+            for k in range(5):
+                assert j[:, k].tolist() == field_jvp(y, np.eye(5)[k].tolist(), P_REF)
 
     def test_jvp_matches_matrix_product(self):
         rng = np.random.default_rng(17)
