@@ -16,7 +16,6 @@ from .analysis import (
 )
 from .errors import (
     ConfigurationError,
-    CriticalityError,
     DivergentTrajectoryError,
     InfeasibleConstraintError,
     NumericalFailureError,
@@ -35,7 +34,6 @@ from .linear_oracle import (
     QuantumRegime,
     QuantumTriple,
     StabilityClass,
-    bogoliubov_uv,
     classify,
     evolve_classical,
     evolve_critical,

@@ -162,16 +162,24 @@ def _estimate(log: GrowthLog, transient: float, renorm_interval: float) -> Lyapu
     )
 
 
-def cluster_count(points: np.ndarray, radius: float) -> int:
-    """Greedy cover count: points within radius of an existing center join it."""
+def cluster_count(points: np.ndarray, radius: float) -> tuple[int, int]:
+    """Greedy cover counts (first half, all) of points, from one scan.
+
+    A point within radius of an existing center joins it.  The scan is
+    online: the centers made before the second half are the first half's.
+    """
+    half = len(points) // 2
+    n_half = 0
     centers: list[np.ndarray] = []
-    for pt in points:
+    for idx, pt in enumerate(points):
+        if idx == half:
+            n_half = len(centers)
         for c in centers:
             if np.linalg.norm(pt - c) <= radius:
                 break
         else:
             centers.append(pt)
-    return len(centers)
+    return n_half, len(centers)
 
 
 def classify_regime(
@@ -181,7 +189,6 @@ def classify_regime(
     budget: float = 5000.0,
     transient: float = 200.0,
     renorm_interval: float = 1.0,
-    chaos_threshold: float = CHAOS_THRESHOLD,
 ) -> RegimeClassification:
     """Label a trajectory Periodic / Quasiperiodic / Chaotic / Divergent.
 
@@ -208,7 +215,7 @@ def classify_regime(
         return RegimeClassification(
             label=Regime.DIVERGENT, lyapunov=est, divergence_time=est.diverged_at
         )
-    if est.lambda_max > chaos_threshold and est.lambda_max > SIGNIFICANCE_SIGMA * est.standard_error:
+    if est.lambda_max > CHAOS_THRESHOLD and est.lambda_max > SIGNIFICANCE_SIGMA * est.standard_error:
         return RegimeClassification(label=Regime.CHAOTIC, lyapunov=est)
 
     n_cross = len(log.crossings)
@@ -223,9 +230,7 @@ def classify_regime(
         return RegimeClassification(
             label=Regime.PERIODIC, lyapunov=est, n_crossings=n_cross, n_clusters=1
         )
-    radius = CLUSTER_RADIUS_FACTOR * spread
-    n_half = cluster_count(pts[: n_cross // 2], radius)
-    n_full = cluster_count(pts, radius)
+    n_half, n_full = cluster_count(pts, CLUSTER_RADIUS_FACTOR * spread)
     if n_full <= MAX_PERIODIC_CLUSTERS and n_full == n_half:
         label = Regime.PERIODIC
     else:

@@ -12,7 +12,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import os
 import sys
 import time
@@ -33,8 +32,8 @@ from .model import (
     ModelParams,
     SystemState,
     effective_energy,
+    family_initials,
     invariant_I,
-    make_initial,
 )
 from .svgplot import write_svg
 from .sweep import AxisSpec, InitialRecipe, SweepSpec, run_sweep
@@ -342,28 +341,6 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _family_initials(s0, p, n_families):
-    """Reconstruct an n-member family at the (E_eff, I) of the given state.
-
-    om0 is scanned on a symmetric grid inside the feasible band at fixed
-    (op0, x0); each member's momentum is re-solved from the energy shell.
-    """
-    e_eff = effective_energy(s0, p)
-    i_inv = invariant_I(s0)
-    op0, x0 = s0.op, s0.x
-    # feasibility: p^2 >= 0 bounds n1, and n1^2 = I + om0^2 + op0^2
-    n1_max = 1.0 + (e_eff - (p.delta + p.alpha * x0) * op0 - 0.5 * p.omega * x0 * x0) / p.eps
-    om_sq = n1_max * n1_max - i_inv - op0 * op0
-    if om_sq <= 0.0:
-        raise InfeasibleConstraintError("family band om0^2 > 0", om_sq)
-    om_lim = 0.98 * math.sqrt(om_sq)
-    sign = -1 if s0.p <= 0 else 1
-    members = []
-    for om0 in np.linspace(-om_lim, om_lim, n_families):
-        members.append(make_initial(e_eff, i_inv, float(om0), op0, x0, s0.dn, p, momentum_sign=sign))
-    return members
-
-
 def cmd_poincare(args) -> int:
     cfg = _load_config(args)
     p = _build_params(cfg["params"])
@@ -373,7 +350,7 @@ def cmd_poincare(args) -> int:
     direction = args.direction
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    initials = _family_initials(s0, p, args.families) if args.families > 1 else [s0]
+    initials = family_initials(s0, p, args.families) if args.families > 1 else [s0]
 
     t0 = time.perf_counter()
     member_reports = []

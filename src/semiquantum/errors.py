@@ -19,10 +19,6 @@ class InfeasibleConstraintError(ValueError):
         )
 
 
-class CriticalityError(ValueError):
-    """Normal-mode quantities requested at the non-diagonalizable point |delta| = eps."""
-
-
 class NumericalFailureError(RuntimeError):
     """Integration failed (non-finite state, vanishing step, spent step budget or refinement stall)."""
 

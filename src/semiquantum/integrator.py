@@ -126,7 +126,6 @@ class GrowthLog:
     status: IntegrationStatus
     stats: StepStats
     t_div: float | None = None
-    final_tangents: np.ndarray | None = None
     crossings: list = field(default_factory=list)   # X = 0 transits, when requested
 
 
@@ -479,6 +478,5 @@ def integrate_augmented(
         status=status,
         stats=stepper.stats,
         t_div=t_div,
-        final_tangents=np.array(stepper.y[5:]).reshape(k, 5),
         crossings=crossings,
     )

@@ -9,12 +9,10 @@ These closed forms are the reference oracles for the numerical integrator.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import CriticalityError
 from .model import ModelParams
 
 __all__ = [
@@ -22,7 +20,6 @@ __all__ = [
     "QuantumRegime",
     "QuantumTriple",
     "classify",
-    "bogoliubov_uv",
     "evolve_linear",
     "evolve_critical",
     "evolve_classical",
@@ -31,6 +28,9 @@ __all__ = [
 # below this value of |2*eta*t| the trig/hyperbolic kernels are evaluated by
 # series to avoid cancellation in (1 - cos 2*eta*t)/eta^2
 _SERIES_THRESHOLD = 1e-4
+# relative tolerance of the regime boundaries |delta| = eps and
+# |delta| = sqrt(eps^2 - gamma^2); exact-boundary labels win ties
+_BOUNDARY_TOL = 1e-12
 
 
 class StabilityClass(Enum):
@@ -61,21 +61,12 @@ class QuantumTriple:
     om: float
     op: float
 
-    def invariant(self) -> float:
-        return self.n1 * self.n1 - self.om * self.om - self.op * self.op
 
-
-def classify(p: ModelParams, tol: float = 1e-12) -> QuantumRegime:
-    """Classify the decoupled quantum subsystem.
-
-    tol is a relative tolerance for the two boundaries |delta| = eps and
-    |delta| = sqrt(eps^2 - gamma^2); exact-boundary labels win ties.
-    """
-    if tol < 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
+def classify(p: ModelParams) -> QuantumRegime:
+    """Classify the decoupled quantum subsystem; a boundary holds within _BOUNDARY_TOL."""
     d = abs(p.delta)
     scale = max(p.eps, d)
-    if abs(d - p.eps) <= tol * scale:
+    if abs(d - p.eps) <= _BOUNDARY_TOL * scale:
         eta = complex(0.0)
         label = StabilityClass.CRITICAL
     elif d > p.eps:
@@ -84,7 +75,7 @@ def classify(p: ModelParams, tol: float = 1e-12) -> QuantumRegime:
     else:
         eta = complex(math.sqrt((p.eps - d) * (p.eps + d)))
         semi = math.sqrt((p.eps - p.gamma) * (p.eps + p.gamma))
-        if abs(d - semi) <= tol * max(d, semi, 1e-300):
+        if abs(d - semi) <= _BOUNDARY_TOL * max(d, semi, 1e-300):
             label = StabilityClass.STABLE_SEMIDEFINITE
         elif d < semi:
             label = StabilityClass.STABLE_POSITIVE_DEFINITE
@@ -96,24 +87,6 @@ def classify(p: ModelParams, tol: float = 1e-12) -> QuantumRegime:
         lambda_minus=eta - p.gamma,
         eta=eta,
     )
-
-
-def bogoliubov_uv(p: ModelParams, tol: float = 1e-12) -> tuple[complex, complex]:
-    """Normal-mode mixing amplitudes u = sqrt((eps+eta)/2eta), v = sqrt((eps-eta)/2eta).
-
-    Undefined at the non-diagonalizable point |delta| = eps, where eta = 0.
-    The identity u^2 - v^2 = 1 holds in both the stable and unstable branch.
-    """
-    regime = classify(p, tol)
-    if regime.label is StabilityClass.CRITICAL:
-        raise CriticalityError(
-            f"|delta| = eps = {p.eps:.6g}: evolution matrix is non-diagonalizable, "
-            "no Bogoliubov transformation exists"
-        )
-    eta = regime.eta
-    u = cmath.sqrt((p.eps + eta) / (2.0 * eta))
-    v = cmath.sqrt((p.eps - eta) / (2.0 * eta))
-    return u, v
 
 
 def _kernels(eta_sq: float, t: float) -> tuple[float, float, float]:

@@ -28,6 +28,7 @@ __all__ = [
     "effective_energy",
     "validate_state",
     "make_initial",
+    "family_initials",
     "parity_map_params",
     "parity_map_state",
     "field",
@@ -249,6 +250,29 @@ def make_initial(
     if not 0.0 <= p_sq < math.inf:
         raise InfeasibleConstraintError("0 <= p^2 = (2/omega)*(E - eps*(n1-1) - (delta+alpha*x0)*op0) - x0^2 < inf", p_sq)
     return SystemState(n1=n1, om=om0, op=op0, x=x0, p=momentum_sign * math.sqrt(p_sq), dn=dn0)
+
+
+def family_initials(s0: SystemState, p: ModelParams, n: int) -> list:
+    """An n-member family at the (E_eff, I) of the given state.
+
+    om0 is scanned on a symmetric grid inside the feasible band at fixed
+    (op0, x0); each member's momentum is re-solved from the energy shell,
+    with the sign of s0's momentum.
+    """
+    e_eff = effective_energy(s0, p)
+    i_inv = invariant_I(s0)
+    op0, x0 = s0.op, s0.x
+    # feasibility: p^2 >= 0 bounds n1, and n1^2 = I + om0^2 + op0^2
+    n1_max = 1.0 + (e_eff - (p.delta + p.alpha * x0) * op0 - 0.5 * p.omega * x0 * x0) / p.eps
+    om_sq = n1_max * n1_max - i_inv - op0 * op0
+    if om_sq <= 0.0:
+        raise InfeasibleConstraintError("family band om0^2 > 0", om_sq)
+    om_lim = 0.98 * math.sqrt(om_sq)
+    sign = -1 if s0.p <= 0 else 1
+    members = []
+    for om0 in np.linspace(-om_lim, om_lim, n):
+        members.append(make_initial(e_eff, i_inv, float(om0), op0, x0, s0.dn, p, momentum_sign=sign))
+    return members
 
 
 def parity_map_params(p: ModelParams) -> ModelParams:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from html import escape
 
 _WIDTH, _HEIGHT = 800, 560
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 20, 40, 50
@@ -73,7 +74,7 @@ def write_svg(path, series, title="", xlabel="", ylabel="", kinds=None, labels=N
     if title:
         out.append(
             f'<text x="{_WIDTH / 2:.1f}" y="{_MARGIN_T - 14}" text-anchor="middle" '
-            f'font-size="16">{title}</text>'
+            f'font-size="16">{escape(title, quote=False)}</text>'
         )
     for v in _nice_ticks(x_lo, x_hi):
         px = sx(v)
@@ -98,13 +99,13 @@ def write_svg(path, series, title="", xlabel="", ylabel="", kinds=None, labels=N
     if xlabel:
         out.append(
             f'<text x="{_MARGIN_L + pw / 2:.1f}" y="{_HEIGHT - 10}" '
-            f'text-anchor="middle">{xlabel}</text>'
+            f'text-anchor="middle">{escape(xlabel, quote=False)}</text>'
         )
     if ylabel:
         cy = _MARGIN_T + ph / 2
         out.append(
             f'<text x="18" y="{cy:.1f}" text-anchor="middle" '
-            f'transform="rotate(-90 18 {cy:.1f})">{ylabel}</text>'
+            f'transform="rotate(-90 18 {cy:.1f})">{escape(ylabel, quote=False)}</text>'
         )
     for idx, ((x, y), kind) in enumerate(zip(series, kinds)):
         color = _COLORS[idx % len(_COLORS)]
@@ -125,7 +126,7 @@ def write_svg(path, series, title="", xlabel="", ylabel="", kinds=None, labels=N
                 f'<line x1="{_MARGIN_L + pw - 120}" y1="{ly - 4}" x2="{_MARGIN_L + pw - 95}" '
                 f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>'
             )
-            out.append(f'<text x="{_MARGIN_L + pw - 88}" y="{ly}">{labels[idx]}</text>')
+            out.append(f'<text x="{_MARGIN_L + pw - 88}" y="{ly}">{escape(labels[idx], quote=False)}</text>')
     out.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(out) + "\n")

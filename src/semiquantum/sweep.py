@@ -127,7 +127,6 @@ class CellResult:
 
 @dataclass
 class RegimeMap:
-    spec: SweepSpec
     cells: list
 
     def __len__(self):
@@ -189,4 +188,4 @@ def run_sweep(spec: SweepSpec, max_workers: int | None = None) -> RegimeMap:
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(_run_cell, work))
-    return RegimeMap(spec=spec, cells=cells)
+    return RegimeMap(cells=cells)

@@ -56,8 +56,25 @@ class TestPoincare:
 class TestClusterAndConic:
     def test_cluster_count_separated_points(self):
         pts = np.array([[0.0, 0.0], [0.0, 1e-5], [1.0, 0.0], [1.0 + 1e-5, 0.0], [5.0, 5.0]])
-        assert cluster_count(pts, 1e-3) == 3
-        assert cluster_count(pts, 10.0) == 1
+        assert cluster_count(pts, 1e-3)[1] == 3
+        assert cluster_count(pts, 10.0)[1] == 1
+
+    def test_one_scan_gives_half_and_full_counts(self):
+        def greedy(points, radius):
+            """One greedy cover count per scan, the reference for both counts."""
+            centers = []
+            for pt in points:
+                if all(np.linalg.norm(pt - c) > radius for c in centers):
+                    centers.append(pt)
+            return len(centers)
+
+        rng = np.random.default_rng(17)
+        for k in range(200):
+            # n odd for odd k, even for even k
+            pts = rng.uniform(-1.0, 1.0, size=(2 * int(rng.integers(0, 30)) + k % 2, 2))
+            radius = rng.uniform(0.05, 1.0)
+            n = len(pts)
+            assert cluster_count(pts, radius) == (greedy(pts[: n // 2], radius), greedy(pts, radius))
 
 
 class TestLyapunov:
@@ -98,7 +115,7 @@ class TestClassifyRegime:
         pts = np.column_stack([sec.om, sec.op])
         spread = max(float(np.ptp(sec.om)), float(np.ptp(sec.op)))
         assert r.n_crossings == len(sec)
-        assert r.n_clusters == cluster_count(pts, 1e-3 * spread)
+        assert r.n_clusters == cluster_count(pts, 1e-3 * spread)[1]
 
     def test_divergent_orbit(self):
         p = ModelParams(eps=2.0, gamma=0.0, delta=1.0, alpha=1.1, omega=1.0)

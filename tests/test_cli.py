@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import os
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -391,6 +392,15 @@ class TestPoincare:
         summary = json.loads((tmp_path / "fam" / "summary.json").read_text())
         assert summary["families"] == 5
 
+    def test_empty_family_band_is_infeasible(self, tmp_path, capsys):
+        # p0 = 0 puts n1 at the largest value the energy allows: no om0 band
+        cfg = write_cfg(tmp_path, {"initial": {"n0": 1.0, "x0": 1.0, "p0": 0.0},
+                                   "poincare": {"t_end": 20.0}})
+        code = main(["poincare", "--preset", "fig2d", "--config", cfg,
+                     "--families", "3", "--out", str(tmp_path / "fam")])
+        assert code == EXIT_CONFIG
+        assert "family band" in capsys.readouterr().err
+
     def test_direction_filter(self, tmp_path):
         cfg = write_cfg(tmp_path, {"poincare": {"t_end": 100.0}})
         code = main(["poincare", "--preset", "fig1b", "--config", cfg,
@@ -421,6 +431,18 @@ class TestPoincare:
         summary = json.loads((tmp_path / "empty" / "summary.json").read_text())
         assert summary["members"][0]["crossings"] == 0
         assert "warning" in summary["members"][0]
+
+
+class TestPlots:
+    def test_plots_are_well_formed_svg(self, tmp_path):
+        # legend and axis labels hold '<' and '>', which must be escaped
+        cfg = write_cfg(tmp_path, {**FAST_SIM, "poincare": {"t_end": 20.0}})
+        for command, name, texts in [("simulate", "trajectory.svg", {"<N>", "E_eff"}),
+                                     ("poincare", "section.svg", {"<O->", "<O+>"})]:
+            assert main([command, "--preset", "fig2d", "--config", cfg, "--plot",
+                         "--out", str(tmp_path / command)]) == EXIT_OK
+            root = ET.parse(tmp_path / command / name).getroot()
+            assert texts <= {el.text for el in root.iter("{http://www.w3.org/2000/svg}text")}
 
 
 class TestLyapunov:

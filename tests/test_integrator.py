@@ -247,12 +247,18 @@ class TestAugmented:
         assert abs(rate) <= 2e-3
 
     def test_orthonormal_after_renorm(self):
-        p = ModelParams(eps=1.05, gamma=0.0, delta=1.0, alpha=0.015, omega=1.0)
-        s0 = SystemState(2, 0, 0, 1, 0)
-        vecs = [np.eye(5)[i] for i in range(3)]
-        log = integrate_augmented(s0, vecs, p, 5.0, TIGHT, renorm_interval=1.0)
-        g = log.final_tangents @ log.final_tangents.T
-        assert np.allclose(g, np.eye(3), atol=1e-12)
+        from semiquantum.integrator import _gram_schmidt
+
+        v = np.random.default_rng(3).normal(size=(3, 5))
+        q = v.copy()
+        norms = _gram_schmidt(q)
+        assert np.allclose(q @ q.T, np.eye(3), atol=1e-12)
+        # v = L q with L lower triangular, whose diagonal holds the norms
+        # of the vectors just before each was normalized
+        lower = v @ q.T
+        assert np.allclose(np.triu(lower, 1), 0.0, atol=1e-12)
+        assert np.allclose(np.diag(lower), norms, rtol=1e-12)
+        assert norms[0] == pytest.approx(np.linalg.norm(v[0]), rel=1e-15)
 
     def test_augmented_field_is_rhs_plus_jvp(self):
         from semiquantum.integrator import _augmented_rhs

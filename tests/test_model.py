@@ -8,6 +8,7 @@ from semiquantum.model import (
     ModelParams,
     SystemState,
     effective_energy,
+    family_initials,
     field,
     field_jvp,
     invariant_I,
@@ -233,3 +234,34 @@ class TestMakeInitial:
             assert invariant_I(s) == pytest.approx(i_t, rel=1e-12, abs=1e-12)
             assert effective_energy(s, P_REF) == pytest.approx(e_t, rel=1e-12)
             assert validate_state(s).ok
+
+
+class TestFamilyInitials:
+    S_FIG2D = SystemState(2, 0, 0, 1, -2.54950976)     # the fig2d preset's initial state
+
+    def test_members_lie_on_the_shell(self):
+        e0 = effective_energy(self.S_FIG2D, P_REF)
+        i0 = invariant_I(self.S_FIG2D)
+        members = family_initials(self.S_FIG2D, P_REF, 5)
+        assert len(members) == 5
+        for s in members:
+            assert effective_energy(s, P_REF) == pytest.approx(e0, rel=1e-12)
+            assert invariant_I(s) == pytest.approx(i0, rel=1e-12)
+            assert (s.op, s.x, s.dn) == (self.S_FIG2D.op, self.S_FIG2D.x, self.S_FIG2D.dn)
+
+    def test_om0_grid_is_symmetric(self):
+        om = [s.om for s in family_initials(self.S_FIG2D, P_REF, 5)]
+        # np.linspace mirrors its grid up to round-off
+        assert om == pytest.approx([-v for v in reversed(om)], abs=1e-14)
+        assert om[2] == 0.0 and om[0] < 0.0
+
+    @pytest.mark.parametrize("p0", [-2.54950976, 2.54950976])
+    def test_momentum_sign_follows_the_state(self, p0):
+        s0 = SystemState(2, 0, 0, 1, p0)
+        assert all(math.copysign(1.0, s.p) == math.copysign(1.0, p0)
+                   for s in family_initials(s0, P_REF, 5))
+
+    def test_empty_band_is_infeasible(self):
+        # at rest in p, n1 is already the largest the energy allows: om0^2 = 0
+        with pytest.raises(InfeasibleConstraintError, match="family band"):
+            family_initials(SystemState(2, 0, 0, 1, 0), P_REF, 3)
