@@ -9,7 +9,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigurationError, DivergentTrajectoryError
-from .integrator import GrowthLog, IntegrationStatus, IntegratorSettings, integrate_augmented, integrate_with_events
+from .integrator import GrowthLog, IntegrationStatus, IntegratorSettings, StepStats
+from .integrator import integrate_augmented, integrate_with_events
 from .model import ModelParams, SystemState
 
 __all__ = [
@@ -35,7 +36,7 @@ class PoincareSection:
     """Ordered X = 0 crossings of one trajectory.
 
     Column arrays are index-aligned; directions holds the sign of dX/dt at
-    each crossing.  status/t_div mirror the underlying trajectory.
+    each crossing.  status/stats/t_div mirror the underlying trajectory.
     """
 
     t: np.ndarray
@@ -45,6 +46,7 @@ class PoincareSection:
     p: np.ndarray
     directions: np.ndarray
     status: IntegrationStatus
+    stats: StepStats
     t_div: float | None = None
 
     def __len__(self):
@@ -53,13 +55,14 @@ class PoincareSection:
 
 @dataclass(frozen=True)
 class LyapunovEstimate:
-    """Benettin estimate of the largest Lyapunov exponent."""
+    """Benettin estimate of the largest Lyapunov exponent, with the step counts of its pass."""
 
     lambda_max: float
     standard_error: float
     transient_discarded: float
     total_time: float
     renorm_count: int
+    stats: StepStats
     diverged_at: float | None = None
 
 
@@ -100,6 +103,7 @@ def poincare(
         p=np.array([e.state.p for e in events]),
         directions=np.array([e.direction for e in events], dtype=int),
         status=traj.status,
+        stats=traj.stats,
         t_div=traj.t_div,
     )
 
@@ -158,6 +162,7 @@ def _estimate(log: GrowthLog, transient: float, renorm_interval: float) -> Lyapu
         transient_discarded=transient,
         total_time=float(reached),
         renorm_count=n,
+        stats=log.stats,
         diverged_at=log.t_div,
     )
 

@@ -373,6 +373,7 @@ def cmd_poincare(args) -> int:
             "crossings": len(section),
             "status": section.status.value,
             "t_div": section.t_div,
+            "steps_accepted": section.stats.accepted, "steps_rejected": section.stats.rejected,
         }
         if len(section) == 0:
             rec["warning"] = "no crossings within the time budget"
@@ -431,6 +432,7 @@ def cmd_lyapunov(args) -> int:
         "total": est.total_time,
         "renorm_count": est.renorm_count,
         "diverged_at": est.diverged_at,
+        "steps_accepted": est.stats.accepted, "steps_rejected": est.stats.rejected,
         "wall_time_s": time.perf_counter() - t0,
     }
     _summary(out / "lyapunov.json", report)

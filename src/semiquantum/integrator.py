@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConfigurationError, NumericalFailureError
 from .model import ModelParams, SystemState, field_jvp
@@ -330,6 +329,44 @@ def integrate(
 
     status, t_div = _drive(stepper, [t_end], on_step=sample)
     return _trajectory(stepper, times, states, s0.dn, status, t_div)
+
+
+def brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int) -> float:
+    """Root of f in the bracket [a, b] by Brent's method (Brent 1973, ch. 4), in the
+    operations and order of the common ``brentq`` routine, so both return one float.
+    An endpoint where f is exactly 0 is returned as is.  Raises ValueError unless
+    f(a) and f(b) have opposite signs, and RuntimeError after maxiter iterations."""
+    xpre, xcur, fpre, fcur = a, b, f(a), f(b)
+    if fpre == 0.0 or fcur == 0.0:
+        return xpre if fpre == 0.0 else xcur
+    if math.isnan(fpre) or math.isnan(fcur) or (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError(f"f(a) = {fpre!r} and f(b) = {fcur!r} must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre                           # new bracket [xcur, xblk]
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):                             # xcur is the best guess
+            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:                                  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                                             # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+            spre, scur = (scur, stry) if short else (sbis, sbis)
+        else:
+            spre = scur = sbis                                # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"failed to converge after {maxiter} iterations, value is {xcur!r}")
 
 
 def _refine_crossing(stepper: _Dopri5, x, ta: float, tb: float):

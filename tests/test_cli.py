@@ -2,6 +2,8 @@ import argparse
 import csv
 import json
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -409,6 +411,18 @@ class TestPoincare:
         rows = read_csv(tmp_path / "up" / "section.csv")
         assert all(r[5] == "1" for r in rows[1:])
 
+    def test_summary_reports_step_counts(self, tmp_path):
+        cfg = write_cfg(tmp_path, {"poincare": {"t_end": 30.0}})
+        code = main(["poincare", "--preset", "fig2d", "--config", cfg,
+                     "--families", "2", "--out", str(tmp_path / "fam")])
+        assert code == EXIT_OK
+        members = json.loads((tmp_path / "fam" / "summary.json").read_text())["members"]
+        assert len(members) == 2
+        for m in members:
+            # a step cannot hold more than _EVENT_SUBDIV crossings
+            assert isinstance(m["steps_rejected"], int) and m["steps_rejected"] >= 0
+            assert 4 * m["steps_accepted"] >= m["crossings"] > 0
+
     def test_refinement_failure_exits_numerical(self, tmp_path, monkeypatch):
         def bad_brentq(*args, **kwargs):
             raise ValueError("f(a) and f(b) must have different signs")
@@ -456,6 +470,17 @@ class TestLyapunov:
         assert abs(report["lambda_max"]) < 0.05
         assert report["standard_error"] > 0
         assert report["renorm_count"] > 150
+
+    def test_report_step_counts(self, tmp_path):
+        cfg = write_cfg(tmp_path, {"lyapunov": {"transient": 10.0, "total": 30.0,
+                                                "renorm_interval": 1.0}})
+        code = main(["lyapunov", "--preset", "fig2d", "--config", cfg,
+                     "--out", str(tmp_path / "lyap")])
+        assert code == EXIT_OK
+        report = json.loads((tmp_path / "lyap" / "lyapunov.json").read_text())
+        # every renormalization mark ends an accepted step
+        assert isinstance(report["steps_rejected"], int) and report["steps_rejected"] >= 0
+        assert report["steps_accepted"] >= 30
 
     def test_divergence_exit(self, tmp_path):
         cfg = write_cfg(tmp_path, {"lyapunov": {"transient": 300.0, "total": 1000.0}})
@@ -601,3 +626,14 @@ class TestSweepSpecErrors:
     def test_bad_momentum_sign(self, tmp_path):
         initial = {"e_eff": 4.8, "i_inv": 4.0, "momentum_sign": 2}
         assert self.run_spec(tmp_path, initial=initial) == EXIT_CONFIG
+
+
+class TestImportCost:
+    def test_cli_import_loads_no_scipy(self):
+        # importing scipy.optimize made up about 0.5 s of every command's start-up
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        code = ("import semiquantum.cli, sys; "
+                "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"

@@ -1,13 +1,17 @@
 import math
 import pickle
+import random
+import sys
 
 import numpy as np
 import pytest
 
+from semiquantum import integrator
 from semiquantum.errors import ConfigurationError, NumericalFailureError
 from semiquantum.integrator import (
     IntegrationStatus,
     IntegratorSettings,
+    brentq,
     integrate,
     integrate_augmented,
     integrate_with_events,
@@ -206,6 +210,58 @@ class TestEvents:
         assert list(traj.times) == [0.0, 5.0]
         assert np.array_equal(traj.states[0], s0.to_array())
         assert abs(traj.states[1][3] - math.cos(5.0)) <= 1e-10
+
+
+# the tolerances and iteration cap of _refine_crossing, the one caller
+BRENT_KW = {"xtol": 1e-15, "rtol": 4 * sys.float_info.epsilon, "maxiter": integrator._EVENT_MAX_ITER}
+
+
+def slow_cubic(t):
+    # a triple root: Brent's method falls back to bisection for many iterations
+    return (t - 0.3) ** 3
+
+
+class TestBrentq:
+    def test_equals_scipy_on_random_step_quartics(self):
+        scipy_brentq = pytest.importorskip("scipy.optimize").brentq
+        rng = random.Random(20261018)
+        n_brackets = 0
+        for _ in range(2500):
+            # x(t) on one step, as _crossing_scan builds it off the dense quartic
+            q = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-3.0, 1.0) for _ in range(5)]
+            t_old = rng.uniform(0.0, 1000.0)
+            h = 10.0 ** rng.uniform(-4.0, 0.5)
+            x = lambda t: integrator._horner(q, (t - t_old) / h)
+            dt = h / integrator._EVENT_SUBDIV
+            edges = [t_old + i * dt for i in range(integrator._EVENT_SUBDIV)] + [t_old + h]
+            xs = [x(t) for t in edges]
+            for ta, tb, ga, gb in zip(edges, edges[1:], xs, xs[1:]):
+                if ga * gb < 0.0:
+                    n_brackets += 1
+                    assert brentq(x, ta, tb, **BRENT_KW) == scipy_brentq(x, ta, tb, **BRENT_KW)
+        assert n_brackets > 1000
+
+    def test_same_sign_bracket_raises_value_error(self):
+        with pytest.raises(ValueError):
+            brentq(slow_cubic, 0.5, 1.0, **BRENT_KW)
+
+    def test_iteration_cap_raises_runtime_error(self):
+        with pytest.raises(RuntimeError):
+            brentq(slow_cubic, 0.0, 1.0, **{**BRENT_KW, "maxiter": 1})
+        assert abs(brentq(slow_cubic, 0.0, 1.0, **{**BRENT_KW, "maxiter": 200}) - 0.3) < 1e-15
+
+    def test_root_at_an_endpoint_is_returned_as_is(self):
+        f = lambda t: t * (t - 1.0)
+        assert brentq(f, 0.0, 0.5, **BRENT_KW) == 0.0
+        assert brentq(f, 0.5, 1.0, **BRENT_KW) == 1.0
+        assert brentq(f, 0.0, 1.0, **BRENT_KW) == 0.0     # even with no sign change
+
+    def test_refine_crossing_maps_both_errors_to_numerical_failure(self, monkeypatch):
+        with pytest.raises(NumericalFailureError, match="different signs"):
+            integrator._refine_crossing(None, slow_cubic, 0.5, 1.0)
+        monkeypatch.setattr(integrator, "_EVENT_MAX_ITER", 1)
+        with pytest.raises(NumericalFailureError, match="converge"):
+            integrator._refine_crossing(None, slow_cubic, 0.0, 1.0)
 
 
 class TestAugmented:

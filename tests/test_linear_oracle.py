@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
 from semiquantum.linear_oracle import (
     QuantumTriple,
@@ -25,7 +24,11 @@ def invariant(q):
 
 
 def reference_quantum_solution(q0, eps, delta, t_eval):
-    """Independent oracle: high-accuracy integration of the decoupled triple."""
+    """Independent oracle: high-accuracy integration of the decoupled triple.
+
+    Only the tests that call it need scipy; without scipy they are skipped.
+    """
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
 
     def f(t, y):
         n1, om, op = y
