@@ -128,12 +128,14 @@ def largest_lyapunov(
     estimate with diverged_at set.  A renorm_interval that leaves fewer than
     two growth samples past the transient is a ConfigurationError.
     """
+    if not transient >= 0:
+        raise ConfigurationError(f"transient must be >= 0, got {transient}")
     if total <= transient:
         raise ConfigurationError(f"total ({total}) must exceed transient ({transient})")
     if renorm_interval <= 0:
         raise ConfigurationError(f"renorm_interval must be positive, got {renorm_interval}")
     log = integrate_augmented(
-        s0, [_TANGENT0], p, total, settings, renorm_interval=renorm_interval
+        s0, _TANGENT0, p, total, settings, renorm_interval=renorm_interval
     )
     return _estimate(log, transient, renorm_interval)
 
@@ -144,7 +146,7 @@ def _estimate(log: GrowthLog, transient: float, renorm_interval: float) -> Lyapu
     if log.status is IntegrationStatus.DIVERGED and reached <= transient:
         raise DivergentTrajectoryError("trajectory diverged before the transient completed", log.t_div)
     keep = log.times > transient
-    rates = log.log_norms[keep, 0] / renorm_interval
+    rates = log.log_norms[keep] / renorm_interval
     n = int(keep.sum())
     if n < 2:
         if log.status is IntegrationStatus.DIVERGED:
@@ -154,7 +156,7 @@ def _estimate(log: GrowthLog, transient: float, renorm_interval: float) -> Lyapu
             f"renorm_interval {renorm_interval:g} is too long, at least 2 are needed"
         )
     span = log.times[keep][-1] - transient
-    lam = float(log.log_norms[keep, 0].sum() / span)
+    lam = float(log.log_norms[keep].sum() / span)
     se = float(rates.std(ddof=1) / math.sqrt(n))
     return LyapunovEstimate(
         lambda_max=lam,
@@ -204,9 +206,11 @@ def classify_regime(
     Periodic (small saturating cluster count) from Quasiperiodic.  Fewer than
     50 crossings yields Inconclusive with the evidence attached.
     """
+    if not transient >= 0:
+        raise ConfigurationError(f"transient must be >= 0, got {transient}")
     transient = min(transient, budget / 4.0)
     log = integrate_augmented(
-        s0, [_TANGENT0], p, budget, settings, renorm_interval=renorm_interval,
+        s0, _TANGENT0, p, budget, settings, renorm_interval=renorm_interval,
         direction_filter="both",
     )
     try:

@@ -240,15 +240,13 @@ def cmd_simulate(args) -> int:
         raise
     wall = time.perf_counter() - t0
 
-    rows = []
-    for t, y in zip(traj.times, traj.states):
-        s = SystemState.from_array(y, dn=traj.dn)
-        rows.append([
-            g17(t), g17(s.n1), g17(s.om), g17(s.op), g17(s.x), g17(s.p),
-            g17(effective_energy(s, p)), g17(invariant_I(s)),
-        ])
+    samples = [SystemState.from_array(y, dn=traj.dn) for y in traj.states]
+    e_vals = [effective_energy(s, p) for s in samples]
+    i_vals = [invariant_I(s) for s in samples]
     _write_csv(out / "trajectory.csv",
-               ["t", "n1", "ominus", "oplus", "x", "p", "e_eff", "i_inv"], rows)
+               ["t", "n1", "ominus", "oplus", "x", "p", "e_eff", "i_inv"],
+               [[g17(v) for v in (t, *s.as_tuple(), e, i)]
+                for t, s, e, i in zip(traj.times, samples, e_vals, i_vals)])
     _summary(out / "summary.json", {
         "command": "simulate",
         "params": dataclasses.asdict(p),
@@ -264,8 +262,6 @@ def cmd_simulate(args) -> int:
     })
     if args.plot:
         n_vals = traj.states[:, 0] - 1.0
-        e_vals = np.array([effective_energy(SystemState.from_array(y), p) for y in traj.states])
-        i_vals = np.array([invariant_I(SystemState.from_array(y)) for y in traj.states])
         write_svg(out / "trajectory.svg",
                   [(traj.times, n_vals), (traj.times, e_vals), (traj.times, i_vals)],
                   title="boson number and invariants", xlabel="t", ylabel="value",

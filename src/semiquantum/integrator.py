@@ -4,8 +4,8 @@ One driver, ``_drive``, steps a ``_Dopri5`` to the end time through optional
 stop marks; it owns the divergence guard and the status.  The stepper raises
 ``NumericalFailureError`` when its step budget runs out.  A
 per-step hook (dense sampling or the X = 0 crossing scan) and a per-mark hook
-(Gram-Schmidt renormalization of tangent vectors carried by ``field_jvp``)
-make the front ends ``integrate``, ``integrate_with_events`` and
+(renormalization of the one tangent vector carried by ``field_jvp``) make the
+front ends ``integrate``, ``integrate_with_events`` and
 ``integrate_augmented``; the last can collect crossings in the same pass.
 
 Everything here is deterministic: identical inputs give bit-identical output
@@ -121,7 +121,7 @@ class GrowthLog:
     """Per-renormalization tangent growth record from the augmented flow."""
 
     times: np.ndarray             # renormalization instants
-    log_norms: np.ndarray         # shape (n_renorms, n_tangents)
+    log_norms: np.ndarray         # log of the tangent norm at each instant, before renormalizing
     status: IntegrationStatus
     stats: StepStats
     t_div: float | None = None
@@ -245,14 +245,11 @@ def _base_rhs(p: ModelParams):
     return lambda t, y: rhs(y, p)
 
 
-def _augmented_rhs(p: ModelParams, k: int):
-    """Base field plus k tangent vectors carried by its Jacobian, dv/dt = J(y) v."""
+def _augmented_rhs(p: ModelParams):
+    """Base field plus one tangent vector carried by its Jacobian, dv/dt = J(y) v."""
     def f(t, y):
         base = y[:5]
-        out = rhs(base, p)
-        for j in range(5, 5 + 5 * k, 5):
-            out += field_jvp(base, y[j:j + 5], p)
-        return out
+        return rhs(base, p) + field_jvp(base, y[5:], p)
     return f
 
 
@@ -446,20 +443,6 @@ def integrate_with_events(
     return _trajectory(stepper, [0.0], [s0.to_array()], s0.dn, status, t_div), events
 
 
-def _gram_schmidt(vectors: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt in place; returns the pre-normalization norms."""
-    k = vectors.shape[0]
-    norms = np.empty(k)
-    for j in range(k):
-        for i in range(j):
-            vectors[j] -= np.dot(vectors[j], vectors[i]) * vectors[i]
-        norms[j] = np.linalg.norm(vectors[j])
-        if norms[j] == 0.0:
-            raise NumericalFailureError(f"tangent vector {j} collapsed to zero")
-        vectors[j] /= norms[j]
-    return norms
-
-
 def integrate_augmented(
     s0: SystemState,
     tangent0,
@@ -469,10 +452,10 @@ def integrate_augmented(
     renorm_interval: float = 1.0,
     direction_filter: str | int | None = None,
 ) -> GrowthLog:
-    """Co-integrate the state with tangent vectors dv/dt = J(s) v.
+    """Co-integrate the state with one tangent vector dv/dt = J(s) v.
 
-    Every renorm_interval the tangent set is orthonormalized (modified
-    Gram-Schmidt) and the pre-normalization log-norms are recorded.  Step
+    Every renorm_interval the tangent vector is scaled to unit length and the
+    log of its norm before scaling is recorded (Benettin et al. 1980).  Step
     control is driven by the base-state error only.  direction_filter, when
     given (+1, -1 or "both"), also collects the X = 0 transits of the base
     state in the same pass into GrowthLog.crossings, as integrate_with_events
@@ -484,25 +467,27 @@ def integrate_augmented(
     _check_inputs(t_end, settings)
     if renorm_interval <= 0:
         raise ConfigurationError(f"renorm_interval must be positive, got {renorm_interval}")
-    tangents = np.array([np.asarray(v, dtype=float) for v in tangent0])
-    if tangents.ndim != 2 or tangents.shape[1] != 5 or not 1 <= tangents.shape[0] <= 5:
-        raise ConfigurationError(f"tangent0 must be 1..5 vectors of length 5, got shape {tangents.shape}")
-    if np.any(np.linalg.norm(tangents, axis=1) == 0.0):
-        raise ConfigurationError("tangent vectors must be nonzero")
-    k = tangents.shape[0]
-    tangents = tangents / np.linalg.norm(tangents, axis=1)[:, None]
+    tangent = np.asarray(tangent0, dtype=float)
+    if tangent.shape != (5,):
+        raise ConfigurationError(f"tangent0 must be one vector of length 5, got shape {tangent.shape}")
+    norm0 = np.linalg.norm(tangent)
+    if not 0.0 < norm0 < math.inf:
+        raise ConfigurationError(f"the tangent vector must be nonzero and finite, got {tangent.tolist()}")
 
-    y0 = np.concatenate([s0.to_array(), tangents.ravel()])
-    stepper = _Dopri5(_augmented_rhs(p, k), y0, settings, err_dim=5)
+    y0 = np.concatenate([s0.to_array(), tangent / norm0])
+    stepper = _Dopri5(_augmented_rhs(p), y0, settings, err_dim=5)
     log_times = []
     log_norms = []
     crossings: list[CrossingEvent] = []
 
     def renormalize(st: _Dopri5):
-        vectors = np.array(st.y[5:]).reshape(k, 5)
-        log_norms.append(np.log(_gram_schmidt(vectors)))
+        v = np.array(st.y[5:])
+        norm = np.linalg.norm(v)
+        if norm == 0.0:
+            raise NumericalFailureError("the tangent vector collapsed to zero")
+        log_norms.append(np.log(norm))
         log_times.append(st.t)
-        st.y = st.y[:5] + vectors.ravel().tolist()
+        st.y = st.y[:5] + (v / norm).tolist()
         st.k1 = st.f(st.t, st.y)                        # FSAL stage is stale after renorm
 
     n_marks = max(1, round(t_end / renorm_interval))
@@ -511,7 +496,7 @@ def integrate_augmented(
     status, t_div = _drive(stepper, marks, on_step=scan, on_mark=renormalize)
     return GrowthLog(
         times=np.array(log_times),
-        log_norms=np.array(log_norms).reshape(len(log_norms), k),
+        log_norms=np.array(log_norms),
         status=status,
         stats=stepper.stats,
         t_div=t_div,

@@ -20,12 +20,9 @@ def _nice_ticks(lo: float, hi: float, n: int = 5):
             step = mult * mag
             break
     first = math.ceil(lo / step) * step
-    ticks = []
-    v = first
-    while v <= hi + 1e-9 * step:
-        ticks.append(0.0 if abs(v) < 1e-12 * step else v)
-        v += step
-    return ticks
+    # step >= (hi - lo) / n, so n + 1 ticks reach hi; one more absorbs the rounding of first
+    ticks = (first + i * step for i in range(n + 2))
+    return [0.0 if abs(v) < 1e-12 * step else v for v in ticks if v <= hi + 1e-9 * step]
 
 
 def _fmt_tick(v: float) -> str:

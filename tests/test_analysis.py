@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from semiquantum import analysis
 from semiquantum.analysis import (
     Regime,
     classify_regime,
@@ -101,6 +102,16 @@ class TestLyapunov:
             largest_lyapunov(S_BASE, P_WEAK, ST, transient=10.0, total=5.0)
         with pytest.raises(ConfigurationError):
             largest_lyapunov(S_BASE, P_WEAK, ST, renorm_interval=0.0)
+
+    @pytest.mark.parametrize("estimator, budget", [(largest_lyapunov, "total"), (classify_regime, "budget")])
+    @pytest.mark.parametrize("transient", [-100.0, math.nan])
+    def test_negative_transient_is_rejected_before_integrating(self, estimator, budget, transient,
+                                                               monkeypatch):
+        # the Benettin average divides by t_last - transient, so a negative
+        # transient would silently stretch the time span
+        monkeypatch.setattr(analysis, "integrate_augmented", None)
+        with pytest.raises(ConfigurationError, match="transient must be >= 0"):
+            estimator(S_BASE, P_WEAK, ST, transient=transient, **{budget: 300.0})
 
 
 class TestClassifyRegime:

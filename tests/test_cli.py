@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from semiquantum.cli import (
     g17,
     main,
 )
+from semiquantum.svgplot import write_svg
 
 FAST_SIM = {
     "simulate": {"t_end": 20.0, "sample_interval": 0.5},
@@ -458,6 +460,14 @@ class TestPlots:
             root = ET.parse(tmp_path / command / name).getroot()
             assert texts <= {el.text for el in root.iter("{http://www.w3.org/2000/svg}text")}
 
+    def test_a_range_of_two_ulps_is_plotted(self, tmp_path):
+        # its tick step is below the ulp of the tick values, so adding it stalls
+        y = [1.0, math.nextafter(math.nextafter(1.0, 2.0), 2.0)]
+        write_svg(tmp_path / "flat.svg", [([0.0, 1.0], y)], ylabel="y")
+        root = ET.parse(tmp_path / "flat.svg").getroot()
+        labels = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert "y" in labels and 4 <= len(labels) <= 2 * 7 + 1
+
 
 class TestLyapunov:
     def test_report_fields(self, tmp_path):
@@ -489,6 +499,13 @@ class TestLyapunov:
         assert code == EXIT_DIVERGED
         report = json.loads((tmp_path / "ld" / "lyapunov.json").read_text())
         assert report["status"] == "diverged"
+
+    def test_negative_transient_is_config_error(self, tmp_path):
+        cfg = write_cfg(tmp_path, {"lyapunov": {"transient": -100.0, "total": 300.0}})
+        code = main(["lyapunov", "--preset", "fig2d", "--config", cfg,
+                     "--out", str(tmp_path / "ln")])
+        assert code == EXIT_CONFIG
+        assert not (tmp_path / "ln" / "lyapunov.json").exists()
 
     def test_too_few_growth_samples_is_config_error(self, tmp_path):
         # one renormalization (t = 150) past the transient of a regular orbit

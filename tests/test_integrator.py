@@ -269,24 +269,24 @@ class TestAugmented:
         p = ModelParams(eps=1.3, gamma=0.0, delta=0.7, alpha=0.0, omega=1.0)
         s0 = SystemState(2, 0.2, 0.1, 1, 0)
         log = integrate_augmented(
-            s0, [np.array([1.0, 0, 0, 0, 0])], p, 2500.0,
+            s0, np.array([1.0, 0, 0, 0, 0]), p, 2500.0,
             IntegratorSettings(abs_tol=1e-10, rel_tol=1e-10), renorm_interval=5.0,
         )
         assert log.status is IntegrationStatus.COMPLETED
         late = log.times > 2000.0
-        rate = log.log_norms[late, 0].sum() / (log.times[late][-1] - 2000.0)
+        rate = log.log_norms[late].sum() / (log.times[late][-1] - 2000.0)
         assert abs(rate) <= 1e-3
 
     def test_unstable_linear_growth_rate(self):
         p = ModelParams(eps=1.0, gamma=0.0, delta=2.0, alpha=0.0, omega=1.0)
         s0 = SystemState(2, 0, 0, 1, 0)
         log = integrate_augmented(
-            s0, [np.ones(5)], p, 6.0,
+            s0, np.ones(5), p, 6.0,
             IntegratorSettings(abs_tol=1e-12, rel_tol=1e-12, divergence_norm=1e300),
             renorm_interval=0.05,
         )
         late = log.times > 2.0
-        rate = log.log_norms[late, 0].sum() / (log.times[late][-1] - 2.0)
+        rate = log.log_norms[late].sum() / (log.times[late][-1] - 2.0)
         assert rate == pytest.approx(2 * math.sqrt(3), rel=0.01)
 
     def test_flow_direction_has_zero_rate(self):
@@ -296,55 +296,62 @@ class TestAugmented:
         s0 = SystemState(2, 0, 0, 1, -2.54950976)
         v0 = rhs(s0.to_array(), p)
         log = integrate_augmented(
-            s0, [v0], p, 2000.0,
+            s0, v0, p, 2000.0,
             IntegratorSettings(abs_tol=1e-10, rel_tol=1e-10), renorm_interval=5.0,
         )
-        rate = log.log_norms[:, 0].sum() / log.times[-1]
+        rate = log.log_norms.sum() / log.times[-1]
         assert abs(rate) <= 2e-3
 
-    def test_orthonormal_after_renorm(self):
-        from semiquantum.integrator import _gram_schmidt
-
-        v = np.random.default_rng(3).normal(size=(3, 5))
-        q = v.copy()
-        norms = _gram_schmidt(q)
-        assert np.allclose(q @ q.T, np.eye(3), atol=1e-12)
-        # v = L q with L lower triangular, whose diagonal holds the norms
-        # of the vectors just before each was normalized
-        lower = v @ q.T
-        assert np.allclose(np.triu(lower, 1), 0.0, atol=1e-12)
-        assert np.allclose(np.diag(lower), norms, rtol=1e-12)
-        assert norms[0] == pytest.approx(np.linalg.norm(v[0]), rel=1e-15)
+    def test_renorm_logs_the_growth_it_removes(self):
+        # at alpha = 0 the field is linear, f(y) = J y, so a tangent started along s0
+        # grows as the state does: at any renormalization cadence the log-norms sum
+        # to log |y(T)| / |y(0)|, which a skipped renormalization or a wrong norm breaks
+        p = ModelParams(eps=1.0, gamma=0.0, delta=2.0, alpha=0.0, omega=1.0)
+        s0 = SystemState(2, 0.5, 0.3, 1, 0)
+        settings = IntegratorSettings(abs_tol=1e-12, rel_tol=1e-12, divergence_norm=1e300)
+        y = integrate(s0, p, 6.0, settings, sample_interval=6.0).states
+        expected = math.log(np.linalg.norm(y[-1]) / np.linalg.norm(y[0]))
+        assert expected > 10.0
+        for renorm in (0.05, 0.5, 6.0):
+            log = integrate_augmented(s0, s0.to_array(), p, 6.0, settings, renorm_interval=renorm)
+            assert len(log.log_norms) == round(6.0 / renorm)
+            assert log.log_norms.sum() == pytest.approx(expected, abs=1e-8)
 
     def test_augmented_field_is_rhs_plus_jvp(self):
         from semiquantum.integrator import _augmented_rhs
-        from semiquantum.model import jacobian_matrix, rhs
+        from semiquantum.model import field_jvp, jacobian_matrix, rhs
 
         p = ModelParams(eps=1.05, gamma=0.0, delta=1.0, alpha=0.015, omega=1.0)
         rng = np.random.default_rng(5)
         for _ in range(20):
-            base = rng.uniform(-5, 5, size=5)
-            vecs = rng.normal(size=(3, 5))
-            out = np.asarray(_augmented_rhs(p, 3)(0.0, np.concatenate([base, vecs.ravel()])))
-            assert np.array_equal(out[:5], rhs(base, p))
-            expected = vecs @ jacobian_matrix(base, p).T
-            assert np.allclose(out[5:].reshape(3, 5), expected, rtol=1e-13, atol=1e-13)
+            base = rng.uniform(-5, 5, size=5).tolist()
+            v = rng.normal(size=5).tolist()
+            out = _augmented_rhs(p)(0.0, base + v)
+            assert np.array_equal(out, rhs(base, p).tolist() + field_jvp(base, v, p))
+            assert np.allclose(out[5:], jacobian_matrix(np.array(base), p) @ v, rtol=1e-13, atol=1e-13)
 
     def test_section_in_the_augmented_pass(self):
         # the crossings of the base state, collected in the same pass, match
         # integrate_with_events up to the step differences the renorm marks cause
         p = ModelParams(eps=1.0, gamma=0.0, delta=0.0, alpha=0.0, omega=1.0)
         s0 = SystemState(n1=1, om=0, op=0, x=1, p=0)
-        log = integrate_augmented(s0, [np.ones(5)], p, 20.0, TIGHT, renorm_interval=1.0,
+        log = integrate_augmented(s0, np.ones(5), p, 20.0, TIGHT, renorm_interval=1.0,
                                   direction_filter="both")
         _, events = integrate_with_events(s0, p, 20.0, TIGHT)
         assert len(log.crossings) == len(events) == 6
         for a, b in zip(log.crossings, events):
             assert abs(a.t_cross - b.t_cross) <= 1e-10
             assert a.direction == b.direction
-        assert integrate_augmented(s0, [np.ones(5)], p, 20.0, TIGHT).crossings == []
+        assert integrate_augmented(s0, np.ones(5), p, 20.0, TIGHT).crossings == []
 
     def test_rejects_zero_tangent(self):
         p = ModelParams(eps=1.05, gamma=0.0, delta=1.0, alpha=0.0, omega=1.0)
-        with pytest.raises(ConfigurationError):
-            integrate_augmented(SystemState(2, 0, 0, 1, 0), [np.zeros(5)], p, 1.0)
+        for tangent0 in (np.zeros(5), np.full(5, np.nan), np.full(5, np.inf)):
+            with pytest.raises(ConfigurationError, match="nonzero and finite"):
+                integrate_augmented(SystemState(2, 0, 0, 1, 0), tangent0, p, 1.0)
+
+    @pytest.mark.parametrize("tangent0", [[np.ones(5)], np.ones(4), np.ones(6), np.eye(5), 1.0])
+    def test_rejects_anything_but_one_vector_of_length_5(self, tangent0):
+        p = ModelParams(eps=1.05, gamma=0.0, delta=1.0, alpha=0.0, omega=1.0)
+        with pytest.raises(ConfigurationError, match="one vector of length 5"):
+            integrate_augmented(SystemState(2, 0, 0, 1, 0), tangent0, p, 1.0)

@@ -48,7 +48,7 @@ SETTINGS = IntegratorSettings(abs_tol=1e-10, rel_tol=1e-10, h_init=1.0)
 
 
 def _augmented():
-    log = integrate_augmented(S0, [np.ones(5)], P, 20.0, SETTINGS, renorm_interval=0.5,
+    log = integrate_augmented(S0, np.ones(5), P, 20.0, SETTINGS, renorm_interval=0.5,
                               direction_filter="both")
     return log.stats, len(log.times)
 
@@ -88,7 +88,7 @@ CALLS = {
     "integrator.events": ((S0, P, 20.0, SETTINGS), {},
                           lambda r: {**_steps(r[0]), "t_span": 20.0, "crossings": len(r[1]),
                                      "traj_bytes": r[0].times.nbytes + r[0].states.nbytes}),
-    "integrator.augmented": ((S0, [np.ones(5)], P, 20.0, SETTINGS), {"renorm_interval": 0.5},
+    "integrator.augmented": ((S0, np.ones(5), P, 20.0, SETTINGS), {"renorm_interval": 0.5},
                              lambda r: {**_steps(r), "t_span": 20.0, "renorms": 40}),
     "analysis.cluster": ((np.random.default_rng(1).uniform(size=(9, 2)), 0.1), {},
                          lambda r: {"points": 9}),
