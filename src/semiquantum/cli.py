@@ -26,7 +26,7 @@ from .errors import (
     InfeasibleConstraintError,
     NumericalFailureError,
 )
-from .integrator import IntegrationStatus, IntegratorSettings, integrate
+from .integrator import IntegrationStatus, IntegratorSettings, StepStats, integrate
 from .linear_oracle import QuantumTriple, StabilityClass, classify, evolve_classical, evolve_critical, evolve_linear
 from .model import (
     ModelParams,
@@ -213,6 +213,12 @@ def _summary(path: Path, payload: dict):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _work(stats: StepStats) -> dict:
+    """The integrator work behind a result, as every summary reports it."""
+    return {"steps_accepted": stats.accepted, "steps_rejected": stats.rejected,
+            "rhs_evals": stats.rhs_evals}
+
+
 def _write_csv(path: Path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -256,8 +262,7 @@ def cmd_simulate(args) -> int:
         "sample_interval": interval,
         "status": traj.status.value,
         "t_div": traj.t_div,
-        "steps_accepted": traj.stats.accepted,
-        "steps_rejected": traj.stats.rejected,
+        **_work(traj.stats),
         "wall_time_s": wall,
     })
     if args.plot:
@@ -331,6 +336,7 @@ def cmd_oracle(args) -> int:
             "max_abs_deviation": max_abs,
             "max_rel_deviation": max_rel,
             "integration_status": traj.status.value,
+            **_work(traj.stats),
         })
     _summary(out / "oracle.json", report)
     print(json.dumps(report["classification"]))
@@ -369,7 +375,7 @@ def cmd_poincare(args) -> int:
             "crossings": len(section),
             "status": section.status.value,
             "t_div": section.t_div,
-            "steps_accepted": section.stats.accepted, "steps_rejected": section.stats.rejected,
+            **_work(section.stats),
         }
         if len(section) == 0:
             rec["warning"] = "no crossings within the time budget"
@@ -428,7 +434,7 @@ def cmd_lyapunov(args) -> int:
         "total": est.total_time,
         "renorm_count": est.renorm_count,
         "diverged_at": est.diverged_at,
-        "steps_accepted": est.stats.accepted, "steps_rejected": est.stats.rejected,
+        **_work(est.stats),
         "wall_time_s": time.perf_counter() - t0,
     }
     _summary(out / "lyapunov.json", report)

@@ -1,5 +1,11 @@
 """Adaptive Dormand-Prince 5(4) integration of the coupled system.
 
+The Dormand-Prince tableau is held as data.  From it ``_step_source`` writes
+one attempted step for each length of state, as straight-line code over named
+scalar components, compiled on first use and cached; its dense quartic comes
+from the same tableau.  The float operations are those of the stage sums
+written out by hand, in the same order, so the generated step changes no bit.
+
 One driver, ``_drive``, steps a ``_Dopri5`` to the end time through optional
 stop marks; it owns the divergence guard and the status.  The stepper raises
 ``NumericalFailureError`` when its step budget runs out.  A
@@ -14,6 +20,7 @@ on one platform.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -87,6 +94,7 @@ class IntegrationStatus(Enum):
 class StepStats:
     accepted: int = 0
     rejected: int = 0
+    rhs_evals: int = 0            # field calls: 1 to start, 6 per attempt, 1 per renormalization
 
 
 @dataclass
@@ -128,13 +136,116 @@ class GrowthLog:
     crossings: list = field(default_factory=list)   # X = 0 transits, when requested
 
 
+# Dormand & Prince (1980) 5(4) tableau, each rational as (numerator, denominator):
+# nodes c and stage rows a for k1..k7; b is the 5th-order solution, which is also
+# row a7 (k7 = f(t + h, y_new) is the next step's k1, FSAL); e = b - b* weighs the
+# error estimate.
+_C = ((0, 1), (1, 5), (3, 10), (4, 5), (8, 9), (1, 1), (1, 1))
+_A = (
+    (),
+    ((1, 5),),
+    ((3, 40), (9, 40)),
+    ((44, 45), (-56, 15), (32, 9)),
+    ((19372, 6561), (-25360, 2187), (64448, 6561), (-212, 729)),
+    ((9017, 3168), (-355, 33), (46732, 5247), (49, 176), (-5103, 18656)),
+)
+_B = ((35, 384), (0, 1), (500, 1113), (125, 192), (-2187, 6784), (11, 84), (0, 1))
+_E = ((71, 57600), (0, 1), (-71, 16695), (71, 1920), (-17253, 339200), (22, 525), (-1, 40))
+# the 4th-order dense interpolant (Hairer, Norsett & Wanner, Solving ODEs I, II.6):
+# y_old + sum over m = 1..4 of theta**m * h * (row m . k), theta = (t - t_old) / h
+_DENSE = (
+    ((1, 1), (0, 1), (0, 1), (0, 1), (0, 1), (0, 1), (0, 1)),
+    ((-8048581381, 2820520608), (0, 1), (131558114200, 32700410799), (-1754552775, 470086768),
+     (127303824393, 49829197408), (-282668133, 205662961), (40617522, 29380423)),
+    ((8663915743, 2820520608), (0, 1), (-68118460800, 10900136933), (14199869525, 1410260304),
+     (-318862633887, 49829197408), (2019193451, 616988883), (-110615467, 29380423)),
+    ((-12715105075, 11282082432), (0, 1), (87487479700, 32700410799), (-10690763975, 1880347072),
+     (701980252875, 199316789632), (-1453857185, 822651844), (69997945, 29380423)),
+)
+# field calls per attempt: every stage but k1, which the last step's k7 gives
+_ATTEMPT_EVALS = len(_C) - 1
+# the stages the dense interpolant reads, kept by an accepted step with its y_old
+_DENSE_STAGES = [j for j in range(len(_C)) if any(row[j][0] for row in _DENSE)]
+
+
+def _combo(row, names) -> str:
+    """row . names as source text: the nonzero terms in stage order, left to right."""
+    terms = []
+    for (num, den), name in zip(row, names):
+        if num:
+            term = name if abs(num) == den else f"{abs(num)} / {den} * {name}"
+            sign = ("" if num > 0 else "-") if not terms else ("+ " if num > 0 else "- ")
+            terms.append(sign + term)
+    return " ".join(terms)
+
+
+def _step_source(n: int, n_err: int) -> str:
+    """Source of one attempted step for a state of n components, straight-line
+    code over named scalars: it calls f once per stage k2..k7 and returns the
+    RMS error over the first n_err components, y_new and the stages the dense
+    interpolant reads.  The float operations and their order are those of the
+    stage sums y_old + h * (a . k) written out by hand."""
+    def names(prefix):
+        return [f"{prefix}_{i}" for i in range(n)]
+
+    def unpack(prefix):
+        return f"    {', '.join(names(prefix))}{',' if n == 1 else ''} = {prefix}"
+
+    def at(c):
+        num, den = c
+        return "t + h" if num == den else f"t + {num} / {den} * h"
+
+    def dot(row, i):
+        return _combo(row, [f"k{j + 1}_{i}" for j in range(len(row))])
+
+    last = f"k{len(_C)}"
+    lines = ["def attempt(f, t, h, y, k1, atol, rtol):", unpack("y"), unpack("k1")]
+    for j in range(1, len(_A)):
+        lines.append(f"    k{j + 1} = f({at(_C[j])}, [")
+        lines += [f"        y_{i} + h * ({dot(_A[j], i)})," for i in range(n)]
+        lines += ["    ])", unpack(f"k{j + 1}")]
+    lines += [f"    yn_{i} = y_{i} + h * ({dot(_B, i)})" for i in range(n)]
+    lines += [f"    yn = [{', '.join(names('yn'))}]", f"    {last} = f({at(_C[-1])}, yn)", unpack(last)]
+    lines.append("    # RMS of the scaled 5th- minus 4th-order solution (e * e, as ** raises on overflow)")
+    lines += [f"    e_{i} = h * (({dot(_E, i)}) / (atol + rtol * max(abs(y_{i}), abs(yn_{i}))))"
+              for i in range(n_err)]
+    squares = ", ".join(f"e_{i} * e_{i}" for i in range(n_err))
+    stages = ", ".join(["y"] + [f"k{j + 1}" for j in _DENSE_STAGES])
+    lines.append(f"    return math.sqrt(sum([{squares}]) / {n_err}), yn, ({stages})")
+    return "\n".join(lines) + "\n"
+
+
+def _quartic_source() -> str:
+    """Source of the dense interpolant's quartic in theta for one component, from
+    its value at t_old and its stages: coefficients from the constant term up."""
+    names = [f"k{j + 1}" for j in range(len(_C))]
+    kept = ", ".join(names[j] for j in _DENSE_STAGES)
+    rows = "".join(f"        h * ({_combo(row, names)}),\n" for row in _DENSE)
+    return f"def quartic(h, y0, {kept}):\n    return (\n        y0,\n{rows}    )\n"
+
+
+def _compile(source: str, name: str):
+    namespace = {}
+    exec(compile(source, f"<dopri5 {name}>", "exec"), globals(), namespace)
+    return namespace[name]
+
+
+@functools.cache
+def _attempt(n: int, n_err: int):
+    """The compiled _step_source(n, n_err), built on first use."""
+    return _compile(_step_source(n, n_err), "attempt")
+
+
+_quartic = _compile(_quartic_source(), "quartic")
+
+
 class _Dopri5:
     """Single-trajectory Dormand-Prince 5(4) stepper with PI step control.
 
-    State, stages and dense output are lists of Python floats, and each stage
-    is one comprehension over the components, for any length of state.
-    err_dim limits the error norm to the leading components of the state
-    (the augmented mode controls the step on the base state only).
+    State, stages and dense output are lists of Python floats.  Each attempted
+    step is one function generated from the tableau for the length of the state
+    (see _step_source).  err_dim limits the error norm to the leading components
+    of the state (the augmented mode controls the step on the base state only).
     """
 
     def __init__(self, f, y0, settings: IntegratorSettings, err_dim=None):
@@ -143,54 +254,41 @@ class _Dopri5:
         self.y = [float(v) for v in y0]
         self.s = settings
         self.err_dim = err_dim if err_dim is not None else len(self.y)
+        self.attempt = _attempt(len(self.y), self.err_dim)
         self.h = min(settings.h_init, settings.h_max)
-        self.k1 = f(self.t, self.y)          # FSAL stage
         self.err_prev = None
         self.stats = StepStats()
-        # filled by step(): the last accepted interval and its y_old, k1, k3..k7
+        self.restart()
+        # filled by step(): the last accepted interval and its y_old and dense stages
         self.t_old = 0.0
         self.h_last = 0.0
         self.last = None
 
+    def restart(self):
+        """Evaluate the FSAL stage k1 afresh at the current state."""
+        self.k1 = self.f(self.t, self.y)
+        self.stats.rhs_evals += 1
+
     def step(self, t_limit: float):
         """Advance by one accepted step, not beyond t_limit."""
-        s, f, t, y, k1 = self.s, self.f, self.t, self.y, self.k1
-        n_err = self.err_dim
+        s, f, t, y, k1, stats = self.s, self.f, self.t, self.y, self.k1, self.stats
         while True:
-            if self.stats.accepted + self.stats.rejected >= s.max_steps:
+            if stats.accepted + stats.rejected >= s.max_steps:
                 raise NumericalFailureError("step budget exhausted", last_good_time=t)
             h_clip = t_limit - t
             h = min(self.h, s.h_max, h_clip)
             if h <= 16.0 * _EPS * max(1.0, abs(t)):
                 raise NumericalFailureError("step size underflow", last_good_time=t)
-            # Dormand & Prince (1980) tableau; gi is component i of stage ki
-            k2 = f(t + 1 / 5 * h, [y0 + h * (1 / 5 * g1) for y0, g1 in zip(y, k1)])
-            k3 = f(t + 3 / 10 * h, [y0 + h * (3 / 40 * g1 + 9 / 40 * g2) for y0, g1, g2 in zip(y, k1, k2)])
-            k4 = f(t + 4 / 5 * h, [y0 + h * (44 / 45 * g1 - 56 / 15 * g2 + 32 / 9 * g3)
-                                   for y0, g1, g2, g3 in zip(y, k1, k2, k3)])
-            k5 = f(t + 8 / 9 * h, [
-                y0 + h * (19372 / 6561 * g1 - 25360 / 2187 * g2 + 64448 / 6561 * g3 - 212 / 729 * g4)
-                for y0, g1, g2, g3, g4 in zip(y, k1, k2, k3, k4)])
-            k6 = f(t + h, [
-                y0 + h * (9017 / 3168 * g1 - 355 / 33 * g2 + 46732 / 5247 * g3 + 49 / 176 * g4 - 5103 / 18656 * g5)
-                for y0, g1, g2, g3, g4, g5 in zip(y, k1, k2, k3, k4, k5)])
-            y_new = [y0 + h * (35 / 384 * g1 + 500 / 1113 * g3 + 125 / 192 * g4 - 2187 / 6784 * g5 + 11 / 84 * g6)
-                     for y0, g1, g3, g4, g5, g6 in zip(y, k1, k3, k4, k5, k6)]
-            k7 = f(t + h, y_new)
-            # RMS of the scaled 5th- minus 4th-order solution (e * e, as ** raises on overflow)
-            err = [
-                h * ((71 / 57600 * g1 - 71 / 16695 * g3 + 71 / 1920 * g4 - 17253 / 339200 * g5
-                      + 22 / 525 * g6 - 1 / 40 * g7) / (s.abs_tol + s.rel_tol * max(abs(y0), abs(y1))))
-                for y0, y1, g1, g3, g4, g5, g6, g7 in zip(y[:n_err], y_new, k1, k3, k4, k5, k6, k7)
-            ]
-            err = math.sqrt(sum([e * e for e in err]) / n_err)
+            err, y_new, last = self.attempt(f, t, h, y, k1, s.abs_tol, s.rel_tol)
+            stats.rhs_evals += _ATTEMPT_EVALS
+            k7 = last[-1]
             # One finiteness check is enough: the field is autonomous and each
             # of its inputs reaches an output (0 * inf is NaN), so a non-finite
             # trial stage reaches y_new or the error through b3..b6.
             if not (math.isfinite(err) and all(map(math.isfinite, y_new))
                     and all(map(math.isfinite, k7))):
                 self.h = h * 0.1
-                self.stats.rejected += 1
+                stats.rejected += 1
                 continue
             if err <= 1.0:
                 if self.err_prev is None or err == 0.0:
@@ -198,37 +296,22 @@ class _Dopri5:
                 else:
                     factor = _SAFETY * err ** (-_PI_ALPHA) * self.err_prev ** _PI_BETA
                 factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-                self.t_old, self.h_last, self.last = t, h, (y, k1, k3, k4, k5, k6, k7)
+                self.t_old, self.h_last, self.last = t, h, last
                 # land exactly on the limit when the step was clipped to it
                 self.t = t_limit if h == h_clip else t + h
                 self.y = y_new
                 self.k1 = k7                 # FSAL
                 self.h = h * factor
                 self.err_prev = max(err, 1e-10)
-                self.stats.accepted += 1
+                stats.accepted += 1
                 return
             self.h = h * max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
-            self.stats.rejected += 1
+            stats.rejected += 1
 
     def quartic(self, i: int) -> tuple:
-        """Component i of the 4th-order dense interpolant on the last accepted step
-        (Hairer, Norsett & Wanner, Solving ODEs I, II.6): its polynomial in
-        theta = (t - t_old) / h_last, coefficients from the constant term up."""
-        y0, g1, g3, g4, g5, g6, g7 = (r[i] for r in self.last)
-        h = self.h_last
-        return (
-            y0,
-            h * g1,
-            h * (-8048581381 / 2820520608 * g1 + 131558114200 / 32700410799 * g3
-                 - 1754552775 / 470086768 * g4 + 127303824393 / 49829197408 * g5
-                 - 282668133 / 205662961 * g6 + 40617522 / 29380423 * g7),
-            h * (8663915743 / 2820520608 * g1 - 68118460800 / 10900136933 * g3
-                 + 14199869525 / 1410260304 * g4 - 318862633887 / 49829197408 * g5
-                 + 2019193451 / 616988883 * g6 - 110615467 / 29380423 * g7),
-            h * (-12715105075 / 11282082432 * g1 + 87487479700 / 32700410799 * g3
-                 - 10690763975 / 1880347072 * g4 + 701980252875 / 199316789632 * g5
-                 - 1453857185 / 822651844 * g6 + 69997945 / 29380423 * g7),
-        )
+        """Component i of the dense interpolant on the last accepted step: its
+        quartic in theta = (t - t_old) / h_last, coefficients from the constant term up."""
+        return _quartic(self.h_last, *[r[i] for r in self.last])
 
     def dense(self, t: float) -> list:
         """The interpolant at t, every component."""
@@ -488,7 +571,7 @@ def integrate_augmented(
         log_norms.append(np.log(norm))
         log_times.append(st.t)
         st.y = st.y[:5] + (v / norm).tolist()
-        st.k1 = st.f(st.t, st.y)                        # FSAL stage is stale after renorm
+        st.restart()                                    # FSAL stage is stale after renorm
 
     n_marks = max(1, round(t_end / renorm_interval))
     marks = (min(m * renorm_interval, t_end) for m in range(1, n_marks + 1))

@@ -22,11 +22,19 @@ def _nice_ticks(lo: float, hi: float, n: int = 5):
     first = math.ceil(lo / step) * step
     # step >= (hi - lo) / n, so n + 1 ticks reach hi; one more absorbs the rounding of first
     ticks = (first + i * step for i in range(n + 2))
-    return [0.0 if abs(v) < 1e-12 * step else v for v in ticks if v <= hi + 1e-9 * step]
+    ticks = [0.0 if abs(v) < 1e-12 * step else v for v in ticks if v <= hi + 1e-9 * step]
+    # a step below the ulp of the values rounds neighbours onto one float
+    return [v for i, v in enumerate(ticks) if i == 0 or v != ticks[i - 1]]
 
 
-def _fmt_tick(v: float) -> str:
-    return f"{v:.6g}"
+def _tick_labels(ticks) -> list:
+    """The ticks printed with the fewest significant digits, 6 to 17, that
+    tell adjacent ticks apart (17 tell any two floats apart)."""
+    for digits in range(6, 18):
+        labels = [f"{v:.{digits}g}" for v in ticks]
+        if all(a != b for a, b in zip(labels, labels[1:])):
+            break
+    return labels
 
 
 def write_svg(path, series, title="", xlabel="", ylabel="", kinds=None, labels=None):
@@ -73,7 +81,8 @@ def write_svg(path, series, title="", xlabel="", ylabel="", kinds=None, labels=N
             f'<text x="{_WIDTH / 2:.1f}" y="{_MARGIN_T - 14}" text-anchor="middle" '
             f'font-size="16">{escape(title, quote=False)}</text>'
         )
-    for v in _nice_ticks(x_lo, x_hi):
+    x_ticks = _nice_ticks(x_lo, x_hi)
+    for v, label in zip(x_ticks, _tick_labels(x_ticks)):
         px = sx(v)
         out.append(
             f'<line x1="{px:.2f}" y1="{_MARGIN_T + ph}" x2="{px:.2f}" '
@@ -81,9 +90,10 @@ def write_svg(path, series, title="", xlabel="", ylabel="", kinds=None, labels=N
         )
         out.append(
             f'<text x="{px:.2f}" y="{_MARGIN_T + ph + 20}" text-anchor="middle">'
-            f"{_fmt_tick(v)}</text>"
+            f"{label}</text>"
         )
-    for v in _nice_ticks(y_lo, y_hi):
+    y_ticks = _nice_ticks(y_lo, y_hi)
+    for v, label in zip(y_ticks, _tick_labels(y_ticks)):
         py = sy(v)
         out.append(
             f'<line x1="{_MARGIN_L - 5}" y1="{py:.2f}" x2="{_MARGIN_L}" '
@@ -91,7 +101,7 @@ def write_svg(path, series, title="", xlabel="", ylabel="", kinds=None, labels=N
         )
         out.append(
             f'<text x="{_MARGIN_L - 8}" y="{py + 4:.2f}" text-anchor="end">'
-            f"{_fmt_tick(v)}</text>"
+            f"{label}</text>"
         )
     if xlabel:
         out.append(

@@ -24,6 +24,7 @@ from semiquantum.cli import (
     g17,
     main,
 )
+from semiquantum import svgplot
 from semiquantum.svgplot import write_svg
 
 FAST_SIM = {
@@ -109,6 +110,11 @@ class TestPresets:
         assert main(["simulate", "--preset", "fig2d", "--config", cfg, "--out", str(out)]) == EXIT_OK
         summary = json.loads((out / "summary.json").read_text())
         assert summary["initial"]["om"] == 2.5
+
+
+def rhs_evals(report: dict) -> int:
+    """Field calls of an unrenormalized run: one to start, six per attempted step."""
+    return 1 + 6 * (report["steps_accepted"] + report["steps_rejected"])
 
 
 def readme_config_table():
@@ -284,6 +290,7 @@ class TestSimulate:
         assert first[4] == 1.0
         summary = json.loads((tmp_path / "run" / "summary.json").read_text())
         assert summary["status"] == "completed"
+        assert summary["rhs_evals"] == rhs_evals(summary)
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_cfg(tmp_path, FAST_SIM)
@@ -347,6 +354,7 @@ class TestOracle:
         assert code == EXIT_OK
         report = json.loads((tmp_path / "oracle.json").read_text())
         assert report["max_abs_deviation"] < 1e-8
+        assert report["steps_accepted"] > 0 and report["rhs_evals"] == rhs_evals(report)
 
     def test_critical_mode(self, tmp_path):
         cfg = write_cfg(tmp_path, {
@@ -358,6 +366,7 @@ class TestOracle:
         assert code == EXIT_OK
         report = json.loads((tmp_path / "oracle.json").read_text())
         assert report["max_rel_deviation"] < 1e-7
+        assert report["steps_accepted"] > 0 and report["rhs_evals"] == rhs_evals(report)
 
     def test_nonzero_alpha_rejected(self, tmp_path):
         code = main(["oracle", "--preset", "fig1b", "--mode", "linear",
@@ -424,6 +433,7 @@ class TestPoincare:
             # a step cannot hold more than _EVENT_SUBDIV crossings
             assert isinstance(m["steps_rejected"], int) and m["steps_rejected"] >= 0
             assert 4 * m["steps_accepted"] >= m["crossings"] > 0
+            assert m["rhs_evals"] == rhs_evals(m)
 
     def test_refinement_failure_exits_numerical(self, tmp_path, monkeypatch):
         def bad_brentq(*args, **kwargs):
@@ -467,6 +477,24 @@ class TestPlots:
         root = ET.parse(tmp_path / "flat.svg").getroot()
         labels = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
         assert "y" in labels and 4 <= len(labels) <= 2 * 7 + 1
+        # the y tick labels are the right-anchored texts
+        y_labels = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")
+                    if el.get("text-anchor") == "end"]
+        assert len(set(y_labels)) == len(y_labels) >= 2
+
+    @pytest.mark.parametrize("lo, hi", [(-0.5721 - 5e-8, -0.5721 + 5e-8),
+                                        (1.0, 1.0 + 4 * 2.0 ** -52), (1e6, 1e6 + 1e-4)])
+    def test_narrow_ranges_get_distinct_tick_labels(self, lo, hi):
+        ticks = svgplot._nice_ticks(lo, hi)
+        labels = svgplot._tick_labels(ticks)
+        assert len(ticks) >= 2 and len(set(labels)) == len(labels)
+        # each label reads back as its own tick's nearest neighbour
+        assert [min(ticks, key=lambda v: abs(v - float(s))) for s in labels] == ticks
+
+    def test_ordinary_ranges_keep_six_digit_labels(self):
+        assert svgplot._tick_labels(svgplot._nice_ticks(0.0, 1.0)) == ["0", "0.2", "0.4", "0.6", "0.8", "1"]
+        ticks = svgplot._nice_ticks(-2.54950976, 3.1)
+        assert svgplot._tick_labels(ticks) == [f"{v:.6g}" for v in ticks]
 
 
 class TestLyapunov:
@@ -491,6 +519,8 @@ class TestLyapunov:
         # every renormalization mark ends an accepted step
         assert isinstance(report["steps_rejected"], int) and report["steps_rejected"] >= 0
         assert report["steps_accepted"] >= 30
+        # one more field call per renormalization, transient included
+        assert report["rhs_evals"] == rhs_evals(report) + 30
 
     def test_divergence_exit(self, tmp_path):
         cfg = write_cfg(tmp_path, {"lyapunov": {"transient": 300.0, "total": 1000.0}})

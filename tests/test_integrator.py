@@ -1,7 +1,9 @@
 import math
 import pickle
 import random
+import struct
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -134,6 +136,110 @@ class TestFinitenessCheck:
         assert (stepper.stats.accepted, stepper.stats.rejected) == (1, 1)
         assert stepper.h_last == settings.h_init * 0.1
         assert all(math.isfinite(v) for v in stepper.y)
+
+
+def _reference_attempt(f, t, h, y, k1, atol, rtol, n_err):
+    """The hand-written stage sums the generated step replaced, kept as its oracle."""
+    k2 = f(t + 1 / 5 * h, [y0 + h * (1 / 5 * g1) for y0, g1 in zip(y, k1)])
+    k3 = f(t + 3 / 10 * h, [y0 + h * (3 / 40 * g1 + 9 / 40 * g2) for y0, g1, g2 in zip(y, k1, k2)])
+    k4 = f(t + 4 / 5 * h, [y0 + h * (44 / 45 * g1 - 56 / 15 * g2 + 32 / 9 * g3)
+                           for y0, g1, g2, g3 in zip(y, k1, k2, k3)])
+    k5 = f(t + 8 / 9 * h, [
+        y0 + h * (19372 / 6561 * g1 - 25360 / 2187 * g2 + 64448 / 6561 * g3 - 212 / 729 * g4)
+        for y0, g1, g2, g3, g4 in zip(y, k1, k2, k3, k4)])
+    k6 = f(t + h, [
+        y0 + h * (9017 / 3168 * g1 - 355 / 33 * g2 + 46732 / 5247 * g3 + 49 / 176 * g4 - 5103 / 18656 * g5)
+        for y0, g1, g2, g3, g4, g5 in zip(y, k1, k2, k3, k4, k5)])
+    y_new = [y0 + h * (35 / 384 * g1 + 500 / 1113 * g3 + 125 / 192 * g4 - 2187 / 6784 * g5 + 11 / 84 * g6)
+             for y0, g1, g3, g4, g5, g6 in zip(y, k1, k3, k4, k5, k6)]
+    k7 = f(t + h, y_new)
+    err = [
+        h * ((71 / 57600 * g1 - 71 / 16695 * g3 + 71 / 1920 * g4 - 17253 / 339200 * g5
+              + 22 / 525 * g6 - 1 / 40 * g7) / (atol + rtol * max(abs(y0), abs(y1))))
+        for y0, y1, g1, g3, g4, g5, g6, g7 in zip(y[:n_err], y_new, k1, k3, k4, k5, k6, k7)
+    ]
+    err = math.sqrt(sum([e * e for e in err]) / n_err)
+    return err, y_new, (y, k1, k3, k4, k5, k6, k7)
+
+
+def _reference_quartic(h, y0, g1, g3, g4, g5, g6, g7):
+    return (
+        y0,
+        h * g1,
+        h * (-8048581381 / 2820520608 * g1 + 131558114200 / 32700410799 * g3
+             - 1754552775 / 470086768 * g4 + 127303824393 / 49829197408 * g5
+             - 282668133 / 205662961 * g6 + 40617522 / 29380423 * g7),
+        h * (8663915743 / 2820520608 * g1 - 68118460800 / 10900136933 * g3
+             + 14199869525 / 1410260304 * g4 - 318862633887 / 49829197408 * g5
+             + 2019193451 / 616988883 * g6 - 110615467 / 29380423 * g7),
+        h * (-12715105075 / 11282082432 * g1 + 87487479700 / 32700410799 * g3
+             - 10690763975 / 1880347072 * g4 + 701980252875 / 199316789632 * g5
+             - 1453857185 / 822651844 * g6 + 69997945 / 29380423 * g7),
+    )
+
+
+def _bits(v):
+    """Every float of a nested result as its 8 bytes, so NaN and -0.0 compare too."""
+    if isinstance(v, float):
+        return struct.pack("<d", v)
+    return tuple(_bits(x) for x in v)
+
+
+class TestGeneratedStep:
+    @staticmethod
+    def _exact(row):
+        return [Fraction(num, den) for num, den in row]
+
+    def test_tableau_order_conditions(self):
+        c = self._exact(integrator._C)
+        for i, row in enumerate(integrator._A):
+            assert sum(self._exact(row), Fraction(0)) == c[i]
+        b = self._exact(integrator._B)
+        # k7 is evaluated at y_new, so b is its stage row and sums to its node
+        assert sum(b) == 1 == c[-1]
+        assert sum(self._exact(integrator._E)) == 0
+        # the quartic at theta = 1 is the 5th-order solution
+        dense = [self._exact(row) for row in integrator._DENSE]
+        assert [sum(col) for col in zip(*dense)] == b
+        assert integrator._ATTEMPT_EVALS == len(c) - 1 == 6
+
+    @pytest.mark.parametrize("n, n_err", [(3, 3), (5, 5), (10, 5)])
+    def test_attempt_matches_the_hand_written_stages(self, n, n_err):
+        rng = random.Random(n)
+
+        def field(t, y):
+            return [(0.3 * y[i - 1] - 0.1 * t) * y[i] - 0.7 * y[(i + 1) % n] for i in range(n)]
+
+        generated = integrator._attempt(n, n_err)
+        for trial in range(200):
+            t = rng.uniform(-10.0, 10.0)
+            h = 10.0 ** rng.uniform(-6.0, 0.5)
+            y = [rng.uniform(-3.0, 3.0) * 10.0 ** rng.randint(-3, 3) for _ in range(n)]
+            k1 = field(t, y)
+            atol, rtol = 10.0 ** rng.uniform(-14, -6), 10.0 ** rng.uniform(-14, -6)
+            f = field
+            if trial % 50 == 0:
+                # one stage goes non-finite: inf and NaN must travel the same way too
+                calls = []
+
+                def f(t, y):
+                    calls.append(1)
+                    return [math.inf] * n if len(calls) == 1 + trial // 50 else field(t, y)
+            got = generated(f, t, h, y, k1, atol, rtol)
+            if f is not field:
+                calls.clear()
+            want = _reference_attempt(f, t, h, y, k1, atol, rtol, n_err)
+            assert _bits(got) == _bits(want)
+            for i in range(n):
+                comps = [r[i] for r in got[2]]
+                assert _bits(integrator._quartic(h, *comps)) == _bits(_reference_quartic(h, *comps))
+
+    def test_source_is_compiled_once_per_state_length(self):
+        assert integrator._attempt(5, 5) is integrator._attempt(5, 5)
+        assert integrator._attempt(10, 5) is not integrator._attempt(10, 10)
+        source = integrator._step_source(5, 5)
+        assert source.count("f(") == integrator._ATTEMPT_EVALS
+        assert "k2_4" in source and "e_4" in source and "e_5" not in source
 
 
 class TestInvariantDrift:

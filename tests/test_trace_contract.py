@@ -5,7 +5,7 @@ and reads facts off their results.  A refactor that drops or renames one of
 them, or changes a result the tracer reads, breaks the traced benchmark;
 these tests make it fail here as well.  perfbench/layers.py derives
 integrator.rhs_evals from the step counts, which must equal the calls of the
-wrapped semiquantum.integrator.rhs.
+wrapped semiquantum.integrator.rhs, and so must the stepper's own count.
 """
 
 import importlib
@@ -68,6 +68,7 @@ def test_rhs_calls_follow_the_rhs_evals_formula(front_end, monkeypatch):
     monkeypatch.setattr(integrator, "rhs", lambda y, p: calls.append(1) or field(y, p))
     stats, renorms = RUNS[front_end]()
     assert stats.rejected > 0
+    assert stats.rhs_evals == len(calls)
     assert len(calls) == 1 + 6 * (stats.accepted + stats.rejected) + renorms
 
 
