@@ -216,7 +216,7 @@ def _summary(path: Path, payload: dict):
 def _work(stats: StepStats) -> dict:
     """The integrator work behind a result, as every summary reports it."""
     return {"steps_accepted": stats.accepted, "steps_rejected": stats.rejected,
-            "rhs_evals": stats.rhs_evals}
+            "rhs_evals": stats.rhs_evals, "renorms": stats.renorms}
 
 
 def _write_csv(path: Path, header, rows):
@@ -262,6 +262,9 @@ def cmd_simulate(args) -> int:
         "sample_interval": interval,
         "status": traj.status.value,
         "t_div": traj.t_div,
+        # over the samples of trajectory.csv, from their values at t = 0
+        "max_abs_drift": {"e_eff": max(abs(e - e_vals[0]) for e in e_vals),
+                          "i_inv": max(abs(i - i_vals[0]) for i in i_vals)},
         **_work(traj.stats),
         "wall_time_s": wall,
     })

@@ -1,10 +1,17 @@
 """Adaptive Dormand-Prince 5(4) integration of the coupled system.
 
 The Dormand-Prince tableau is held as data.  From it ``_step_source`` writes
-one attempted step for each length of state, as straight-line code over named
-scalar components, compiled on first use and cached; its dense quartic comes
-from the same tableau.  The float operations are those of the stage sums
-written out by hand, in the same order, so the generated step changes no bit.
+one attempted step for each flow and length of state, as straight-line code
+over named scalar components, compiled on first use and cached; its dense
+quartic comes from the same tableau.  A flow is an autonomous ``flow(y, p)``
+written in plain arithmetic (``_base_flow`` and ``_augmented_flow``, through
+``rhs`` and ``field_jvp``).  It runs once on recorder symbols (``_Tape``),
+which write one assignment per float operation, so every stage evaluates the
+field inline and calls no function.  The float operations are those of the
+stage sums written out by hand with the flow called on each, in the same order,
+so the generated step changes no bit.  ``rhs`` itself runs only at the FSAL
+restarts (the first evaluation, and each after a renormalization) and when a
+flow is recorded.
 
 One driver, ``_drive``, steps a ``_Dopri5`` to the end time through optional
 stop marks; it owns the divergence guard and the status.  The stepper raises
@@ -30,7 +37,8 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalFailureError
 from .model import ModelParams, SystemState, field_jvp
-# the stepper calls the float field by this module name, where tracers and tests replace it
+# the flows call the float field by this module name, where tracers and tests replace it;
+# a recorded attempt keeps the field it was recorded with
 from .model import field as rhs
 
 __all__ = [
@@ -94,7 +102,8 @@ class IntegrationStatus(Enum):
 class StepStats:
     accepted: int = 0
     rejected: int = 0
-    rhs_evals: int = 0            # field calls: 1 to start, 6 per attempt, 1 per renormalization
+    rhs_evals: int = 0            # field evaluations: 1 to start, 6 per attempt, 1 per renormalization
+    renorms: int = 0              # renormalizations of the tangent vector
 
 
 @dataclass
@@ -162,7 +171,7 @@ _DENSE = (
     ((-12715105075, 11282082432), (0, 1), (87487479700, 32700410799), (-10690763975, 1880347072),
      (701980252875, 199316789632), (-1453857185, 822651844), (69997945, 29380423)),
 )
-# field calls per attempt: every stage but k1, which the last step's k7 gives
+# field evaluations per attempt: every stage but k1, which the last step's k7 gives
 _ATTEMPT_EVALS = len(_C) - 1
 # the stages the dense interpolant reads, kept by an accepted step with its y_old
 _DENSE_STAGES = [j for j in range(len(_C)) if any(row[j][0] for row in _DENSE)]
@@ -179,39 +188,146 @@ def _combo(row, names) -> str:
     return " ".join(terms)
 
 
-def _step_source(n: int, n_err: int) -> str:
-    """Source of one attempted step for a state of n components, straight-line
-    code over named scalars: it calls f once per stage k2..k7 and returns the
-    RMS error over the first n_err components, y_new and the stages the dense
-    interpolant reads.  The float operations and their order are those of the
-    stage sums y_old + h * (a . k) written out by hand."""
-    def names(prefix):
-        return [f"{prefix}_{i}" for i in range(n)]
+class _Sym:
+    """One float of a flow run under recording.  Each +, -, * or unary - on it
+    writes one operation to its tape and returns the symbol of the result."""
+
+    __slots__ = ("tape", "state")
+
+    def __init__(self, tape, state: bool):
+        self.tape = tape
+        self.state = state        # False: a parameter, or computed from parameters and constants only
+
+    def __add__(self, other):
+        return self.tape.op("+", self, other)
+
+    def __radd__(self, other):
+        return self.tape.op("+", other, self)
+
+    def __sub__(self, other):
+        return self.tape.op("-", self, other)
+
+    def __rsub__(self, other):
+        return self.tape.op("-", other, self)
+
+    def __mul__(self, other):
+        return self.tape.op("*", self, other)
+
+    def __rmul__(self, other):
+        return self.tape.op("*", other, self)
+
+    def __neg__(self):
+        return self.tape.op("-", self)
+
+
+def _const(c) -> str:
+    """A float constant as source text that reads back to the same bits."""
+    text = repr(float(c))
+    return f"({text})" if text.startswith("-") else text
+
+
+class _Tape:
+    """The operations of one flow run on symbols, in evaluation order.  An
+    operation already on the tape with the same operands, in the same order, is
+    not written again: it would give the same bits."""
+
+    def __init__(self):
+        self.ops = []             # (result, operator, operands)
+        self.params = {}          # parameter attribute -> its symbol, in the order first read
+        self.seen = {}
+
+    def op(self, operator: str, *operands):
+        if not all(isinstance(a, _Sym) or (type(a) in (int, float) and math.isfinite(a))
+                   for a in operands):
+            return NotImplemented
+        key = (operator, *(a if isinstance(a, _Sym) else _const(a) for a in operands))
+        if key not in self.seen:
+            result = _Sym(self, any(isinstance(a, _Sym) and a.state for a in operands))
+            self.ops.append((result, operator, operands))
+            self.seen[key] = result
+        return self.seen[key]
+
+
+class _Params:
+    """The parameters of a flow under recording: every attribute read is a symbol."""
+
+    def __init__(self, tape: _Tape):
+        self._tape = tape
+
+    def __getattr__(self, name):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        params = self._tape.params
+        if name not in params:
+            params[name] = _Sym(self._tape, False)
+        return params[name]
+
+
+def _step_source(flow, n: int, n_err: int) -> str:
+    """Source of one attempted step of the autonomous flow(y, p) for a state of
+    n components, straight-line code over named scalars.  flow runs once on
+    symbols (see _Tape), and each stage k2..k7 evaluates it inline, one
+    assignment per float operation; an operation on parameters and constants
+    only is computed once per attempt.  The attempt returns the RMS error over
+    the first n_err components, y_new and the stages the dense interpolant
+    reads.  The float operations and their order are those of the stage sums
+    y_old + h * (a . k) written out by hand, with flow called on each."""
+    tape = _Tape()
+    inputs = [_Sym(tape, True) for _ in range(n)]
+    outputs = list(flow(inputs, _Params(tape)))
+    if len(outputs) != n:
+        raise ValueError(f"a flow on {n} components returned {len(outputs)}")
+    names = {sym: f"p_{attr}" for attr, sym in tape.params.items()}
+    fixed = [op for op in tape.ops if not op[0].state]
+    names.update((sym, f"c_{m}") for m, (sym, _, _) in enumerate(fixed))
+    varying = [op for op in tape.ops if op[0].state]
+
+    def text(a, local):
+        return local[a] if isinstance(a, _Sym) else _const(a)
+
+    def expr(operator, operands, local):
+        if len(operands) == 1:
+            return f"{operator}{text(operands[0], local)}"
+        return f" {operator} ".join(text(a, local) for a in operands)
+
+    def evaluate(prefix, stage):
+        """flow on the components prefix_i, assigned to stage_i."""
+        local = {**names, **{sym: f"{prefix}_{i}" for i, sym in enumerate(inputs)}}
+        targets = {}
+        for i, sym in enumerate(outputs):
+            if isinstance(sym, _Sym) and sym.state and sym not in local and sym not in targets:
+                targets[sym] = f"{stage}_{i}"
+        lines = []
+        for m, (sym, operator, operands) in enumerate(varying):
+            local[sym] = targets.get(sym, f"w_{m}")
+            lines.append(f"    {local[sym]} = {expr(operator, operands, local)}")
+        lines += [f"    {stage}_{i} = {text(sym, local)}" for i, sym in enumerate(outputs)
+                  if targets.get(sym) != f"{stage}_{i}"]
+        return lines
+
+    def listed(prefix):
+        return f"[{', '.join(f'{prefix}_{i}' for i in range(n))}]"
 
     def unpack(prefix):
-        return f"    {', '.join(names(prefix))}{',' if n == 1 else ''} = {prefix}"
-
-    def at(c):
-        num, den = c
-        return "t + h" if num == den else f"t + {num} / {den} * h"
+        return f"    {', '.join(f'{prefix}_{i}' for i in range(n))}{',' if n == 1 else ''} = {prefix}"
 
     def dot(row, i):
         return _combo(row, [f"k{j + 1}_{i}" for j in range(len(row))])
 
-    last = f"k{len(_C)}"
-    lines = ["def attempt(f, t, h, y, k1, atol, rtol):", unpack("y"), unpack("k1")]
+    lines = ["def attempt(p, h, y, k1, atol, rtol):", unpack("y"), unpack("k1")]
+    lines += [f"    p_{attr} = p.{attr}" for attr in tape.params]
+    lines += [f"    {names[sym]} = {expr(operator, operands, names)}" for sym, operator, operands in fixed]
     for j in range(1, len(_A)):
-        lines.append(f"    k{j + 1} = f({at(_C[j])}, [")
-        lines += [f"        y_{i} + h * ({dot(_A[j], i)})," for i in range(n)]
-        lines += ["    ])", unpack(f"k{j + 1}")]
+        lines += [f"    z_{i} = y_{i} + h * ({dot(_A[j], i)})" for i in range(n)]
+        lines += evaluate("z", f"k{j + 1}")
     lines += [f"    yn_{i} = y_{i} + h * ({dot(_B, i)})" for i in range(n)]
-    lines += [f"    yn = [{', '.join(names('yn'))}]", f"    {last} = f({at(_C[-1])}, yn)", unpack(last)]
+    lines += evaluate("yn", f"k{len(_C)}")
     lines.append("    # RMS of the scaled 5th- minus 4th-order solution (e * e, as ** raises on overflow)")
     lines += [f"    e_{i} = h * (({dot(_E, i)}) / (atol + rtol * max(abs(y_{i}), abs(yn_{i}))))"
               for i in range(n_err)]
     squares = ", ".join(f"e_{i} * e_{i}" for i in range(n_err))
-    stages = ", ".join(["y"] + [f"k{j + 1}" for j in _DENSE_STAGES])
-    lines.append(f"    return math.sqrt(sum([{squares}]) / {n_err}), yn, ({stages})")
+    stages = ", ".join(["y"] + ["k1" if j == 0 else listed(f"k{j + 1}") for j in _DENSE_STAGES])
+    lines.append(f"    return math.sqrt(sum([{squares}]) / {n_err}), {listed('yn')}, ({stages})")
     return "\n".join(lines) + "\n"
 
 
@@ -231,9 +347,9 @@ def _compile(source: str, name: str):
 
 
 @functools.cache
-def _attempt(n: int, n_err: int):
-    """The compiled _step_source(n, n_err), built on first use."""
-    return _compile(_step_source(n, n_err), "attempt")
+def _attempt(flow, n: int, n_err: int):
+    """The compiled _step_source(flow, n, n_err), recorded and built on first use."""
+    return _compile(_step_source(flow, n, n_err), "attempt")
 
 
 _quartic = _compile(_quartic_source(), "quartic")
@@ -242,19 +358,21 @@ _quartic = _compile(_quartic_source(), "quartic")
 class _Dopri5:
     """Single-trajectory Dormand-Prince 5(4) stepper with PI step control.
 
-    State, stages and dense output are lists of Python floats.  Each attempted
-    step is one function generated from the tableau for the length of the state
-    (see _step_source).  err_dim limits the error norm to the leading components
-    of the state (the augmented mode controls the step on the base state only).
+    State, stages and dense output are lists of Python floats.  flow(y, p) is
+    an autonomous field written in plain arithmetic; each attempted step is one
+    function generated from the tableau with flow inline (see _step_source).
+    err_dim limits the error norm to the leading components of the state (the
+    augmented mode controls the step on the base state only).
     """
 
-    def __init__(self, f, y0, settings: IntegratorSettings, err_dim=None):
-        self.f = f
+    def __init__(self, flow, p, y0, settings: IntegratorSettings, err_dim=None):
+        self.flow = flow
+        self.p = p
         self.t = 0.0
         self.y = [float(v) for v in y0]
         self.s = settings
         self.err_dim = err_dim if err_dim is not None else len(self.y)
-        self.attempt = _attempt(len(self.y), self.err_dim)
+        self.attempt = _attempt(flow, len(self.y), self.err_dim)
         self.h = min(settings.h_init, settings.h_max)
         self.err_prev = None
         self.stats = StepStats()
@@ -266,12 +384,12 @@ class _Dopri5:
 
     def restart(self):
         """Evaluate the FSAL stage k1 afresh at the current state."""
-        self.k1 = self.f(self.t, self.y)
+        self.k1 = self.flow(self.y, self.p)
         self.stats.rhs_evals += 1
 
     def step(self, t_limit: float):
         """Advance by one accepted step, not beyond t_limit."""
-        s, f, t, y, k1, stats = self.s, self.f, self.t, self.y, self.k1, self.stats
+        s, p, t, y, k1, stats = self.s, self.p, self.t, self.y, self.k1, self.stats
         while True:
             if stats.accepted + stats.rejected >= s.max_steps:
                 raise NumericalFailureError("step budget exhausted", last_good_time=t)
@@ -279,7 +397,7 @@ class _Dopri5:
             h = min(self.h, s.h_max, h_clip)
             if h <= 16.0 * _EPS * max(1.0, abs(t)):
                 raise NumericalFailureError("step size underflow", last_good_time=t)
-            err, y_new, last = self.attempt(f, t, h, y, k1, s.abs_tol, s.rel_tol)
+            err, y_new, last = self.attempt(p, h, y, k1, s.abs_tol, s.rel_tol)
             stats.rhs_evals += _ATTEMPT_EVALS
             k7 = last[-1]
             # One finiteness check is enough: the field is autonomous and each
@@ -324,16 +442,14 @@ def _horner(c, theta: float) -> float:
     return c0 + theta * (c1 + theta * (c2 + theta * (c3 + theta * c4)))
 
 
-def _base_rhs(p: ModelParams):
-    return lambda t, y: rhs(y, p)
+def _base_flow(y, p: ModelParams) -> list:
+    return rhs(y, p)
 
 
-def _augmented_rhs(p: ModelParams):
+def _augmented_flow(y, p: ModelParams) -> list:
     """Base field plus one tangent vector carried by its Jacobian, dv/dt = J(y) v."""
-    def f(t, y):
-        base = y[:5]
-        return rhs(base, p) + field_jvp(base, y[5:], p)
-    return f
+    base = y[:5]
+    return rhs(base, p) + field_jvp(base, y[5:], p)
 
 
 def _check_inputs(t_end: float, settings: IntegratorSettings):
@@ -393,7 +509,7 @@ def integrate(
     if sample_interval <= 0:
         raise ConfigurationError(f"sample_interval must be positive, got {sample_interval}")
 
-    stepper = _Dopri5(_base_rhs(p), s0.to_array(), settings)
+    stepper = _Dopri5(_base_flow, p, s0.to_array(), settings)
     times = [0.0]
     states = [s0.to_array()]
     k_next = 1
@@ -519,7 +635,7 @@ def integrate_with_events(
     settings = settings or IntegratorSettings()
     _check_inputs(t_end, settings)
 
-    stepper = _Dopri5(_base_rhs(p), s0.to_array(), settings)
+    stepper = _Dopri5(_base_flow, p, s0.to_array(), settings)
     events: list[CrossingEvent] = []
     status, t_div = _drive(stepper, [t_end],
                            on_step=_crossing_scan(p, s0.dn, direction_filter, events))
@@ -558,7 +674,7 @@ def integrate_augmented(
         raise ConfigurationError(f"the tangent vector must be nonzero and finite, got {tangent.tolist()}")
 
     y0 = np.concatenate([s0.to_array(), tangent / norm0])
-    stepper = _Dopri5(_augmented_rhs(p), y0, settings, err_dim=5)
+    stepper = _Dopri5(_augmented_flow, p, y0, settings, err_dim=5)
     log_times = []
     log_norms = []
     crossings: list[CrossingEvent] = []
@@ -571,6 +687,7 @@ def integrate_augmented(
         log_norms.append(np.log(norm))
         log_times.append(st.t)
         st.y = st.y[:5] + (v / norm).tolist()
+        st.stats.renorms += 1
         st.restart()                                    # FSAL stage is stale after renorm
 
     n_marks = max(1, round(t_end / renorm_interval))

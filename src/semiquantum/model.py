@@ -130,9 +130,11 @@ class ValidityReport:
 
 
 def field(y, p: ModelParams) -> list:
-    """The one vector field: y's components (n1, om, op, x, p) are floats or
-    equal-shape arrays (lanes), and so are the five derivatives returned.  No
-    finiteness checks: the integrator may probe unphysical trial points.
+    """The one vector field: y's components (n1, om, op, x, p) are floats,
+    equal-shape arrays (lanes) or recorder symbols (the integrator runs it once
+    on symbols to write it inline into its generated step), and so are the
+    five derivatives returned.  Plain +, - and * only, so it runs on all three.
+    No finiteness checks: the integrator may probe unphysical trial points.
     """
     n1, om, op, x, px = y
     d = p.delta + p.alpha * x
@@ -146,7 +148,8 @@ def field(y, p: ModelParams) -> list:
 
 
 def field_jvp(y, v, p: ModelParams) -> list:
-    """The one Jacobian definition: J(y) v for :func:`field`, with v of the same kind as y."""
+    """The one Jacobian definition: J(y) v for :func:`field`, with v of the same
+    kind as y (floats, lanes or recorder symbols)."""
     n1, om, op, x, px = y
     v0, v1, v2, v3, v4 = v
     d = p.delta + p.alpha * x

@@ -290,7 +290,12 @@ class TestSimulate:
         assert first[4] == 1.0
         summary = json.loads((tmp_path / "run" / "summary.json").read_text())
         assert summary["status"] == "completed"
-        assert summary["rhs_evals"] == rhs_evals(summary)
+        assert summary["rhs_evals"] == rhs_evals(summary) and summary["renorms"] == 0
+        # the drift is read off the CSV's own invariant columns
+        for key, col in (("e_eff", 6), ("i_inv", 7)):
+            column = [float(r[col]) for r in rows[1:]]
+            assert summary["max_abs_drift"][key] == max(abs(v - column[0]) for v in column)
+            assert 0.0 < summary["max_abs_drift"][key] < 1e-8      # at tolerance 1e-10
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_cfg(tmp_path, FAST_SIM)
@@ -520,6 +525,7 @@ class TestLyapunov:
         assert isinstance(report["steps_rejected"], int) and report["steps_rejected"] >= 0
         assert report["steps_accepted"] >= 30
         # one more field call per renormalization, transient included
+        assert report["renorms"] == 30
         assert report["rhs_evals"] == rhs_evals(report) + 30
 
     def test_divergence_exit(self, tmp_path):

@@ -1,3 +1,4 @@
+import ast
 import math
 import pickle
 import random
@@ -24,7 +25,7 @@ from semiquantum.linear_oracle import (
     evolve_critical,
     evolve_linear,
 )
-from semiquantum.model import ModelParams, SystemState, effective_energy, invariant_I
+from semiquantum.model import ModelParams, SystemState, effective_energy, field, field_jvp, invariant_I
 
 TIGHT = IntegratorSettings(abs_tol=1e-12, rel_tol=1e-12)
 
@@ -123,36 +124,37 @@ class TestFinitenessCheck:
     def test_non_finite_stage_without_weight_rejects_the_step(self):
         # stage 2 has zero weight in the solution and the error; its inf must
         # still reject the step through the stages that read it
-        from semiquantum.integrator import _Dopri5
+        from semiquantum.integrator import _base_flow, _Dopri5
 
-        settings = IntegratorSettings(h_init=1e-3)
-        node = 0.2 * settings.h_init
+        p = ModelParams(eps=1.05, gamma=0.0, delta=1.0, alpha=0.015, omega=1.0)   # fig2d
+        y, h = [1.0, 1e11, 0.0, 1.0, 1e300], 1.0
+        k1 = field(y, p)
+        k2 = field([v + h * (1 / 5 * g) for v, g in zip(y, k1)], p)
+        assert all(map(math.isfinite, k1)) and k2[:2] == [math.inf, math.inf]
+        stepper = _Dopri5(_base_flow, p, y, IntegratorSettings(h_init=h, max_steps=1))
+        with pytest.raises(NumericalFailureError, match="step budget exhausted"):
+            stepper.step(10.0)
+        assert (stepper.stats.accepted, stepper.stats.rejected) == (0, 1)
+        # the finiteness branch cuts h tenfold; a NaN error alone would cut it fivefold
+        assert stepper.h == h * 0.1
 
-        def f(t, y):
-            return [math.inf] * len(y) if t == node else list(y)
 
-        stepper = _Dopri5(f, [1.0, -2.0, 0.5], settings)
-        stepper.step(1.0)
-        assert (stepper.stats.accepted, stepper.stats.rejected) == (1, 1)
-        assert stepper.h_last == settings.h_init * 0.1
-        assert all(math.isfinite(v) for v in stepper.y)
-
-
-def _reference_attempt(f, t, h, y, k1, atol, rtol, n_err):
-    """The hand-written stage sums the generated step replaced, kept as its oracle."""
-    k2 = f(t + 1 / 5 * h, [y0 + h * (1 / 5 * g1) for y0, g1 in zip(y, k1)])
-    k3 = f(t + 3 / 10 * h, [y0 + h * (3 / 40 * g1 + 9 / 40 * g2) for y0, g1, g2 in zip(y, k1, k2)])
-    k4 = f(t + 4 / 5 * h, [y0 + h * (44 / 45 * g1 - 56 / 15 * g2 + 32 / 9 * g3)
-                           for y0, g1, g2, g3 in zip(y, k1, k2, k3)])
-    k5 = f(t + 8 / 9 * h, [
+def _reference_attempt(flow, p, h, y, k1, atol, rtol, n_err):
+    """The hand-written stage sums the generated step replaced, kept as its oracle:
+    they call flow on each stage's list of floats."""
+    k2 = flow([y0 + h * (1 / 5 * g1) for y0, g1 in zip(y, k1)], p)
+    k3 = flow([y0 + h * (3 / 40 * g1 + 9 / 40 * g2) for y0, g1, g2 in zip(y, k1, k2)], p)
+    k4 = flow([y0 + h * (44 / 45 * g1 - 56 / 15 * g2 + 32 / 9 * g3)
+               for y0, g1, g2, g3 in zip(y, k1, k2, k3)], p)
+    k5 = flow([
         y0 + h * (19372 / 6561 * g1 - 25360 / 2187 * g2 + 64448 / 6561 * g3 - 212 / 729 * g4)
-        for y0, g1, g2, g3, g4 in zip(y, k1, k2, k3, k4)])
-    k6 = f(t + h, [
+        for y0, g1, g2, g3, g4 in zip(y, k1, k2, k3, k4)], p)
+    k6 = flow([
         y0 + h * (9017 / 3168 * g1 - 355 / 33 * g2 + 46732 / 5247 * g3 + 49 / 176 * g4 - 5103 / 18656 * g5)
-        for y0, g1, g2, g3, g4, g5 in zip(y, k1, k2, k3, k4, k5)])
+        for y0, g1, g2, g3, g4, g5 in zip(y, k1, k2, k3, k4, k5)], p)
     y_new = [y0 + h * (35 / 384 * g1 + 500 / 1113 * g3 + 125 / 192 * g4 - 2187 / 6784 * g5 + 11 / 84 * g6)
              for y0, g1, g3, g4, g5, g6 in zip(y, k1, k3, k4, k5, k6)]
-    k7 = f(t + h, y_new)
+    k7 = flow(y_new, p)
     err = [
         h * ((71 / 57600 * g1 - 71 / 16695 * g3 + 71 / 1920 * g4 - 17253 / 339200 * g5
               + 22 / 525 * g6 - 1 / 40 * g7) / (atol + rtol * max(abs(y0), abs(y1))))
@@ -179,9 +181,13 @@ def _reference_quartic(h, y0, g1, g3, g4, g5, g6, g7):
 
 
 def _bits(v):
-    """Every float of a nested result as its 8 bytes, so NaN and -0.0 compare too."""
+    """Every float of a nested result as its 8 bytes, so -0.0 and inf compare too.
+    Every NaN reads alike: the sign of a NaN made from two NaNs is not fixed by
+    the operation, as CPython's adaptive interpreter can pick the other operand's
+    after it specializes an instruction, and the finiteness check rejects every
+    NaN alike."""
     if isinstance(v, float):
-        return struct.pack("<d", v)
+        return b"nan" if math.isnan(v) else struct.pack("<d", v)
     return tuple(_bits(x) for x in v)
 
 
@@ -205,41 +211,93 @@ class TestGeneratedStep:
 
     @pytest.mark.parametrize("n, n_err", [(3, 3), (5, 5), (10, 5)])
     def test_attempt_matches_the_hand_written_stages(self, n, n_err):
+        flow = {3: _three_flow, 5: integrator._base_flow, 10: integrator._augmented_flow}[n]
         rng = random.Random(n)
-
-        def field(t, y):
-            return [(0.3 * y[i - 1] - 0.1 * t) * y[i] - 0.7 * y[(i + 1) % n] for i in range(n)]
-
-        generated = integrator._attempt(n, n_err)
+        generated = integrator._attempt(flow, n, n_err)
+        overflowed = 0
         for trial in range(200):
-            t = rng.uniform(-10.0, 10.0)
+            p = ModelParams(eps=rng.uniform(0.1, 3.0), gamma=0.0, delta=rng.uniform(-3.0, 3.0),
+                            alpha=rng.uniform(-2.0, 2.0), omega=rng.uniform(0.1, 3.0))
             h = 10.0 ** rng.uniform(-6.0, 0.5)
-            y = [rng.uniform(-3.0, 3.0) * 10.0 ** rng.randint(-3, 3) for _ in range(n)]
-            k1 = field(t, y)
+            # one trial in five starts near the top of the float range, where stages
+            # overflow: inf and NaN must travel the same way too
+            scale = 10.0 ** rng.randint(150, 300) if trial % 5 == 0 else 1.0
+            y = [scale * rng.uniform(-3.0, 3.0) * 10.0 ** rng.randint(-3, 3) for _ in range(n)]
+            k1 = flow(y, p)
             atol, rtol = 10.0 ** rng.uniform(-14, -6), 10.0 ** rng.uniform(-14, -6)
-            f = field
-            if trial % 50 == 0:
-                # one stage goes non-finite: inf and NaN must travel the same way too
-                calls = []
-
-                def f(t, y):
-                    calls.append(1)
-                    return [math.inf] * n if len(calls) == 1 + trial // 50 else field(t, y)
-            got = generated(f, t, h, y, k1, atol, rtol)
-            if f is not field:
-                calls.clear()
-            want = _reference_attempt(f, t, h, y, k1, atol, rtol, n_err)
+            got = generated(p, h, y, k1, atol, rtol)
+            want = _reference_attempt(flow, p, h, y, k1, atol, rtol, n_err)
             assert _bits(got) == _bits(want)
+            overflowed += not all(map(math.isfinite, [got[0], *got[1]]))
             for i in range(n):
                 comps = [r[i] for r in got[2]]
                 assert _bits(integrator._quartic(h, *comps)) == _bits(_reference_quartic(h, *comps))
+        assert 0 < overflowed < 200
 
     def test_source_is_compiled_once_per_state_length(self):
-        assert integrator._attempt(5, 5) is integrator._attempt(5, 5)
-        assert integrator._attempt(10, 5) is not integrator._attempt(10, 10)
-        source = integrator._step_source(5, 5)
-        assert source.count("f(") == integrator._ATTEMPT_EVALS
+        base, augmented = integrator._base_flow, integrator._augmented_flow
+        assert integrator._attempt(base, 5, 5) is integrator._attempt(base, 5, 5)
+        assert integrator._attempt(augmented, 10, 5) is not integrator._attempt(augmented, 10, 10)
+        source = integrator._step_source(base, 5, 5)
         assert "k2_4" in source and "e_4" in source and "e_5" not in source
+        # an operation on parameters only is made once per attempt, not once per stage
+        assert source.count("2.0 * p_eps") == 1
+
+    @pytest.mark.parametrize("n, n_err", [(5, 5), (10, 5)])
+    def test_model_flows_are_inline(self, n, n_err):
+        # no stage calls a function: the only calls left are the error norm's
+        flow = {5: integrator._base_flow, 10: integrator._augmented_flow}[n]
+        tree = ast.parse(integrator._step_source(flow, n, n_err))
+        calls = {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        assert calls <= {"math.sqrt", "sum", "max", "abs"}
+
+    def test_recording_rejects_what_it_cannot_write(self):
+        def divides(y, p):
+            return [y[0] / p.eps]
+
+        with pytest.raises(TypeError):
+            integrator._step_source(divides, 1, 1)
+        with pytest.raises(ValueError, match="returned 2"):
+            integrator._step_source(lambda y, p: [y[0], y[0]], 1, 1)
+
+
+def _three_flow(y, p):
+    """A 3-component flow in plain arithmetic: constants of both signs, an int, a
+    negation, an operation on parameters only and an output copied from its input."""
+    a, b, c = y
+    return [p.eps * a * b - p.alpha * c + -0.5 * p.delta * p.omega, -(a * c) + (p.omega * b - 1), a]
+
+
+class TestFirstOrderInAlpha:
+    def test_deviation_from_the_critical_closed_form_is_first_order(self):
+        # criterion 8's setup: the state and s = dy/dalpha co-integrated at alpha = 0,
+        # ds/dt = J s + df/dalpha, so n1(alpha) = n1_crit + alpha * s_n1 + O(alpha^2)
+        def with_alpha_derivative(y, p):
+            base = y[:5]
+            n1, om, op, x, _ = base
+            ds = field_jvp(base, y[5:], p)
+            return field(base, p) + [ds[0] + 2.0 * x * om, ds[1] + 2.0 * x * n1,
+                                     ds[2], ds[3], ds[4] - op]
+
+        s0 = SystemState(n1=2.0, om=0.0, op=0.0, x=1.0, p=-2.54950976)
+        critical = ModelParams(eps=1.0, gamma=0.0, delta=1.0, alpha=0.0, omega=1.0)
+        settings = IntegratorSettings(abs_tol=1e-13, rel_tol=1e-13)
+        stepper = integrator._Dopri5(with_alpha_derivative, critical, s0.as_tuple() + (0.0,) * 5, settings)
+        s_n1 = [0.0]
+        integrator._drive(stepper, [k * 0.05 for k in range(1, 401)],
+                          on_mark=lambda st: s_n1.append(st.y[5]))
+        q0 = QuantumTriple(s0.n1, s0.om, s0.op)
+        ratios = []
+        for alpha in (1e-7, 1e-6, 1e-5):
+            traj = integrate(s0, critical.replace(alpha=alpha), 20.0, settings, sample_interval=0.05)
+            assert len(traj) == len(s_n1) == 401
+            deviation = [y[0] - evolve_critical(q0, 1.0, t).n1 for t, y in zip(traj.times, traj.states)]
+            residual = max(abs(d - alpha * s) for d, s in zip(deviation, s_n1))
+            # the first-order term is most of the deviation (about 1 - 1e4 * alpha of it)
+            assert residual < 0.15 * max(map(abs, deviation))
+            ratios.append(residual / alpha ** 2)
+        # and what is left is second order: the same multiple of alpha^2 at every alpha
+        assert max(ratios) < 1.01 * min(ratios)
 
 
 class TestInvariantDrift:
@@ -424,15 +482,15 @@ class TestAugmented:
             assert log.log_norms.sum() == pytest.approx(expected, abs=1e-8)
 
     def test_augmented_field_is_rhs_plus_jvp(self):
-        from semiquantum.integrator import _augmented_rhs
-        from semiquantum.model import field_jvp, jacobian_matrix, rhs
+        from semiquantum.integrator import _augmented_flow
+        from semiquantum.model import jacobian_matrix, rhs
 
         p = ModelParams(eps=1.05, gamma=0.0, delta=1.0, alpha=0.015, omega=1.0)
         rng = np.random.default_rng(5)
         for _ in range(20):
             base = rng.uniform(-5, 5, size=5).tolist()
             v = rng.normal(size=5).tolist()
-            out = _augmented_rhs(p)(0.0, base + v)
+            out = _augmented_flow(base + v, p)
             assert np.array_equal(out, rhs(base, p).tolist() + field_jvp(base, v, p))
             assert np.allclose(out[5:], jacobian_matrix(np.array(base), p) @ v, rtol=1e-13, atol=1e-13)
 
