@@ -122,40 +122,41 @@ def largest_lyapunov(
 ) -> LyapunovEstimate:
     """Largest Lyapunov exponent by tangent-vector growth averaging.
 
-    The interval [0, transient] is discarded; per-interval growth rates are
-    treated as independent samples for the standard error.  Divergence before
-    the transient completes raises; divergence afterwards yields a partial
-    estimate with diverged_at set.  A renorm_interval that leaves fewer than
-    two growth samples past the transient is a ConfigurationError.
+    Only the renormalization intervals that start at or after the transient
+    are averaged; the last one ends at total and may be shorter.  Each
+    interval's growth rate, over its own length, is treated as an independent
+    sample for the standard error.  Divergence before the transient completes
+    raises; divergence afterwards yields a partial estimate with diverged_at
+    set.  Fewer than two intervals that start at or after the transient is a
+    ConfigurationError.
     """
     if not transient >= 0:
         raise ConfigurationError(f"transient must be >= 0, got {transient}")
     if total <= transient:
         raise ConfigurationError(f"total ({total}) must exceed transient ({transient})")
-    if renorm_interval <= 0:
-        raise ConfigurationError(f"renorm_interval must be positive, got {renorm_interval}")
     log = integrate_augmented(
         s0, _TANGENT0, p, total, settings, renorm_interval=renorm_interval
     )
-    return _estimate(log, transient, renorm_interval)
+    return _estimate(log, transient)
 
 
-def _estimate(log: GrowthLog, transient: float, renorm_interval: float) -> LyapunovEstimate:
-    """Benettin average of the growth log past the transient."""
+def _estimate(log: GrowthLog, transient: float) -> LyapunovEstimate:
+    """Benettin average of the growth log over the whole intervals after the transient."""
     reached = log.times[-1] if len(log.times) else 0.0
     if log.status is IntegrationStatus.DIVERGED and reached <= transient:
         raise DivergentTrajectoryError("trajectory diverged before the transient completed", log.t_div)
-    keep = log.times > transient
-    rates = log.log_norms[keep] / renorm_interval
+    starts = np.concatenate([[0.0], log.times[:-1]])
+    keep = starts >= transient
+    rates = log.log_norms[keep] / (log.times - starts)[keep]
     n = int(keep.sum())
     if n < 2:
         if log.status is IntegrationStatus.DIVERGED:
             raise DivergentTrajectoryError("too few growth samples past the transient", log.t_div)
         raise ConfigurationError(
-            f"{n} growth sample(s) past the transient {transient:g} up to t={reached:g}: "
-            f"renorm_interval {renorm_interval:g} is too long, at least 2 are needed"
+            f"{n} renormalization interval(s) start at or after the transient {transient:g} "
+            f"and end by t={reached:g}: renorm_interval is too long, at least 2 are needed"
         )
-    span = log.times[keep][-1] - transient
+    span = reached - starts[keep][0]
     lam = float(log.log_norms[keep].sum() / span)
     se = float(rates.std(ddof=1) / math.sqrt(n))
     return LyapunovEstimate(
@@ -199,12 +200,12 @@ def classify_regime(
 ) -> RegimeClassification:
     """Label a trajectory Periodic / Quasiperiodic / Chaotic / Divergent.
 
-    One augmented pass gives both pieces of evidence: the Benettin growth log
-    and the X = 0 crossings of its base state (up to the last renormalization
-    mark).  Divergence wins; then a significantly positive Lyapunov exponent
-    means Chaotic; otherwise the Poincare-section cluster structure separates
-    Periodic (small saturating cluster count) from Quasiperiodic.  Fewer than
-    50 crossings yields Inconclusive with the evidence attached.
+    One augmented pass to the budget gives both pieces of evidence: the
+    Benettin growth log and the X = 0 crossings of its base state.  Divergence
+    wins; then a significantly positive Lyapunov exponent means Chaotic;
+    otherwise the Poincare-section cluster structure separates Periodic (small
+    saturating cluster count) from Quasiperiodic.  Fewer than 50 crossings
+    yields Inconclusive with the evidence attached.
     """
     if not transient >= 0:
         raise ConfigurationError(f"transient must be >= 0, got {transient}")
@@ -214,7 +215,7 @@ def classify_regime(
         direction_filter="both",
     )
     try:
-        est = _estimate(log, transient, renorm_interval)
+        est = _estimate(log, transient)
     except DivergentTrajectoryError as exc:
         return RegimeClassification(
             label=Regime.DIVERGENT, divergence_time=exc.t_div,

@@ -178,35 +178,26 @@ def _load_config(args) -> dict:
 
 
 def _build_params(sec: dict) -> ModelParams:
-    values = _read(sec, "params", _SECTIONS["params"])
-    try:
-        return ModelParams(**values)
-    except ValueError as exc:     # a non-positive eps or omega, or |gamma| >= eps
-        raise ConfigurationError(f"params: {exc}") from exc
+    return ModelParams(**_read(sec, "params", _SECTIONS["params"]))
 
 
 def _initial_recipe(sec: dict) -> InitialRecipe:
     """Parse the initial section: (E_eff, I) constraints or a literal state."""
     if "e_eff" in sec or "i_inv" in sec:
         v = _read(sec, "initial", _SECTIONS["initial (constrained)"])
-        recipe = InitialRecipe(
+        return InitialRecipe(
             e_eff=v["e_eff"], i_inv=v["i_inv"], om0=v["ominus0"], op0=v["oplus0"],
             x0=v["x0"], dn0=v["dn0"], momentum_sign=v["momentum_sign"],
         )
-    else:
-        v = _read(sec, "initial", _SECTIONS["initial (literal)"])
-        recipe = InitialRecipe(state=SystemState(
-            n1=v["n0"] + 1.0, om=v["ominus0"], op=v["oplus0"], x=v["x0"], p=v["p0"], dn=v["dn0"],
-        ))
-    recipe.validate()
-    return recipe
+    v = _read(sec, "initial", _SECTIONS["initial (literal)"])
+    return InitialRecipe(state=SystemState(
+        n1=v["n0"] + 1.0, om=v["ominus0"], op=v["oplus0"], x=v["x0"], p=v["p0"], dn=v["dn0"],
+    ))
 
 
 def _build_settings(sec: dict, default_tol: float) -> IntegratorSettings:
     fields = {**_SECTIONS["integrator"], "abs_tol": default_tol, "rel_tol": default_tol}
-    settings = IntegratorSettings(**_read(sec, "integrator", fields))
-    settings.validate()
-    return settings
+    return IntegratorSettings(**_read(sec, "integrator", fields))
 
 
 def _summary(path: Path, payload: dict):
@@ -465,7 +456,6 @@ def cmd_sweep(args) -> int:
         renorm_interval=raw["renorm_interval"],
         settings=_build_settings(raw["integrator"], _ANALYSIS_TOL),
     )
-    spec.validate()
     workers = raw["workers"]
     if not 1 <= workers <= (os.cpu_count() or 1):
         raise ConfigurationError(f"sweep spec.workers must be from 1 to {os.cpu_count()}, got {workers}")

@@ -82,14 +82,14 @@ class IntegratorSettings:
     divergence_norm: float = 1e8
     max_steps: int = 50_000_000
 
-    def validate(self):
+    def __post_init__(self):
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise ConfigurationError(f"tolerances must be positive: {self}")
         if not (self.h_init > 0 and self.h_max > 0):
             raise ConfigurationError(f"step sizes must be positive: {self}")
-        if self.divergence_norm <= 0:
+        if not self.divergence_norm > 0:
             raise ConfigurationError(f"divergence_norm must be positive: {self}")
-        if self.max_steps < 1:
+        if not self.max_steps >= 1:
             raise ConfigurationError(f"max_steps must be >= 1: {self}")
 
 
@@ -452,8 +452,7 @@ def _augmented_flow(y, p: ModelParams) -> list:
     return rhs(base, p) + field_jvp(base, y[5:], p)
 
 
-def _check_inputs(t_end: float, settings: IntegratorSettings):
-    settings.validate()
+def _check_t_end(t_end: float):
     if not (math.isfinite(t_end) and t_end > 0):
         raise ConfigurationError(f"t_end must be positive and finite, got {t_end}")
 
@@ -505,8 +504,8 @@ def integrate(
     of the state exceeds settings.divergence_norm.
     """
     settings = settings or IntegratorSettings()
-    _check_inputs(t_end, settings)
-    if sample_interval <= 0:
+    _check_t_end(t_end)
+    if not sample_interval > 0:
         raise ConfigurationError(f"sample_interval must be positive, got {sample_interval}")
 
     stepper = _Dopri5(_base_flow, p, s0.to_array(), settings)
@@ -633,7 +632,7 @@ def integrate_with_events(
     """
     _check_direction(direction_filter)
     settings = settings or IntegratorSettings()
-    _check_inputs(t_end, settings)
+    _check_t_end(t_end)
 
     stepper = _Dopri5(_base_flow, p, s0.to_array(), settings)
     events: list[CrossingEvent] = []
@@ -653,18 +652,20 @@ def integrate_augmented(
 ) -> GrowthLog:
     """Co-integrate the state with one tangent vector dv/dt = J(s) v.
 
-    Every renorm_interval the tangent vector is scaled to unit length and the
-    log of its norm before scaling is recorded (Benettin et al. 1980).  Step
-    control is driven by the base-state error only.  direction_filter, when
-    given (+1, -1 or "both"), also collects the X = 0 transits of the base
-    state in the same pass into GrowthLog.crossings, as integrate_with_events
-    would report them.
+    At every multiple of renorm_interval below t_end, and at t_end itself, the
+    tangent vector is scaled to unit length and the log of its norm before
+    scaling is recorded (Benettin et al. 1980); so the last interval may be
+    shorter.  A norm that is zero or not finite is a NumericalFailureError.
+    Step control is driven by the base-state error only.  direction_filter,
+    when given (+1, -1 or "both"), also collects the X = 0 transits of the
+    base state in the same pass into GrowthLog.crossings, as
+    integrate_with_events would report them.
     """
     if direction_filter is not None:
         _check_direction(direction_filter)
     settings = settings or IntegratorSettings()
-    _check_inputs(t_end, settings)
-    if renorm_interval <= 0:
+    _check_t_end(t_end)
+    if not renorm_interval > 0:
         raise ConfigurationError(f"renorm_interval must be positive, got {renorm_interval}")
     tangent = np.asarray(tangent0, dtype=float)
     if tangent.shape != (5,):
@@ -682,15 +683,18 @@ def integrate_augmented(
     def renormalize(st: _Dopri5):
         v = np.array(st.y[5:])
         norm = np.linalg.norm(v)
-        if norm == 0.0:
-            raise NumericalFailureError("the tangent vector collapsed to zero")
+        if not 0.0 < norm < math.inf:
+            raise NumericalFailureError(f"the tangent norm is {norm}, not finite and positive",
+                                        last_good_time=st.t)
         log_norms.append(np.log(norm))
         log_times.append(st.t)
         st.y = st.y[:5] + (v / norm).tolist()
         st.stats.renorms += 1
         st.restart()                                    # FSAL stage is stale after renorm
 
-    n_marks = max(1, round(t_end / renorm_interval))
+    # marks at every multiple of renorm_interval below t_end, then t_end itself; a
+    # quotient within round-off of an integer counts as that integer
+    n_marks = max(1, math.ceil(t_end / renorm_interval * (1 - 1e-12)))
     marks = (min(m * renorm_interval, t_end) for m in range(1, n_marks + 1))
     scan = None if direction_filter is None else _crossing_scan(p, s0.dn, direction_filter, crossings)
     status, t_div = _drive(stepper, marks, on_step=scan, on_mark=renormalize)

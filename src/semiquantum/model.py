@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InfeasibleConstraintError
+from .errors import ConfigurationError, InfeasibleConstraintError
 
 __all__ = [
     "ModelParams",
@@ -59,13 +59,13 @@ class ModelParams:
     def __post_init__(self):
         vals = (self.eps, self.gamma, self.delta, self.alpha, self.omega)
         if not all(math.isfinite(v) for v in vals):
-            raise ValueError(f"non-finite model parameter in {vals}")
-        if self.eps <= 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
-        if abs(self.gamma) >= self.eps:
-            raise ValueError(f"|gamma| must be < eps, got gamma={self.gamma}, eps={self.eps}")
-        if self.omega <= 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
+            raise ConfigurationError(f"params must be finite, got {vals}")
+        if not self.eps > 0:
+            raise ConfigurationError(f"params.eps must be positive, got {self.eps}")
+        if not abs(self.gamma) < self.eps:
+            raise ConfigurationError(f"params: |gamma| must be < eps, got gamma={self.gamma}, eps={self.eps}")
+        if not self.omega > 0:
+            raise ConfigurationError(f"params.omega must be positive, got {self.omega}")
 
     def replace(self, **kwargs) -> "ModelParams":
         return replace(self, **kwargs)

@@ -39,7 +39,7 @@ class AxisSpec:
             raise ConfigurationError(f"linspace axis needs count >= 2, got {count}")
         return cls(name=name, values=tuple(np.linspace(lo, hi, count)))
 
-    def validate(self):
+    def __post_init__(self):
         if self.name not in _PARAM_NAMES:
             raise ConfigurationError(
                 f"axis parameter {self.name!r} not one of {_PARAM_NAMES}"
@@ -67,7 +67,7 @@ class InitialRecipe:
     dn0: float = 0.0
     momentum_sign: int = -1
 
-    def validate(self):
+    def __post_init__(self):
         constrained = self.e_eff is not None or self.i_inv is not None
         if self.state is None and not constrained:
             raise ConfigurationError("initial recipe needs a state or (e_eff, i_inv) constraints")
@@ -98,16 +98,12 @@ class SweepSpec:
     renorm_interval: float = 1.0
     settings: IntegratorSettings = field(default_factory=lambda: IntegratorSettings(abs_tol=1e-10, rel_tol=1e-10))
 
-    def validate(self):
-        self.axis1.validate()
-        self.axis2.validate()
+    def __post_init__(self):
         if self.axis1.name == self.axis2.name:
             raise ConfigurationError(f"axes must name distinct parameters, both are {self.axis1.name!r}")
         if not (0 < self.budget < math.inf and 0 <= self.transient < math.inf
                 and 0 < self.renorm_interval < math.inf):
             raise ConfigurationError("sweep budgets must be positive and finite")
-        self.recipe.validate()
-        self.settings.validate()
 
 
 @dataclass(frozen=True)
@@ -143,7 +139,7 @@ def _run_cell(args) -> CellResult:
     v2 = spec.axis2.values[j]
     try:
         p = _cell_params(spec, v1, v2)
-    except ValueError as exc:
+    except ConfigurationError as exc:
         return CellResult(i, j, v1, v2, None, None, None, None, f"skipped: invalid params ({exc})")
     try:
         s0 = spec.recipe.build(p)
@@ -175,7 +171,6 @@ def run_sweep(spec: SweepSpec, max_workers: int | None = None) -> RegimeMap:
     worker processes run (None: that many); one worker runs the cells in
     this process.
     """
-    spec.validate()
     if max_workers is not None and max_workers < 1:
         raise ConfigurationError(f"max_workers must be >= 1, got {max_workers}")
     cpus = os.cpu_count() or 1

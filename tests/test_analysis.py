@@ -92,6 +92,29 @@ class TestLyapunov:
                                transient=2.0, total=8.0, renorm_interval=0.05)
         assert est.lambda_max == pytest.approx(2 * math.sqrt(3), rel=0.01)
 
+    @pytest.mark.parametrize("transient", [2.0, 2.5, 2.9])
+    def test_transient_off_the_renorm_grid(self, transient):
+        # only whole intervals after the transient are averaged, so a transient
+        # between two marks does not bias the decoupled unstable rate
+        p = ModelParams(eps=1.0, gamma=0.0, delta=2.0, alpha=0.0, omega=1.0)
+        st = IntegratorSettings(abs_tol=1e-12, rel_tol=1e-12, divergence_norm=1e300)
+        est = largest_lyapunov(SystemState(2, 0, 0, 1, 0), p, st,
+                               transient=transient, total=8.0, renorm_interval=1.0)
+        assert est.lambda_max == pytest.approx(2 * math.sqrt(3), abs=1e-3)
+
+    def test_total_off_the_renorm_grid(self):
+        # the last renormalization interval, (9, 9.6], is shorter and still run
+        p = ModelParams(eps=1.0, gamma=0.0, delta=2.0, alpha=0.0, omega=1.0)
+        st = IntegratorSettings(abs_tol=1e-12, rel_tol=1e-12, divergence_norm=1e300)
+        est = largest_lyapunov(SystemState(2, 0, 0, 1, 0), p, st,
+                               transient=2.0, total=9.6, renorm_interval=3.0)
+        assert est.total_time == 9.6
+        assert est.lambda_max == pytest.approx(2 * math.sqrt(3), abs=1e-3)
+
+    def test_nan_renorm_interval_is_a_configuration_error(self):
+        with pytest.raises(ConfigurationError, match="renorm_interval"):
+            largest_lyapunov(S_BASE, P_WEAK, ST, renorm_interval=math.nan)
+
     def test_divergence_before_transient_raises(self):
         p = ModelParams(eps=2.0, gamma=0.0, delta=1.0, alpha=1.1, omega=1.0)
         with pytest.raises(DivergentTrajectoryError):
@@ -135,8 +158,8 @@ class TestClassifyRegime:
         assert r.divergence_time is not None
 
     def test_too_few_growth_samples_is_a_configuration_error(self):
-        # one renormalization mark (t = 150) past the transient on a regular
-        # orbit: no estimate is possible, and the orbit did not diverge
+        # one renormalization interval, (150, 200], starts after the transient on
+        # a regular orbit: no estimate is possible, and the orbit did not diverge
         with pytest.raises(ConfigurationError, match="renorm_interval"):
             classify_regime(S_BASE, P_WEAK, ST, budget=200.0, transient=10.0,
                             renorm_interval=150.0)

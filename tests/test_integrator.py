@@ -68,6 +68,15 @@ class TestSettings:
                 -5.0,
             )
 
+    def test_nan_sample_interval(self):
+        with pytest.raises(ConfigurationError, match="sample_interval"):
+            integrate(
+                SystemState(2, 0, 0, 1, 0),
+                ModelParams(eps=1.0, gamma=0, delta=1.0, alpha=0.0, omega=1.0),
+                1.0,
+                sample_interval=math.nan,
+            )
+
 
 class TestOracleAgreement:
     def test_stable_linear_limit(self):
@@ -465,6 +474,15 @@ class TestAugmented:
         )
         rate = log.log_norms.sum() / log.times[-1]
         assert abs(rate) <= 2e-3
+
+    def test_overflowing_tangent_norm_is_a_numerical_failure(self):
+        # the tangent grows as exp(2 sqrt(3) t), to about 1e225 by t = 150: the
+        # squares of its components overflow, so its 2-norm is inf
+        p = ModelParams(eps=1.0, gamma=0.0, delta=2.0, alpha=0.0, omega=1.0)
+        settings = IntegratorSettings(abs_tol=1e-12, rel_tol=1e-12, divergence_norm=1e300)
+        with np.errstate(over="ignore"), pytest.raises(NumericalFailureError, match="tangent norm is inf"):
+            integrate_augmented(SystemState(2, 0, 0, 1, 0), np.ones(5), p, 150.0, settings,
+                                renorm_interval=150.0)
 
     def test_renorm_logs_the_growth_it_removes(self):
         # at alpha = 0 the field is linear, f(y) = J y, so a tangent started along s0

@@ -35,27 +35,39 @@ class TestValidation:
 
     def test_unknown_parameter(self):
         with pytest.raises(ConfigurationError):
-            small_spec(axis1=AxisSpec("beta", (1.0,))).validate()
+            small_spec(axis1=AxisSpec("beta", (1.0,)))
 
     def test_duplicate_axes(self):
         with pytest.raises(ConfigurationError):
-            small_spec(axis2=AxisSpec("eps", (1.3,))).validate()
+            small_spec(axis2=AxisSpec("eps", (1.3,)))
 
     def test_empty_axis(self):
         with pytest.raises(ConfigurationError):
-            small_spec(axis1=AxisSpec("eps", ())).validate()
+            small_spec(axis1=AxisSpec("eps", ()))
 
     def test_recipe_exclusivity(self):
         with pytest.raises(ConfigurationError):
-            InitialRecipe(state=SystemState(2, 0, 0, 1, 0), e_eff=1.0, i_inv=1.0).validate()
+            InitialRecipe(state=SystemState(2, 0, 0, 1, 0), e_eff=1.0, i_inv=1.0)
         with pytest.raises(ConfigurationError):
-            InitialRecipe().validate()
+            InitialRecipe()
         with pytest.raises(ConfigurationError):
-            InitialRecipe(e_eff=1.0).validate()
+            InitialRecipe(e_eff=1.0)
 
     def test_bad_budget(self):
         with pytest.raises(ConfigurationError):
-            small_spec(budget=-1.0).validate()
+            small_spec(budget=-1.0)
+
+    @pytest.mark.parametrize("build", [
+        lambda: IntegratorSettings(divergence_norm=float("nan")),
+        lambda: IntegratorSettings(max_steps=float("nan")),
+        lambda: AxisSpec("beta", (1.0,)),
+        lambda: InitialRecipe(),
+        lambda: small_spec(axis2=AxisSpec("eps", (1.3,))),
+        lambda: ModelParams(eps=0.0, gamma=0.0, delta=1.0, alpha=0.0, omega=1.0),
+    ], ids=["nan_divergence_norm", "nan_max_steps", "unknown_axis", "empty_recipe", "equal_axes", "zero_eps"])
+    def test_config_rejects_a_bad_value_when_built(self, build):
+        with pytest.raises(ConfigurationError):
+            build()
 
 
 class TestRunSweep:
