@@ -235,11 +235,8 @@ def classify_regime(
             notes=f"only {n_cross} crossings (< {MIN_CROSSINGS}) within the budget",
         )
     pts = np.array([(e.state.om, e.state.op) for e in log.crossings])
+    # crossings at one point (spread 0) still cover as one cluster: norm 0 <= 0
     spread = float(np.max(np.ptp(pts, axis=0)))
-    if spread == 0.0:
-        return RegimeClassification(
-            label=Regime.PERIODIC, lyapunov=est, n_crossings=n_cross, n_clusters=1
-        )
     n_half, n_full = cluster_count(pts, CLUSTER_RADIUS_FACTOR * spread)
     if n_full <= MAX_PERIODIC_CLUSTERS and n_full == n_half:
         label = Regime.PERIODIC

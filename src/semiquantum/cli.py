@@ -1,14 +1,19 @@
 """Command-line front end: presets, JSON configs, CSV/JSON/SVG emission.
 
 Subcommands: simulate | oracle | poincare | lyapunov | sweep.
-Exit codes, mapped from exceptions in ``main`` only: 0 success,
-1 configuration or usage error, 2 numerical failure (an exhausted step
-budget included), 3 unexpected divergence.
+Each command parses its configuration, then runs its work inside
+``_report``, the one writer of its JSON report: on success, and also on a
+numerical failure or a divergence, which it records and lets through.  A
+configuration error writes no report.  Commands return nothing; ``main``
+maps every outcome to the exit code: 0 success, 1 configuration or usage
+error, 2 numerical failure (an exhausted step budget included),
+3 unexpected divergence.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -26,7 +31,7 @@ from .errors import (
     InfeasibleConstraintError,
     NumericalFailureError,
 )
-from .integrator import IntegrationStatus, IntegratorSettings, StepStats, integrate
+from .integrator import IntegratorSettings, StepStats, integrate
 from .linear_oracle import QuantumTriple, StabilityClass, classify, evolve_classical, evolve_critical, evolve_linear
 from .model import (
     ModelParams,
@@ -146,11 +151,12 @@ def _read(obj, name: str, fields: dict) -> dict:
 
 
 def _read_json(path, what: str):
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigurationError(f"{what} not found: {path}")
     try:
-        return json.loads(path.read_text())
+        return json.loads(Path(path).read_text())
+    except FileNotFoundError as exc:
+        raise ConfigurationError(f"{what} not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigurationError(f"{what} cannot be read: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"{what} is not valid JSON: {exc}") from exc
 
@@ -200,8 +206,46 @@ def _build_settings(sec: dict, default_tol: float) -> IntegratorSettings:
     return IntegratorSettings(**_read(sec, "integrator", fields))
 
 
-def _summary(path: Path, payload: dict):
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _setup(args, tol: float):
+    """(config, params, initial state, integrator settings) of an orbit command.
+
+    tol is the command's default for abs_tol and rel_tol.
+    """
+    cfg = _load_config(args)
+    p = _build_params(cfg["params"])
+    s0 = _initial_recipe(cfg["initial"]).build(p)
+    return cfg, p, s0, _build_settings(cfg["integrator"], tol)
+
+
+@contextlib.contextmanager
+def _report(path: Path, head: dict):
+    """Make path's directory, run the block and write path's JSON report.
+
+    The block adds its results to the dict it is given.  On success the
+    report is head, those results (which replace head's keys of the same
+    name) and wall_time_s, the block's run time.  On a numerical failure or
+    a divergence it is head, status, error and last_good_time or t_div, and
+    the exception goes on.  Any other exception writes nothing.  A directory
+    that cannot be made is a configuration error.
+    """
+    def write(fields):
+        path.write_text(json.dumps({**head, **fields}, indent=2, sort_keys=True) + "\n")
+
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"--out {path.parent} cannot be made: {exc}") from exc
+    results = {}
+    t0 = time.perf_counter()
+    try:
+        yield results
+    except NumericalFailureError as exc:
+        write({"status": "numerical_failure", "error": str(exc), "last_good_time": exc.last_good_time})
+        raise
+    except DivergentTrajectoryError as exc:
+        write({"status": "diverged", "error": str(exc), "t_div": exc.t_div})
+        raise
+    write({**results, "wall_time_s": time.perf_counter() - t0})
 
 
 def _work(stats: StepStats) -> dict:
@@ -217,58 +261,39 @@ def _write_csv(path: Path, header, rows):
         writer.writerows(rows)
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load_config(args)
-    p = _build_params(cfg["params"])
-    s0 = _initial_recipe(cfg["initial"]).build(p)
-    settings = _build_settings(cfg["integrator"], 1e-14)
+def cmd_simulate(args):
+    cfg, p, s0, settings = _setup(args, 1e-14)
     sim = _read(cfg["simulate"], "simulate", _SECTIONS["simulate"])
     t_end, interval = sim["t_end"], sim["sample_interval"]
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
-    try:
+    head = {"command": "simulate", "params": dataclasses.asdict(p),
+            "initial": dataclasses.asdict(s0), "settings": dataclasses.asdict(settings),
+            "t_end": t_end, "sample_interval": interval}
+    with _report(out / "summary.json", head) as results:
         traj = integrate(s0, p, t_end, settings, sample_interval=interval)
-    except NumericalFailureError as exc:
-        _summary(out / "summary.json", {
-            "command": "simulate", "params": dataclasses.asdict(p),
-            "status": "numerical_failure", "error": str(exc),
+        samples = [SystemState.from_array(y, dn=traj.dn) for y in traj.states]
+        e_vals = [effective_energy(s, p) for s in samples]
+        i_vals = [invariant_I(s) for s in samples]
+        _write_csv(out / "trajectory.csv",
+                   ["t", "n1", "ominus", "oplus", "x", "p", "e_eff", "i_inv"],
+                   [[g17(v) for v in (t, *s.as_tuple(), e, i)]
+                    for t, s, e, i in zip(traj.times, samples, e_vals, i_vals)])
+        results.update({
+            "status": traj.status.value,
+            "t_div": traj.t_div,
+            # over the samples of trajectory.csv, from their values at t = 0
+            "max_abs_drift": {"e_eff": max(abs(e - e_vals[0]) for e in e_vals),
+                              "i_inv": max(abs(i - i_vals[0]) for i in i_vals)},
+            **_work(traj.stats),
         })
-        raise
-    wall = time.perf_counter() - t0
-
-    samples = [SystemState.from_array(y, dn=traj.dn) for y in traj.states]
-    e_vals = [effective_energy(s, p) for s in samples]
-    i_vals = [invariant_I(s) for s in samples]
-    _write_csv(out / "trajectory.csv",
-               ["t", "n1", "ominus", "oplus", "x", "p", "e_eff", "i_inv"],
-               [[g17(v) for v in (t, *s.as_tuple(), e, i)]
-                for t, s, e, i in zip(traj.times, samples, e_vals, i_vals)])
-    _summary(out / "summary.json", {
-        "command": "simulate",
-        "params": dataclasses.asdict(p),
-        "initial": dataclasses.asdict(s0),
-        "settings": dataclasses.asdict(settings),
-        "t_end": t_end,
-        "sample_interval": interval,
-        "status": traj.status.value,
-        "t_div": traj.t_div,
-        # over the samples of trajectory.csv, from their values at t = 0
-        "max_abs_drift": {"e_eff": max(abs(e - e_vals[0]) for e in e_vals),
-                          "i_inv": max(abs(i - i_vals[0]) for i in i_vals)},
-        **_work(traj.stats),
-        "wall_time_s": wall,
-    })
-    if args.plot:
-        n_vals = traj.states[:, 0] - 1.0
-        write_svg(out / "trajectory.svg",
-                  [(traj.times, n_vals), (traj.times, e_vals), (traj.times, i_vals)],
-                  title="boson number and invariants", xlabel="t", ylabel="value",
-                  labels=["<N>", "E_eff", "I"])
-    if traj.status is IntegrationStatus.DIVERGED and not args.expect_divergence:
-        print(f"unexpected divergence at t={traj.t_div:.6g}", file=sys.stderr)
-        return EXIT_DIVERGED
-    return EXIT_OK
+        if args.plot:
+            n_vals = traj.states[:, 0] - 1.0
+            write_svg(out / "trajectory.svg",
+                      [(traj.times, n_vals), (traj.times, e_vals), (traj.times, i_vals)],
+                      title="boson number and invariants", xlabel="t", ylabel="value",
+                      labels=["<N>", "E_eff", "I"])
+    if traj.t_div is not None and not args.expect_divergence:
+        raise DivergentTrajectoryError("unexpected divergence", traj.t_div)
 
 
 def _oracle_compare(p, s0, settings, t_end, n_samples, critical):
@@ -293,14 +318,12 @@ def _oracle_compare(p, s0, settings, t_end, n_samples, critical):
     return traj, max_abs, max_rel
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args):
     cfg = _load_config(args)
     p = _build_params(cfg["params"])
     mode = args.mode
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     regime = classify(p)
-    report = {
+    head = {
         "command": "oracle",
         "mode": mode,
         "params": dataclasses.asdict(p),
@@ -311,129 +334,96 @@ def cmd_oracle(args) -> int:
             "lambda_minus": {"re": regime.lambda_minus.real, "im": regime.lambda_minus.imag},
         },
     }
-    if mode != "classify":
-        if p.alpha != 0.0:
-            raise ConfigurationError("oracle evolution comparison requires alpha = 0")
-        if mode == "critical" and regime.label is not StabilityClass.CRITICAL:
-            raise ConfigurationError("oracle critical mode requires |delta| = eps")
-        s0 = _initial_recipe(cfg["initial"]).build(p)
-        settings = _build_settings(cfg["integrator"], 1e-12)
-        osec = _read(cfg["oracle"], "oracle", _SECTIONS["oracle"])
-        if osec["samples"] < 2:
-            raise ConfigurationError(f"oracle.samples must be at least 2, got {osec['samples']}")
-        t_end = osec["t_end"]
-        traj, max_abs, max_rel = _oracle_compare(
-            p, s0, settings, t_end, osec["samples"], critical=(mode == "critical")
-        )
-        report.update({
-            "t_end": t_end,
-            "max_abs_deviation": max_abs,
-            "max_rel_deviation": max_rel,
-            "integration_status": traj.status.value,
-            **_work(traj.stats),
-        })
-    _summary(out / "oracle.json", report)
-    print(json.dumps(report["classification"]))
-    return EXIT_OK
+    with _report(Path(args.out) / "oracle.json", head) as results:
+        if mode != "classify":
+            if p.alpha != 0.0:
+                raise ConfigurationError("oracle evolution comparison requires alpha = 0")
+            if mode == "critical" and regime.label is not StabilityClass.CRITICAL:
+                raise ConfigurationError("oracle critical mode requires |delta| = eps")
+            s0 = _initial_recipe(cfg["initial"]).build(p)
+            settings = _build_settings(cfg["integrator"], 1e-12)
+            osec = _read(cfg["oracle"], "oracle", _SECTIONS["oracle"])
+            if osec["samples"] < 2:
+                raise ConfigurationError(f"oracle.samples must be at least 2, got {osec['samples']}")
+            traj, max_abs, max_rel = _oracle_compare(
+                p, s0, settings, osec["t_end"], osec["samples"], critical=(mode == "critical")
+            )
+            results.update({
+                "t_end": osec["t_end"],
+                "max_abs_deviation": max_abs,
+                "max_rel_deviation": max_rel,
+                "integration_status": traj.status.value,
+                **_work(traj.stats),
+            })
+    print(json.dumps(head["classification"]))
 
 
-def cmd_poincare(args) -> int:
-    cfg = _load_config(args)
-    p = _build_params(cfg["params"])
-    s0 = _initial_recipe(cfg["initial"]).build(p)
-    settings = _build_settings(cfg["integrator"], _ANALYSIS_TOL)
+def cmd_poincare(args):
+    cfg, p, s0, settings = _setup(args, _ANALYSIS_TOL)
     t_end = _read(cfg["poincare"], "poincare", _SECTIONS["poincare"])["t_end"]
     direction = args.direction
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     initials = family_initials(s0, p, args.families) if args.families > 1 else [s0]
-
-    t0 = time.perf_counter()
-    member_reports = []
-    all_series = []
-    diverged = False
-    header = ["t_cross", "ominus", "oplus", "n1", "p", "direction"]
-    for idx, ic in enumerate(initials):
-        section = analysis.poincare(ic, p, t_end, settings, direction_filter=direction)
-        rows = [
-            [g17(t), g17(om), g17(op), g17(n1), g17(pp), str(int(d))]
-            for t, om, op, n1, pp, d in zip(
-                section.t, section.om, section.op, section.n1, section.p, section.directions
-            )
-        ]
-        name = "section.csv" if len(initials) == 1 else f"section_{idx:02d}.csv"
-        _write_csv(out / name, header, rows)
-        rec = {
-            "file": name,
-            "initial": dataclasses.asdict(ic),
-            "crossings": len(section),
-            "status": section.status.value,
-            "t_div": section.t_div,
-            **_work(section.stats),
-        }
-        if len(section) == 0:
-            rec["warning"] = "no crossings within the time budget"
-        member_reports.append(rec)
-        if section.status is IntegrationStatus.DIVERGED:
-            diverged = True
-        all_series.append((section.om, section.op))
-    _summary(out / "summary.json", {
-        "command": "poincare",
-        "params": dataclasses.asdict(p),
-        "settings": dataclasses.asdict(settings),
-        "t_end": t_end,
-        "direction_filter": str(direction),
-        "families": len(initials),
-        "members": member_reports,
-        "wall_time_s": time.perf_counter() - t0,
-    })
-    if args.plot:
-        write_svg(out / "section.svg", all_series,
-                  title="Poincare section at X=0", xlabel="<O->", ylabel="<O+>",
-                  kinds=["scatter"] * len(all_series))
-    if diverged and not args.expect_divergence:
-        print("unexpected divergence during section accumulation", file=sys.stderr)
-        return EXIT_DIVERGED
-    return EXIT_OK
+    head = {"command": "poincare", "params": dataclasses.asdict(p),
+            "settings": dataclasses.asdict(settings), "t_end": t_end,
+            "direction_filter": str(direction), "families": len(initials)}
+    with _report(out / "summary.json", head) as results:
+        member_reports = []
+        all_series = []
+        header = ["t_cross", "ominus", "oplus", "n1", "p", "direction"]
+        for idx, ic in enumerate(initials):
+            section = analysis.poincare(ic, p, t_end, settings, direction_filter=direction)
+            rows = [
+                [g17(t), g17(om), g17(op), g17(n1), g17(pp), str(int(d))]
+                for t, om, op, n1, pp, d in zip(
+                    section.t, section.om, section.op, section.n1, section.p, section.directions
+                )
+            ]
+            name = "section.csv" if len(initials) == 1 else f"section_{idx:02d}.csv"
+            _write_csv(out / name, header, rows)
+            rec = {
+                "file": name,
+                "initial": dataclasses.asdict(ic),
+                "crossings": len(section),
+                "status": section.status.value,
+                "t_div": section.t_div,
+                **_work(section.stats),
+            }
+            if len(section) == 0:
+                rec["warning"] = "no crossings within the time budget"
+            member_reports.append(rec)
+            all_series.append((section.om, section.op))
+        results["members"] = member_reports
+        if args.plot:
+            write_svg(out / "section.svg", all_series,
+                      title="Poincare section at X=0", xlabel="<O->", ylabel="<O+>",
+                      kinds=["scatter"] * len(all_series))
+    t_divs = [m["t_div"] for m in member_reports if m["t_div"] is not None]
+    if t_divs and not args.expect_divergence:
+        raise DivergentTrajectoryError("unexpected divergence during section accumulation", t_divs[0])
 
 
-def cmd_lyapunov(args) -> int:
-    cfg = _load_config(args)
-    p = _build_params(cfg["params"])
-    s0 = _initial_recipe(cfg["initial"]).build(p)
-    settings = _build_settings(cfg["integrator"], _ANALYSIS_TOL)
+def cmd_lyapunov(args):
+    cfg, p, s0, settings = _setup(args, _ANALYSIS_TOL)
     lsec = _read(cfg["lyapunov"], "lyapunov", _SECTIONS["lyapunov"])
-    transient, total, renorm = lsec["transient"], lsec["total"], lsec["renorm_interval"]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
-    try:
+    head = {"command": "lyapunov", "params": dataclasses.asdict(p),
+            "initial": dataclasses.asdict(s0),
+            "transient": lsec["transient"], "total": lsec["total"]}
+    with _report(Path(args.out) / "lyapunov.json", head) as results:
         est = analysis.largest_lyapunov(
-            s0, p, settings, transient=transient, total=total, renorm_interval=renorm
+            s0, p, settings, transient=lsec["transient"], total=lsec["total"],
+            renorm_interval=lsec["renorm_interval"],
         )
-    except DivergentTrajectoryError as exc:
-        _summary(out / "lyapunov.json", {
-            "command": "lyapunov", "params": dataclasses.asdict(p),
-            "status": "diverged", "t_div": exc.t_div,
-            "transient": transient, "total": total,
+        results.update({
+            "lambda_max": est.lambda_max,
+            "standard_error": est.standard_error,
+            # the time reached: short of the requested total on a late divergence
+            "total": est.total_time,
+            "renorm_count": est.renorm_count,
+            "diverged_at": est.diverged_at,
+            **_work(est.stats),
         })
-        raise
-    report = {
-        "command": "lyapunov",
-        "params": dataclasses.asdict(p),
-        "initial": dataclasses.asdict(s0),
-        "lambda_max": est.lambda_max,
-        "standard_error": est.standard_error,
-        "transient": est.transient_discarded,
-        "total": est.total_time,
-        "renorm_count": est.renorm_count,
-        "diverged_at": est.diverged_at,
-        **_work(est.stats),
-        "wall_time_s": time.perf_counter() - t0,
-    }
-    _summary(out / "lyapunov.json", report)
     print(json.dumps({"lambda_max": est.lambda_max, "standard_error": est.standard_error}))
-    return EXIT_OK
 
 
 def _axis(sec: dict, name: str) -> AxisSpec:
@@ -443,7 +433,7 @@ def _axis(sec: dict, name: str) -> AxisSpec:
     return AxisSpec.linspace(v["name"], v["min"], v["max"], v["count"])
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args):
     raw = _read(_read_json(args.specfile, "sweep spec"), "sweep spec", _SECTIONS["sweep spec"])
     p = _build_params(raw["params"])
     spec = SweepSpec(
@@ -460,38 +450,31 @@ def cmd_sweep(args) -> int:
     if not 1 <= workers <= (os.cpu_count() or 1):
         raise ConfigurationError(f"sweep spec.workers must be from 1 to {os.cpu_count()}, got {workers}")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    # fail on unwritable output before any computation
-    target = out / "regimes.csv"
-    target.touch()
-
-    t0 = time.perf_counter()
-    regime_map = run_sweep(spec, max_workers=workers)
-    rows = []
-    for cell in regime_map.cells:
-        rows.append([
-            spec.axis1.name, g17(cell.axis1_value),
-            spec.axis2.name, g17(cell.axis2_value),
-            "" if cell.regime is None else cell.regime.value,
-            "" if cell.lambda_max is None else g17(cell.lambda_max),
-            "" if cell.standard_error is None else g17(cell.standard_error),
-            "" if cell.divergence_time is None else g17(cell.divergence_time),
-            cell.status,
-        ])
-    _write_csv(target,
-               ["axis1_name", "axis1_value", "axis2_name", "axis2_value",
-                "regime", "lambda_max", "stderr", "divergence_time", "status"],
-               rows)
-    _summary(out / "summary.json", {
-        "command": "sweep",
-        "base_params": dataclasses.asdict(p),
-        "axis1": {"name": spec.axis1.name, "values": list(spec.axis1.values)},
-        "axis2": {"name": spec.axis2.name, "values": list(spec.axis2.values)},
-        "budget": spec.budget,
-        "cells": len(regime_map),
-        "wall_time_s": time.perf_counter() - t0,
-    })
-    return EXIT_OK
+    head = {"command": "sweep", "base_params": dataclasses.asdict(p),
+            "axis1": {"name": spec.axis1.name, "values": list(spec.axis1.values)},
+            "axis2": {"name": spec.axis2.name, "values": list(spec.axis2.values)},
+            "budget": spec.budget}
+    with _report(out / "summary.json", head) as results:
+        # fail on unwritable output before any computation
+        target = out / "regimes.csv"
+        target.touch()
+        regime_map = run_sweep(spec, max_workers=workers)
+        rows = []
+        for cell in regime_map.cells:
+            rows.append([
+                spec.axis1.name, g17(cell.axis1_value),
+                spec.axis2.name, g17(cell.axis2_value),
+                "" if cell.regime is None else cell.regime.value,
+                "" if cell.lambda_max is None else g17(cell.lambda_max),
+                "" if cell.standard_error is None else g17(cell.standard_error),
+                "" if cell.divergence_time is None else g17(cell.divergence_time),
+                cell.status,
+            ])
+        _write_csv(target,
+                   ["axis1_name", "axis1_value", "axis2_name", "axis2_value",
+                    "regime", "lambda_max", "stderr", "divergence_time", "status"],
+                   rows)
+        results["cells"] = len(regime_map)
 
 
 def _parse_direction(text):
@@ -558,7 +541,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except (ConfigurationError, InfeasibleConstraintError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -568,6 +551,7 @@ def main(argv=None) -> int:
     except DivergentTrajectoryError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
+    return EXIT_OK
 
 
 if __name__ == "__main__":

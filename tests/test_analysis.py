@@ -151,6 +151,23 @@ class TestClassifyRegime:
         assert r.n_crossings == len(sec)
         assert r.n_clusters == cluster_count(pts, 1e-3 * spread)[1]
 
+    def test_crossings_at_one_point_are_one_periodic_cluster(self, monkeypatch):
+        # delta = alpha = 0 with <O-> = <O+> = 0: the quantum triple stays put, so
+        # every crossing sits at one (om, op) point and the cover radius is 0
+        radii = []
+
+        def recording_cluster_count(points, radius):
+            radii.append(radius)
+            return cluster_count(points, radius)
+
+        monkeypatch.setattr(analysis, "cluster_count", recording_cluster_count)
+        p = ModelParams(eps=1.05, gamma=0.0, delta=0.0, alpha=0.0, omega=1.0)
+        s0 = SystemState(n1=2, om=0, op=0, x=1, p=0)
+        r = classify_regime(s0, p, ST, budget=400.0, transient=50.0)
+        assert radii == [0.0]
+        assert r.label is Regime.PERIODIC
+        assert r.n_crossings >= 50 and r.n_clusters == 1
+
     def test_divergent_orbit(self):
         p = ModelParams(eps=2.0, gamma=0.0, delta=1.0, alpha=1.1, omega=1.0)
         r = classify_regime(S_BASE, p, ST, budget=1000.0)

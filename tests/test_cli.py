@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -81,6 +83,41 @@ class TestConfigHandling:
         bad = tmp_path / "bad.json"
         bad.write_bytes(b"\xff\xfe\xfd")
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == EXIT_CONFIG
+
+    def test_config_from_a_fifo(self, tmp_path):
+        # the shape of --config <(jq ...): a readable path that is not a regular file
+        fifo = tmp_path / "cfg.fifo"
+        os.mkfifo(fifo)
+
+        def feed():
+            # a write end opened without blocking fails until the reader opens the
+            # FIFO, so a reader that never comes leaves the test failing, not hung
+            deadline = time.monotonic() + 30.0
+            while time.monotonic() < deadline:
+                try:
+                    fd = os.open(fifo, os.O_WRONLY | os.O_NONBLOCK)
+                except OSError:
+                    time.sleep(0.01)
+                    continue
+                os.write(fd, json.dumps({"params": {"alpha": 0.0}}).encode())
+                os.close(fd)
+                return
+
+        threading.Thread(target=feed, daemon=True).start()
+        out = tmp_path / "run"
+        assert main(["oracle", "--preset", "fig2d", "--config", str(fifo), "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "oracle.json").read_text())["params"]["alpha"] == 0.0
+
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys):
+        assert main(["oracle", "--config", str(tmp_path), "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+        assert f"config file cannot be read: [Errno 21] Is a directory: '{tmp_path}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "oracle", "poincare", "lyapunov"])
+    def test_out_that_cannot_be_made_is_config_error(self, tmp_path, capsys, command):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main([command, "--preset", "fig2d", "--out", str(blocker / "x")]) == EXIT_CONFIG
+        assert f"--out {blocker / 'x'} cannot be made" in capsys.readouterr().err
 
     def test_only_configuration_errors_exit_config(self, tmp_path, monkeypatch, capsys):
         def broken_rhs(y, p):
@@ -245,18 +282,26 @@ BUDGET_300 = {
 
 
 class TestStepBudget:
-    """An exhausted step budget is a numerical failure on every command."""
+    """An exhausted step budget is a numerical failure on every command, and
+    every command leaves its report of it."""
 
-    @pytest.mark.parametrize("command", ["simulate", "poincare", "lyapunov"])
-    def test_commands_exit_numerical(self, tmp_path, command):
-        cfg = write_cfg(tmp_path, BUDGET_300)
+    @pytest.mark.parametrize("argv, report", [
+        (["simulate"], "summary.json"),
+        (["poincare"], "summary.json"),
+        (["lyapunov"], "lyapunov.json"),
+        (["oracle", "--mode", "linear"], "oracle.json"),
+    ], ids=["simulate", "poincare", "lyapunov", "oracle"])
+    def test_commands_exit_numerical(self, tmp_path, argv, report):
+        cfg = write_cfg(tmp_path, {**BUDGET_300, "params": {"alpha": 0.0}, "oracle": {"t_end": 200.0}})
         out = tmp_path / "run"
-        assert main([command, "--preset", "fig2d", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
-        if command == "simulate":
-            summary = json.loads((out / "summary.json").read_text())
-            assert summary["status"] == "numerical_failure"
-            assert "step budget exhausted" in summary["error"]
-            assert not (out / "trajectory.csv").exists()
+        assert main([*argv, "--preset", "fig2d", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+        summary = json.loads((out / report).read_text())
+        assert summary["command"] == argv[0]
+        assert summary["status"] == "numerical_failure"
+        assert summary["error"].startswith("step budget exhausted (last good time t=")
+        assert 0.0 < summary["last_good_time"] < 200.0
+        assert "wall_time_s" not in summary
+        assert not (out / "trajectory.csv").exists()
 
     def test_sweep_cell_fails(self, tmp_path):
         spec = write_cfg(tmp_path, {
@@ -312,6 +357,11 @@ class TestSimulate:
         code = main(["simulate", "--preset", "fig1c", "--config", cfg,
                      "--out", str(tmp_path / "d1")])
         assert code == EXIT_DIVERGED
+        # the outputs are written before the exit code says the divergence was unexpected
+        summary = json.loads((tmp_path / "d1" / "summary.json").read_text())
+        assert summary["status"] == "diverged" and 0.0 < summary["t_div"] < 200.0
+        rows = read_csv(tmp_path / "d1" / "trajectory.csv")
+        assert float(rows[-1][0]) == summary["t_div"]
         code = main(["simulate", "--preset", "fig1c", "--config", cfg,
                      "--expect-divergence", "--out", str(tmp_path / "d2")])
         assert code == EXIT_OK
@@ -449,6 +499,10 @@ class TestPoincare:
         code = main(["poincare", "--preset", "fig1b", "--config", cfg,
                      "--out", str(tmp_path / "sec")])
         assert code == EXIT_NUMERICAL
+        summary = json.loads((tmp_path / "sec" / "summary.json").read_text())
+        assert summary["status"] == "numerical_failure"
+        assert summary["error"].startswith("crossing refinement on [")
+        assert 0.0 < summary["last_good_time"] < 20.0
 
     def test_empty_section_warns_but_succeeds(self, tmp_path):
         # field mode at rest on the plane and decoupled: X stays identically 0
@@ -535,6 +589,9 @@ class TestLyapunov:
         assert code == EXIT_DIVERGED
         report = json.loads((tmp_path / "ld" / "lyapunov.json").read_text())
         assert report["status"] == "diverged"
+        assert 0.0 < report["t_div"] <= 300.0
+        assert report["error"].startswith("trajectory diverged before the transient completed")
+        assert (report["transient"], report["total"]) == (300.0, 1000.0)
 
     def test_negative_transient_is_config_error(self, tmp_path):
         cfg = write_cfg(tmp_path, {"lyapunov": {"transient": -100.0, "total": 300.0}})
