@@ -7,7 +7,6 @@ integration, Poincare sections, Lyapunov exponents and parameter-regime maps.
 
 from .analysis import (
     LyapunovEstimate,
-    PoincareSection,
     Regime,
     RegimeClassification,
     classify_regime,

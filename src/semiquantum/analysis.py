@@ -9,12 +9,11 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigurationError, DivergentTrajectoryError
-from .integrator import GrowthLog, IntegrationStatus, IntegratorSettings, StepStats
-from .integrator import integrate_augmented, integrate_with_events
+from .integrator import CrossingEvent, GrowthLog, IntegrationStatus, IntegratorSettings, StepStats
+from .integrator import Trajectory, integrate_augmented, integrate_with_events
 from .model import ModelParams, SystemState
 
 __all__ = [
-    "PoincareSection",
     "LyapunovEstimate",
     "Regime",
     "RegimeClassification",
@@ -31,35 +30,12 @@ CLUSTER_RADIUS_FACTOR = 1e-3
 MAX_PERIODIC_CLUSTERS = 64
 
 
-@dataclass
-class PoincareSection:
-    """Ordered X = 0 crossings of one trajectory.
-
-    Column arrays are index-aligned; directions holds the sign of dX/dt at
-    each crossing.  status/stats/t_div mirror the underlying trajectory.
-    """
-
-    t: np.ndarray
-    n1: np.ndarray
-    om: np.ndarray
-    op: np.ndarray
-    p: np.ndarray
-    directions: np.ndarray
-    status: IntegrationStatus
-    stats: StepStats
-    t_div: float | None = None
-
-    def __len__(self):
-        return len(self.t)
-
-
 @dataclass(frozen=True)
 class LyapunovEstimate:
     """Benettin estimate of the largest Lyapunov exponent, with the step counts of its pass."""
 
     lambda_max: float
     standard_error: float
-    transient_discarded: float
     total_time: float
     renorm_count: int
     stats: StepStats
@@ -92,20 +68,19 @@ def poincare(
     t_end: float,
     settings: IntegratorSettings | None = None,
     direction_filter: str | int = "both",
-) -> PoincareSection:
-    """Collect all X = 0 crossings up to t_end (or divergence)."""
-    traj, events = integrate_with_events(s0, p, t_end, settings, direction_filter=direction_filter)
-    return PoincareSection(
-        t=np.array([e.t_cross for e in events]),
-        n1=np.array([e.state.n1 for e in events]),
-        om=np.array([e.state.om for e in events]),
-        op=np.array([e.state.op for e in events]),
-        p=np.array([e.state.p for e in events]),
-        directions=np.array([e.direction for e in events], dtype=int),
-        status=traj.status,
-        stats=traj.stats,
-        t_div=traj.t_div,
-    )
+) -> tuple[Trajectory, list[CrossingEvent]]:
+    """The X = 0 crossings up to t_end (or divergence) in the direction asked for.
+
+    direction_filter is the sign of dX/dt at a kept crossing, +1 or -1, or
+    "both".  Returns integrate_with_events's trajectory (start and last
+    state, status, step counts, t_div) and its events of that direction.
+    """
+    if direction_filter not in ("both", 1, -1):
+        raise ConfigurationError(f"direction_filter must be +1, -1 or 'both', got {direction_filter!r}")
+    traj, events = integrate_with_events(s0, p, t_end, settings)
+    if direction_filter != "both":
+        events = [e for e in events if e.direction == direction_filter]
+    return traj, events
 
 
 # fixed, arbitrary but deterministic initial tangent direction
@@ -127,17 +102,22 @@ def largest_lyapunov(
     interval's growth rate, over its own length, is treated as an independent
     sample for the standard error.  Divergence before the transient completes
     raises; divergence afterwards yields a partial estimate with diverged_at
-    set.  Fewer than two intervals that start at or after the transient is a
-    ConfigurationError.
+    set.  A negative transient, one at or past total, or fewer than two
+    intervals that start at or after it is a ConfigurationError.
     """
-    if not transient >= 0:
-        raise ConfigurationError(f"transient must be >= 0, got {transient}")
-    if total <= transient:
-        raise ConfigurationError(f"total ({total}) must exceed transient ({transient})")
+    _check_transient(transient, total, "total")
     log = integrate_augmented(
         s0, _TANGENT0, p, total, settings, renorm_interval=renorm_interval
     )
     return _estimate(log, transient)
+
+
+def _check_transient(transient: float, total: float, name: str):
+    """The transient must be >= 0 and shorter than total, which the caller calls name."""
+    if not transient >= 0:
+        raise ConfigurationError(f"transient must be >= 0, got {transient}")
+    if not total > transient:
+        raise ConfigurationError(f"{name} ({total}) must exceed transient ({transient})")
 
 
 def _estimate(log: GrowthLog, transient: float) -> LyapunovEstimate:
@@ -162,7 +142,6 @@ def _estimate(log: GrowthLog, transient: float) -> LyapunovEstimate:
     return LyapunovEstimate(
         lambda_max=lam,
         standard_error=se,
-        transient_discarded=transient,
         total_time=float(reached),
         renorm_count=n,
         stats=log.stats,
@@ -205,14 +184,13 @@ def classify_regime(
     wins; then a significantly positive Lyapunov exponent means Chaotic;
     otherwise the Poincare-section cluster structure separates Periodic (small
     saturating cluster count) from Quasiperiodic.  Fewer than 50 crossings
-    yields Inconclusive with the evidence attached.
+    yields Inconclusive with the evidence attached.  The transient is used as
+    given: a negative one, or one at or past the budget, is a
+    ConfigurationError.
     """
-    if not transient >= 0:
-        raise ConfigurationError(f"transient must be >= 0, got {transient}")
-    transient = min(transient, budget / 4.0)
+    _check_transient(transient, budget, "budget")
     log = integrate_augmented(
-        s0, _TANGENT0, p, budget, settings, renorm_interval=renorm_interval,
-        direction_filter="both",
+        s0, _TANGENT0, p, budget, settings, renorm_interval=renorm_interval, crossings=True
     )
     try:
         est = _estimate(log, transient)

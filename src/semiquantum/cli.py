@@ -372,27 +372,26 @@ def cmd_poincare(args):
         all_series = []
         header = ["t_cross", "ominus", "oplus", "n1", "p", "direction"]
         for idx, ic in enumerate(initials):
-            section = analysis.poincare(ic, p, t_end, settings, direction_filter=direction)
+            traj, events = analysis.poincare(ic, p, t_end, settings, direction_filter=direction)
             rows = [
-                [g17(t), g17(om), g17(op), g17(n1), g17(pp), str(int(d))]
-                for t, om, op, n1, pp, d in zip(
-                    section.t, section.om, section.op, section.n1, section.p, section.directions
-                )
+                [g17(e.t_cross), g17(e.state.om), g17(e.state.op), g17(e.state.n1), g17(e.state.p),
+                 str(e.direction)]
+                for e in events
             ]
             name = "section.csv" if len(initials) == 1 else f"section_{idx:02d}.csv"
             _write_csv(out / name, header, rows)
             rec = {
                 "file": name,
                 "initial": dataclasses.asdict(ic),
-                "crossings": len(section),
-                "status": section.status.value,
-                "t_div": section.t_div,
-                **_work(section.stats),
+                "crossings": len(events),
+                "status": traj.status.value,
+                "t_div": traj.t_div,
+                **_work(traj.stats),
             }
-            if len(section) == 0:
+            if not events:
                 rec["warning"] = "no crossings within the time budget"
             member_reports.append(rec)
-            all_series.append((section.om, section.op))
+            all_series.append(([e.state.om for e in events], [e.state.op for e in events]))
         results["members"] = member_reports
         if args.plot:
             write_svg(out / "section.svg", all_series,
@@ -457,7 +456,10 @@ def cmd_sweep(args):
     with _report(out / "summary.json", head) as results:
         # fail on unwritable output before any computation
         target = out / "regimes.csv"
-        target.touch()
+        try:
+            open(target, "w").close()
+        except OSError as exc:
+            raise ConfigurationError(f"{target} cannot be written: {exc}") from exc
         regime_map = run_sweep(spec, max_workers=workers)
         rows = []
         for cell in regime_map.cells:

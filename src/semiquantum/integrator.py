@@ -457,11 +457,6 @@ def _check_t_end(t_end: float):
         raise ConfigurationError(f"t_end must be positive and finite, got {t_end}")
 
 
-def _check_direction(direction_filter):
-    if direction_filter not in ("both", 1, -1):
-        raise ConfigurationError(f"direction_filter must be +1, -1 or 'both', got {direction_filter!r}")
-
-
 def _drive(stepper: _Dopri5, marks, on_step=None, on_mark=None):
     """Advance stepper through ascending stop marks; returns (status, t_div).
 
@@ -581,7 +576,7 @@ def _refine_crossing(stepper: _Dopri5, x, ta: float, tb: float):
     return t_cross, y_cross
 
 
-def _crossing_scan(p: ModelParams, dn: float, direction_filter, events: list):
+def _crossing_scan(p: ModelParams, dn: float, events: list):
     """Per-step hook appending the X = 0 transits of the last step to events.
 
     x is read at the edges of _EVENT_SUBDIV subintervals off the quartic in
@@ -602,17 +597,9 @@ def _crossing_scan(p: ModelParams, dn: float, direction_filter, events: list):
             ga, gb = xs[i], xs[i + 1]
             if ga == 0.0 or not (ga * gb < 0.0 or gb == 0.0):
                 continue
-            if gb == 0.0:
-                t_cross, y_cross = edges[i + 1], st.dense(edges[i + 1])[:5]
-            else:
-                t_cross, y_cross = _refine_crossing(st, x, edges[i], edges[i + 1])
+            t_cross, y_cross = _refine_crossing(st, x, edges[i], edges[i + 1])
             direction = 1 if p.omega * y_cross[4] > 0 else -1
-            if direction_filter == "both" or direction == direction_filter:
-                events.append(CrossingEvent(
-                    t_cross=t_cross,
-                    state=SystemState.from_array(y_cross, dn=dn),
-                    direction=direction,
-                ))
+            events.append(CrossingEvent(t_cross, SystemState.from_array(y_cross, dn=dn), direction))
     return scan
 
 
@@ -621,23 +608,20 @@ def integrate_with_events(
     p: ModelParams,
     t_end: float,
     settings: IntegratorSettings | None = None,
-    direction_filter: str | int = "both",
 ) -> tuple[Trajectory, list[CrossingEvent]]:
-    """Integrate and report every transit of the X = 0 plane.
+    """Integrate and report every transit of the X = 0 plane, in time order.
 
     Events require a sign change across a step: a start point sitting exactly
-    on the plane is not reported.  direction_filter selects the sign of dX/dt
-    at the crossing (+1, -1 or "both").  The returned trajectory holds only
-    the start state and the last state reached.
+    on the plane is not reported.  Each event's direction is the sign of dX/dt
+    at the crossing; transits of both signs are reported.  The returned
+    trajectory holds only the start state and the last state reached.
     """
-    _check_direction(direction_filter)
     settings = settings or IntegratorSettings()
     _check_t_end(t_end)
 
     stepper = _Dopri5(_base_flow, p, s0.to_array(), settings)
     events: list[CrossingEvent] = []
-    status, t_div = _drive(stepper, [t_end],
-                           on_step=_crossing_scan(p, s0.dn, direction_filter, events))
+    status, t_div = _drive(stepper, [t_end], on_step=_crossing_scan(p, s0.dn, events))
     return _trajectory(stepper, [0.0], [s0.to_array()], s0.dn, status, t_div), events
 
 
@@ -648,7 +632,7 @@ def integrate_augmented(
     t_end: float,
     settings: IntegratorSettings | None = None,
     renorm_interval: float = 1.0,
-    direction_filter: str | int | None = None,
+    crossings: bool = False,
 ) -> GrowthLog:
     """Co-integrate the state with one tangent vector dv/dt = J(s) v.
 
@@ -656,13 +640,10 @@ def integrate_augmented(
     tangent vector is scaled to unit length and the log of its norm before
     scaling is recorded (Benettin et al. 1980); so the last interval may be
     shorter.  A norm that is zero or not finite is a NumericalFailureError.
-    Step control is driven by the base-state error only.  direction_filter,
-    when given (+1, -1 or "both"), also collects the X = 0 transits of the
-    base state in the same pass into GrowthLog.crossings, as
-    integrate_with_events would report them.
+    Step control is driven by the base-state error only.  With crossings,
+    the X = 0 transits of the base state are also collected in the same pass
+    into GrowthLog.crossings, as integrate_with_events reports them.
     """
-    if direction_filter is not None:
-        _check_direction(direction_filter)
     settings = settings or IntegratorSettings()
     _check_t_end(t_end)
     if not renorm_interval > 0:
@@ -678,7 +659,7 @@ def integrate_augmented(
     stepper = _Dopri5(_augmented_flow, p, y0, settings, err_dim=5)
     log_times = []
     log_norms = []
-    crossings: list[CrossingEvent] = []
+    events: list[CrossingEvent] = []
 
     def renormalize(st: _Dopri5):
         v = np.array(st.y[5:])
@@ -696,7 +677,7 @@ def integrate_augmented(
     # quotient within round-off of an integer counts as that integer
     n_marks = max(1, math.ceil(t_end / renorm_interval * (1 - 1e-12)))
     marks = (min(m * renorm_interval, t_end) for m in range(1, n_marks + 1))
-    scan = None if direction_filter is None else _crossing_scan(p, s0.dn, direction_filter, crossings)
+    scan = _crossing_scan(p, s0.dn, events) if crossings else None
     status, t_div = _drive(stepper, marks, on_step=scan, on_mark=renormalize)
     return GrowthLog(
         times=np.array(log_times),
@@ -704,5 +685,5 @@ def integrate_augmented(
         status=status,
         stats=stepper.stats,
         t_div=t_div,
-        crossings=crossings,
+        crossings=events,
     )

@@ -104,6 +104,8 @@ class SweepSpec:
         if not (0 < self.budget < math.inf and 0 <= self.transient < math.inf
                 and 0 < self.renorm_interval < math.inf):
             raise ConfigurationError("sweep budgets must be positive and finite")
+        if not self.budget > self.transient:
+            raise ConfigurationError(f"sweep budget ({self.budget}) must exceed transient ({self.transient})")
 
 
 @dataclass(frozen=True)

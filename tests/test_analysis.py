@@ -31,27 +31,43 @@ class TestPoincare:
     def test_crossings_lie_on_plane_and_inherit_invariants(self):
         # tight tolerances: the crossing states come off the dense interpolant,
         # whose error sits a little above the step error at a given tolerance
-        sec = poincare(S_BASE, P_MODERATE, 300.0,
-                       IntegratorSettings(abs_tol=1e-12, rel_tol=1e-12))
-        assert sec.status is IntegrationStatus.COMPLETED
-        assert len(sec) > 50
+        traj, events = poincare(S_BASE, P_MODERATE, 300.0,
+                                IntegratorSettings(abs_tol=1e-12, rel_tol=1e-12))
+        assert traj.status is IntegrationStatus.COMPLETED
+        assert len(events) > 50
         e0 = effective_energy(S_BASE, P_MODERATE)
         i0 = invariant_I(S_BASE)
-        for k in range(len(sec)):
-            s = SystemState(sec.n1[k], sec.om[k], sec.op[k], 0.0, sec.p[k])
+        for e in events:
+            s = SystemState(e.state.n1, e.state.om, e.state.op, 0.0, e.state.p)
             assert abs(effective_energy(s, P_MODERATE) - e0) <= 1e-8 * (1 + abs(e0))
             # I is a difference of squares; scale by the terms, not the result
             assert abs(invariant_I(s) - i0) <= 1e-9 * (1 + s.n1 ** 2)
 
     def test_direction_filter(self):
-        both = poincare(S_BASE, P_MODERATE, 200.0, ST, direction_filter="both")
-        pos = poincare(S_BASE, P_MODERATE, 200.0, ST, direction_filter=1)
-        assert set(pos.directions) <= {1}
-        assert len(pos) == int(np.sum(both.directions == 1))
+        _, both = poincare(S_BASE, P_MODERATE, 200.0, ST, direction_filter="both")
+        _, pos = poincare(S_BASE, P_MODERATE, 200.0, ST, direction_filter=1)
+        assert pos == [e for e in both if e.direction == 1]
+
+    def test_direction_filter_subset(self):
+        # classical-only motion (quantum triple inert): x = cos t crosses
+        # downward first, then alternates
+        p = ModelParams(eps=1.0, gamma=0.0, delta=0.0, alpha=0.0, omega=1.0)
+        s0 = SystemState(n1=1, om=0, op=0, x=1, p=0)
+        tight = IntegratorSettings(abs_tol=1e-12, rel_tol=1e-12)
+        _, both = poincare(s0, p, 30.0, tight, direction_filter="both")
+        _, pos = poincare(s0, p, 30.0, tight, direction_filter=1)
+        _, neg = poincare(s0, p, 30.0, tight, direction_filter=-1)
+        assert [e.direction for e in both] == [-1, 1] * 5
+        assert pos == both[1::2] and neg == both[0::2]
+
+    def test_bad_filter(self, monkeypatch):
+        monkeypatch.setattr(analysis, "integrate_with_events", None)
+        with pytest.raises(ConfigurationError, match="direction_filter"):
+            poincare(S_BASE, P_MODERATE, 1.0, direction_filter="up")
 
     def test_crossing_times_increase(self):
-        sec = poincare(S_BASE, P_MODERATE, 200.0, ST)
-        assert np.all(np.diff(sec.t) > 0)
+        _, events = poincare(S_BASE, P_MODERATE, 200.0, ST)
+        assert np.all(np.diff([e.t_cross for e in events]) > 0)
 
 
 class TestClusterAndConic:
@@ -136,6 +152,14 @@ class TestLyapunov:
         with pytest.raises(ConfigurationError, match="transient must be >= 0"):
             estimator(S_BASE, P_WEAK, ST, transient=transient, **{budget: 300.0})
 
+    @pytest.mark.parametrize("estimator, budget", [(largest_lyapunov, "total"), (classify_regime, "budget")])
+    @pytest.mark.parametrize("transient", [300.0, 400.0])
+    def test_transient_at_or_past_the_budget_is_rejected_before_integrating(
+            self, estimator, budget, transient, monkeypatch):
+        monkeypatch.setattr(analysis, "integrate_augmented", None)
+        with pytest.raises(ConfigurationError, match=f"{budget} \\(300.0\\) must exceed transient"):
+            estimator(S_BASE, P_WEAK, ST, transient=transient, **{budget: 300.0})
+
 
 class TestClassifyRegime:
     def test_weak_coupling_not_chaotic(self):
@@ -145,10 +169,10 @@ class TestClassifyRegime:
         assert r.n_crossings >= 50
         # the section collected in the Lyapunov pass tells the same story as
         # a separate poincare() pass
-        sec = poincare(S_BASE, P_WEAK, 1500.0, ST)
-        pts = np.column_stack([sec.om, sec.op])
-        spread = max(float(np.ptp(sec.om)), float(np.ptp(sec.op)))
-        assert r.n_crossings == len(sec)
+        _, events = poincare(S_BASE, P_WEAK, 1500.0, ST)
+        pts = np.array([(e.state.om, e.state.op) for e in events])
+        spread = float(np.max(np.ptp(pts, axis=0)))
+        assert r.n_crossings == len(events)
         assert r.n_clusters == cluster_count(pts, 1e-3 * spread)[1]
 
     def test_crossings_at_one_point_are_one_periodic_cluster(self, monkeypatch):
@@ -180,6 +204,12 @@ class TestClassifyRegime:
         with pytest.raises(ConfigurationError, match="renorm_interval"):
             classify_regime(S_BASE, P_WEAK, ST, budget=200.0, transient=10.0,
                             renorm_interval=150.0)
+
+    def test_transient_is_used_as_given(self):
+        # a transient past a quarter of the budget is not shortened: the
+        # intervals from 150 to 400 are averaged
+        r = classify_regime(S_BASE, P_WEAK, ST, budget=400.0, transient=150.0)
+        assert r.lyapunov.renorm_count == 250
 
     def test_short_budget_inconclusive(self):
         r = classify_regime(S_BASE, P_WEAK, ST, budget=40.0, transient=10.0)

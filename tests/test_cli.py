@@ -632,6 +632,16 @@ class TestSweep:
             assert r[8] == "ok"
             assert r[4] in ("periodic", "quasiperiodic", "chaotic", "divergent", "inconclusive")
 
+    def test_unwritable_regimes_csv_is_config_error(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+        monkeypatch.setattr(cli, "run_sweep", refuse)
+        target = tmp_path / "sw" / "regimes.csv"
+        target.mkdir(parents=True)
+        spec = write_cfg(tmp_path, SWEEP_SPEC, name="sweep.json")
+        assert main(["sweep", spec, "--out", str(tmp_path / "sw")]) == EXIT_CONFIG
+        assert f"{target} cannot be written" in capsys.readouterr().err
+
     def test_missing_specfile(self, tmp_path):
         code = main(["sweep", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
@@ -729,6 +739,9 @@ class TestSweepSpecErrors:
 
     def test_budget_not_a_number(self, tmp_path):
         assert self.run_spec(tmp_path, budget=[100.0]) == EXIT_CONFIG
+
+    def test_transient_at_the_budget(self, tmp_path):
+        assert self.run_spec(tmp_path, budget=10.0, transient=10.0) == EXIT_CONFIG
 
     def test_e_eff_without_i_inv(self, tmp_path):
         assert self.run_spec(tmp_path, initial={"e_eff": 4.8}) == EXIT_CONFIG

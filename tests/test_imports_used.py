@@ -5,9 +5,12 @@ No lint tool is part of the toolchain, so this walks each module's syntax
 tree with the standard library.  A name counts as used when the module
 refers to it anywhere (annotations included) or lists it in ``__all__``;
 ``__init__.py`` only re-exports and is exempt from the import check.
+Every name in a module's ``__all__`` exists, and every name the package
+re-exports is public in its module.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -58,3 +61,21 @@ def _unreferenced_private_names(path: Path) -> list:
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_no_unreferenced_private_names(module):
     assert _unreferenced_private_names(PACKAGE / module) == []
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py") if p.name != "__init__.py"))
+def test_every_name_in_all_resolves(module):
+    mod = importlib.import_module(f"semiquantum.{module}")
+    assert [name for name in getattr(mod, "__all__", []) if not hasattr(mod, name)] == []
+
+
+def test_package_reexports_only_public_names():
+    # a module without __all__ makes public every name without a leading underscore
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    stray = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            mod = importlib.import_module(f"semiquantum.{node.module}")
+            public = getattr(mod, "__all__", [n for n in vars(mod) if not n.startswith("_")])
+            stray += [f"{node.module}.{alias.name}" for alias in node.names if alias.name not in public]
+    assert stray == []

@@ -364,18 +364,6 @@ class TestEvents:
         _, events = integrate_with_events(s0, self.p, 2.0, TIGHT)
         assert all(ev.t_cross > 1e-6 for ev in events)
 
-    def test_direction_filter_subset(self):
-        s0 = SystemState(n1=1, om=0, op=0, x=1, p=0)
-        _, both = integrate_with_events(s0, self.p, 30.0, TIGHT, direction_filter="both")
-        _, pos = integrate_with_events(s0, self.p, 30.0, TIGHT, direction_filter=1)
-        ref = [ev.t_cross for ev in both if ev.direction == 1]
-        assert [ev.t_cross for ev in pos] == ref
-
-    def test_bad_filter(self):
-        with pytest.raises(ConfigurationError):
-            integrate_with_events(SystemState(1, 0, 0, 1, 0), self.p, 1.0,
-                                  direction_filter="up")
-
     def test_trajectory_holds_start_and_end(self):
         s0 = SystemState(n1=1, om=0, op=0, x=1, p=0)
         traj, _ = integrate_with_events(s0, self.p, 5.0, TIGHT)
@@ -518,7 +506,7 @@ class TestAugmented:
         p = ModelParams(eps=1.0, gamma=0.0, delta=0.0, alpha=0.0, omega=1.0)
         s0 = SystemState(n1=1, om=0, op=0, x=1, p=0)
         log = integrate_augmented(s0, np.ones(5), p, 20.0, TIGHT, renorm_interval=1.0,
-                                  direction_filter="both")
+                                  crossings=True)
         _, events = integrate_with_events(s0, p, 20.0, TIGHT)
         assert len(log.crossings) == len(events) == 6
         for a, b in zip(log.crossings, events):

@@ -64,7 +64,9 @@ class TestValidation:
         lambda: InitialRecipe(),
         lambda: small_spec(axis2=AxisSpec("eps", (1.3,))),
         lambda: ModelParams(eps=0.0, gamma=0.0, delta=1.0, alpha=0.0, omega=1.0),
-    ], ids=["nan_divergence_norm", "nan_max_steps", "unknown_axis", "empty_recipe", "equal_axes", "zero_eps"])
+        lambda: small_spec(budget=50.0, transient=50.0),
+    ], ids=["nan_divergence_norm", "nan_max_steps", "unknown_axis", "empty_recipe", "equal_axes", "zero_eps",
+            "transient_at_budget"])
     def test_config_rejects_a_bad_value_when_built(self, build):
         with pytest.raises(ConfigurationError):
             build()

@@ -50,7 +50,7 @@ SETTINGS = IntegratorSettings(abs_tol=1e-10, rel_tol=1e-10, h_init=1.0)
 
 def _augmented():
     return integrate_augmented(S0, np.ones(5), P, 20.0, SETTINGS, renorm_interval=0.5,
-                               direction_filter="both").stats
+                               crossings=True).stats
 
 
 # front end -> its step stats
