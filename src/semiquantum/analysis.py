@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .errors import ConfigurationError, DivergentTrajectoryError
 from .integrator import CrossingEvent, GrowthLog, IntegrationStatus, IntegratorSettings, StepStats
@@ -84,7 +83,7 @@ def poincare(
 
 
 # fixed, arbitrary but deterministic initial tangent direction
-_TANGENT0 = np.array([1.0, 1.0, 1.0, 1.0, 1.0]) / math.sqrt(5.0)
+_TANGENT0 = (1.0 / math.sqrt(5.0),) * 5
 
 
 def largest_lyapunov(
@@ -125,10 +124,10 @@ def _estimate(log: GrowthLog, transient: float) -> LyapunovEstimate:
     reached = log.times[-1] if len(log.times) else 0.0
     if log.status is IntegrationStatus.DIVERGED and reached <= transient:
         raise DivergentTrajectoryError("trajectory diverged before the transient completed", log.t_div)
-    starts = np.concatenate([[0.0], log.times[:-1]])
-    keep = starts >= transient
-    rates = log.log_norms[keep] / (log.times - starts)[keep]
-    n = int(keep.sum())
+    # (start, end, log-norm) of each interval that starts at or after the transient
+    kept = [(t0, t1, g) for t0, t1, g in zip([0.0, *log.times], log.times, log.log_norms)
+            if t0 >= transient]
+    n = len(kept)
     if n < 2:
         if log.status is IntegrationStatus.DIVERGED:
             raise DivergentTrajectoryError("too few growth samples past the transient", log.t_div)
@@ -136,37 +135,48 @@ def _estimate(log: GrowthLog, transient: float) -> LyapunovEstimate:
             f"{n} renormalization interval(s) start at or after the transient {transient:g} "
             f"and end by t={reached:g}: renorm_interval is too long, at least 2 are needed"
         )
-    span = reached - starts[keep][0]
-    lam = float(log.log_norms[keep].sum() / span)
-    se = float(rates.std(ddof=1) / math.sqrt(n))
+    lam = math.fsum(g for _, _, g in kept) / (reached - kept[0][0])
+    rates = [g / (t1 - t0) for t0, t1, g in kept]
+    mean = math.fsum(rates) / n
+    se = math.sqrt(math.fsum((r - mean) * (r - mean) for r in rates) / (n - 1)) / math.sqrt(n)
     return LyapunovEstimate(
         lambda_max=lam,
         standard_error=se,
-        total_time=float(reached),
+        total_time=reached,
         renorm_count=n,
         stats=log.stats,
         diverged_at=log.t_div,
     )
 
 
-def cluster_count(points: np.ndarray, radius: float) -> tuple[int, int]:
-    """Greedy cover counts (first half, all) of points, from one scan.
+def cluster_count(points, radius: float) -> tuple[int, int]:
+    """Greedy cover counts (first half, all) of 2-d points, from one scan.
 
-    A point within radius of an existing center joins it.  The scan is
-    online: the centers made before the second half are the first half's.
+    A point within radius of an existing center, by
+    sqrt(dx * dx + dy * dy) <= radius, joins it; otherwise it is a new
+    center.  Centers never move, so only whether one is near matters: they are
+    hashed into square cells a little wider than radius, and a point is
+    tested against the 3 x 3 cells around its own.  The scan is online: the
+    centers made before the second half are the first half's.
     """
+    # the margin keeps rounding in x / width from putting a center within radius
+    # two cells away; the floor of 2**-30 of the largest coordinate bounds that rounding
+    scale = max((abs(c) for pt in points for c in pt), default=0.0)
+    width = max(radius, scale * 2.0 ** -30, sys.float_info.min) * (1.0 + 2.0 ** -20)
     half = len(points) // 2
     n_half = 0
-    centers: list[np.ndarray] = []
-    for idx, pt in enumerate(points):
+    n = 0
+    cells: dict[tuple[int, int], list] = {}
+    for idx, (x, y) in enumerate(points):
         if idx == half:
-            n_half = len(centers)
-        for c in centers:
-            if np.linalg.norm(pt - c) <= radius:
-                break
-        else:
-            centers.append(pt)
-    return n_half, len(centers)
+            n_half = n
+        i, j = math.floor(x / width), math.floor(y / width)
+        if not any(math.sqrt((x - cx) * (x - cx) + (y - cy) * (y - cy)) <= radius
+                   for di in (-1, 0, 1) for dj in (-1, 0, 1)
+                   for cx, cy in cells.get((i + di, j + dj), ())):
+            cells.setdefault((i, j), []).append((x, y))
+            n += 1
+    return n_half, n
 
 
 def classify_regime(
@@ -212,9 +222,9 @@ def classify_regime(
             label=Regime.INCONCLUSIVE, lyapunov=est, n_crossings=n_cross,
             notes=f"only {n_cross} crossings (< {MIN_CROSSINGS}) within the budget",
         )
-    pts = np.array([(e.state.om, e.state.op) for e in log.crossings])
-    # crossings at one point (spread 0) still cover as one cluster: norm 0 <= 0
-    spread = float(np.max(np.ptp(pts, axis=0)))
+    pts = [(e.state.om, e.state.op) for e in log.crossings]
+    # crossings at one point (spread 0) still cover as one cluster: distance 0 <= 0
+    spread = max(max(c) - min(c) for c in zip(*pts))
     n_half, n_full = cluster_count(pts, CLUSTER_RADIUS_FACTOR * spread)
     if n_full <= MAX_PERIODIC_CLUSTERS and n_full == n_half:
         label = Regime.PERIODIC

@@ -22,8 +22,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import analysis
 from .errors import (
     ConfigurationError,
@@ -254,6 +252,17 @@ def _work(stats: StepStats) -> dict:
             "rhs_evals": stats.rhs_evals, "renorms": stats.renorms}
 
 
+def _invariants(states, p: ModelParams) -> tuple[list, list]:
+    """E_eff and I at each SystemState."""
+    return [effective_energy(s, p) for s in states], [invariant_I(s) for s in states]
+
+
+def _max_abs_drift(e_vals, i_vals) -> dict:
+    """The largest |change| of E_eff and of I from their first values."""
+    return {"e_eff": max(abs(e - e_vals[0]) for e in e_vals),
+            "i_inv": max(abs(i - i_vals[0]) for i in i_vals)}
+
+
 def _write_csv(path: Path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -271,23 +280,20 @@ def cmd_simulate(args):
             "t_end": t_end, "sample_interval": interval}
     with _report(out / "summary.json", head) as results:
         traj = integrate(s0, p, t_end, settings, sample_interval=interval)
-        samples = [SystemState.from_array(y, dn=traj.dn) for y in traj.states]
-        e_vals = [effective_energy(s, p) for s in samples]
-        i_vals = [invariant_I(s) for s in samples]
+        e_vals, i_vals = _invariants([SystemState.from_array(y) for y in traj.states], p)
         _write_csv(out / "trajectory.csv",
                    ["t", "n1", "ominus", "oplus", "x", "p", "e_eff", "i_inv"],
-                   [[g17(v) for v in (t, *s.as_tuple(), e, i)]
-                    for t, s, e, i in zip(traj.times, samples, e_vals, i_vals)])
+                   [[g17(v) for v in (t, *y, e, i)]
+                    for t, y, e, i in zip(traj.times, traj.states, e_vals, i_vals)])
         results.update({
             "status": traj.status.value,
             "t_div": traj.t_div,
             # over the samples of trajectory.csv, from their values at t = 0
-            "max_abs_drift": {"e_eff": max(abs(e - e_vals[0]) for e in e_vals),
-                              "i_inv": max(abs(i - i_vals[0]) for i in i_vals)},
+            "max_abs_drift": _max_abs_drift(e_vals, i_vals),
             **_work(traj.stats),
         })
         if args.plot:
-            n_vals = traj.states[:, 0] - 1.0
+            n_vals = [y[0] - 1.0 for y in traj.states]
             write_svg(out / "trajectory.svg",
                       [(traj.times, n_vals), (traj.times, e_vals), (traj.times, i_vals)],
                       title="boson number and invariants", xlabel="t", ylabel="value",
@@ -311,10 +317,10 @@ def _oracle_compare(p, s0, settings, t_end, n_samples, critical):
         else:
             ref_q = evolve_linear(q0, p.eps, p.delta, t)
         ref_x, ref_p = evolve_classical(s0.x, s0.p, p.omega, t)
-        ref = np.array([ref_q.n1, ref_q.om, ref_q.op, ref_x, ref_p])
-        diff = np.abs(y - ref)
-        max_abs = max(max_abs, float(diff.max()))
-        max_rel = max(max_rel, float((diff / np.maximum(1.0, np.abs(ref))).max()))
+        for v, ref in zip(y, (ref_q.n1, ref_q.om, ref_q.op, ref_x, ref_p)):
+            diff = abs(v - ref)
+            max_abs = max(max_abs, diff)
+            max_rel = max(max_rel, diff / max(1.0, abs(ref)))
     return traj, max_abs, max_rel
 
 
@@ -352,6 +358,9 @@ def cmd_oracle(args):
                 "t_end": osec["t_end"],
                 "max_abs_deviation": max_abs,
                 "max_rel_deviation": max_rel,
+                # over the compared samples, from their values at t = 0
+                "max_abs_drift": _max_abs_drift(
+                    *_invariants([SystemState.from_array(y) for y in traj.states], p)),
                 "integration_status": traj.status.value,
                 **_work(traj.stats),
             })
@@ -384,6 +393,8 @@ def cmd_poincare(args):
                 "file": name,
                 "initial": dataclasses.asdict(ic),
                 "crossings": len(events),
+                # over the crossings, from the member's initial values
+                "max_abs_drift": _max_abs_drift(*_invariants([ic, *(e.state for e in events)], p)),
                 "status": traj.status.value,
                 "t_div": traj.t_div,
                 **_work(traj.stats),

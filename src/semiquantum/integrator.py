@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import sys
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-
-import numpy as np
 
 from .errors import ConfigurationError, NumericalFailureError
 from .model import ModelParams, SystemState, field_jvp
@@ -45,6 +45,7 @@ __all__ = [
     "IntegratorSettings",
     "IntegrationStatus",
     "StepStats",
+    "Samples",
     "Trajectory",
     "CrossingEvent",
     "GrowthLog",
@@ -106,12 +107,42 @@ class StepStats:
     renorms: int = 0              # renormalizations of the tangent vector
 
 
+class Samples:
+    """Read-only float samples held flat in an array('d'): a sequence of floats,
+    or with width w of rows, each a tuple of w floats.  nbytes is the size of
+    the floats held."""
+
+    __slots__ = ("_flat", "_width")
+
+    def __init__(self, values, width: int = 1):
+        self._flat = array("d", values)
+        self._width = width
+
+    def __len__(self):
+        return len(self._flat) // self._width
+
+    def __getitem__(self, i):
+        w = self._width
+        if w == 1:
+            return self._flat[i]
+        i = range(len(self))[i]       # negative indices, and IndexError past the end
+        return tuple(self._flat[i * w:(i + 1) * w])
+
+    def __iter__(self):
+        it = iter(self._flat)
+        return it if self._width == 1 else zip(*[it] * self._width)
+
+    @property
+    def nbytes(self) -> int:
+        return self._flat.itemsize * len(self._flat)
+
+
 @dataclass
 class Trajectory:
     """Sampled solution: times strictly increasing, every sample finite."""
 
-    times: np.ndarray
-    states: np.ndarray            # shape (n_samples, 5)
+    times: Samples
+    states: Samples               # rows (n1, om, op, x, p)
     dn: float
     status: IntegrationStatus
     stats: StepStats
@@ -137,8 +168,8 @@ class CrossingEvent:
 class GrowthLog:
     """Per-renormalization tangent growth record from the augmented flow."""
 
-    times: np.ndarray             # renormalization instants
-    log_norms: np.ndarray         # log of the tangent norm at each instant, before renormalizing
+    times: Samples                # renormalization instants
+    log_norms: Samples            # log of the tangent norm at each instant, before renormalizing
     status: IntegrationStatus
     stats: StepStats
     t_div: float | None = None
@@ -477,11 +508,11 @@ def _drive(stepper: _Dopri5, marks, on_step=None, on_mark=None):
 
 
 def _trajectory(stepper: _Dopri5, times, states, dn, status, t_div) -> Trajectory:
-    """Close the samples with the last state reached."""
+    """Close the samples (times, and states flat) with the last state reached."""
     if stepper.t > times[-1]:
         times.append(stepper.t)
-        states.append(stepper.y.copy())
-    return Trajectory(np.array(times), np.array(states), dn, status, stepper.stats, t_div)
+        states.extend(stepper.y)
+    return Trajectory(Samples(times), Samples(states, 5), dn, status, stepper.stats, t_div)
 
 
 def integrate(
@@ -503,9 +534,9 @@ def integrate(
     if not sample_interval > 0:
         raise ConfigurationError(f"sample_interval must be positive, got {sample_interval}")
 
-    stepper = _Dopri5(_base_flow, p, s0.to_array(), settings)
+    stepper = _Dopri5(_base_flow, p, s0.as_tuple(), settings)
     times = [0.0]
-    states = [s0.to_array()]
+    states = list(s0.as_tuple())
     k_next = 1
 
     def sample(st: _Dopri5):
@@ -514,7 +545,7 @@ def integrate(
             ts = k_next * sample_interval
             if ts <= t_end:
                 times.append(ts)
-                states.append(st.dense(ts) if ts < st.t else st.y.copy())
+                states.extend(st.dense(ts) if ts < st.t else st.y)
             k_next += 1
 
     status, t_div = _drive(stepper, [t_end], on_step=sample)
@@ -619,10 +650,15 @@ def integrate_with_events(
     settings = settings or IntegratorSettings()
     _check_t_end(t_end)
 
-    stepper = _Dopri5(_base_flow, p, s0.to_array(), settings)
+    stepper = _Dopri5(_base_flow, p, s0.as_tuple(), settings)
     events: list[CrossingEvent] = []
     status, t_div = _drive(stepper, [t_end], on_step=_crossing_scan(p, s0.dn, events))
-    return _trajectory(stepper, [0.0], [s0.to_array()], s0.dn, status, t_div), events
+    return _trajectory(stepper, [0.0], list(s0.as_tuple()), s0.dn, status, t_div), events
+
+
+def _norm(v) -> float:
+    """The 2-norm; a square that overflows makes it inf."""
+    return math.sqrt(sum(c * c for c in v))
 
 
 def integrate_augmented(
@@ -648,28 +684,32 @@ def integrate_augmented(
     _check_t_end(t_end)
     if not renorm_interval > 0:
         raise ConfigurationError(f"renorm_interval must be positive, got {renorm_interval}")
-    tangent = np.asarray(tangent0, dtype=float)
-    if tangent.shape != (5,):
-        raise ConfigurationError(f"tangent0 must be one vector of length 5, got shape {tangent.shape}")
-    norm0 = np.linalg.norm(tangent)
+    try:
+        tangent = list(tangent0)
+    except TypeError:                                   # not iterable
+        tangent = []
+    if len(tangent) != 5 or not all(isinstance(c, numbers.Real) for c in tangent):
+        raise ConfigurationError(f"tangent0 must be one vector of length 5, got {tangent0!r}")
+    tangent = [float(c) for c in tangent]
+    norm0 = _norm(tangent)
     if not 0.0 < norm0 < math.inf:
-        raise ConfigurationError(f"the tangent vector must be nonzero and finite, got {tangent.tolist()}")
+        raise ConfigurationError(f"the tangent vector must be nonzero and finite, got {tangent}")
 
-    y0 = np.concatenate([s0.to_array(), tangent / norm0])
+    y0 = [*s0.as_tuple(), *(c / norm0 for c in tangent)]
     stepper = _Dopri5(_augmented_flow, p, y0, settings, err_dim=5)
     log_times = []
     log_norms = []
     events: list[CrossingEvent] = []
 
     def renormalize(st: _Dopri5):
-        v = np.array(st.y[5:])
-        norm = np.linalg.norm(v)
+        v = st.y[5:]
+        norm = _norm(v)
         if not 0.0 < norm < math.inf:
             raise NumericalFailureError(f"the tangent norm is {norm}, not finite and positive",
                                         last_good_time=st.t)
-        log_norms.append(np.log(norm))
+        log_norms.append(math.log(norm))
         log_times.append(st.t)
-        st.y = st.y[:5] + (v / norm).tolist()
+        st.y = st.y[:5] + [c / norm for c in v]
         st.stats.renorms += 1
         st.restart()                                    # FSAL stage is stale after renorm
 
@@ -680,8 +720,8 @@ def integrate_augmented(
     scan = _crossing_scan(p, s0.dn, events) if crossings else None
     status, t_div = _drive(stepper, marks, on_step=scan, on_mark=renormalize)
     return GrowthLog(
-        times=np.array(log_times),
-        log_norms=np.array(log_norms),
+        times=Samples(log_times),
+        log_norms=Samples(log_norms),
         status=status,
         stats=stepper.stats,
         t_div=t_div,

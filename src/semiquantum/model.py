@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .errors import ConfigurationError, InfeasibleConstraintError
 
 __all__ = [
@@ -29,6 +27,7 @@ __all__ = [
     "validate_state",
     "make_initial",
     "family_initials",
+    "linspace",
     "parity_map_params",
     "parity_map_state",
     "field",
@@ -94,7 +93,10 @@ class SystemState:
     def as_tuple(self):
         return (self.n1, self.om, self.op, self.x, self.p)
 
-    def to_array(self) -> np.ndarray:
+    def to_array(self):
+        """The five components as a numpy array."""
+        import numpy as np
+
         return np.array(self.as_tuple(), dtype=float)
 
     @classmethod
@@ -113,7 +115,10 @@ class Derivative:
     dx: float
     dp: float
 
-    def to_array(self) -> np.ndarray:
+    def to_array(self):
+        """The five derivatives as a numpy array."""
+        import numpy as np
+
         return np.array([self.dn1, self.dom, self.dop, self.dx, self.dp])
 
 
@@ -162,27 +167,33 @@ def field_jvp(y, v, p: ModelParams) -> list:
     ]
 
 
-def rhs(y: np.ndarray, p: ModelParams) -> np.ndarray:
-    """:func:`field` as an array, component order (n1, om, op, x, p) on the first axis."""
+def rhs(y, p: ModelParams):
+    """:func:`field` as a numpy array, component order (n1, om, op, x, p) on the first axis."""
+    import numpy as np
+
     return np.array(field(y, p))
 
 
-def jacobian_matrix(y: np.ndarray, p: ModelParams) -> np.ndarray:
-    """5x5 Jacobian of :func:`field`, row order (n1, om, op, x, p); column k is
+def jacobian_matrix(y, p: ModelParams):
+    """5x5 numpy Jacobian of :func:`field`, row order (n1, om, op, x, p); column k is
     :func:`field_jvp` on the unit vector e_k, exact because the other terms add only zeros."""
+    import numpy as np
+
     return np.array([field_jvp(y, e, p) for e in np.eye(5)]).T
 
 
 def vector_field(s: SystemState, p: ModelParams) -> Derivative:
     """Time derivative of a state under the coupled equations of motion."""
-    d = rhs(s.to_array(), p)
-    if not np.all(np.isfinite(d)):
+    d = field(s.as_tuple(), p)
+    if not all(map(math.isfinite, d)):
         raise ValueError(f"non-finite derivative for state {s}")
-    return Derivative(*(float(v) for v in d))
+    return Derivative(*d)
 
 
-def jacobian(s: SystemState, p: ModelParams) -> np.ndarray:
-    """Analytic Jacobian at a state; constant in the state when alpha = 0."""
+def jacobian(s: SystemState, p: ModelParams):
+    """Analytic Jacobian at a state, a 5x5 numpy array; constant in the state when alpha = 0."""
+    import numpy as np
+
     j = jacobian_matrix(s.to_array(), p)
     if not np.all(np.isfinite(j)):
         raise ValueError(f"non-finite jacobian for state {s}")
@@ -267,10 +278,18 @@ def family_initials(s0: SystemState, p: ModelParams, n: int) -> list:
         raise InfeasibleConstraintError("family band om0^2 > 0", om_sq)
     om_lim = 0.98 * math.sqrt(om_sq)
     sign = -1 if s0.p <= 0 else 1
-    members = []
-    for om0 in np.linspace(-om_lim, om_lim, n):
-        members.append(make_initial(e_eff, i_inv, float(om0), op0, x0, s0.dn, p, momentum_sign=sign))
-    return members
+    return [make_initial(e_eff, i_inv, om0, op0, x0, s0.dn, p, momentum_sign=sign)
+            for om0 in linspace(-om_lim, om_lim, n)]
+
+
+def linspace(lo: float, hi: float, n: int) -> list:
+    """n evenly spaced floats from lo to hi, both included: the floats of
+    numpy.linspace(lo, hi, n), computed as it does."""
+    lo, hi = float(lo), float(hi)
+    if n < 2:
+        return [lo][:n]
+    step = (hi - lo) / (n - 1)
+    return [lo + i * step for i in range(n - 1)] + [hi]
 
 
 def parity_map_params(p: ModelParams) -> ModelParams:

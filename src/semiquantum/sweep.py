@@ -4,15 +4,12 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .analysis import Regime, classify_regime
 from .errors import ConfigurationError, DivergentTrajectoryError, InfeasibleConstraintError, NumericalFailureError
 from .integrator import IntegratorSettings
-from .model import ModelParams, SystemState, make_initial
+from .model import ModelParams, SystemState, linspace, make_initial
 
 __all__ = [
     "AxisSpec",
@@ -37,7 +34,7 @@ class AxisSpec:
     def linspace(cls, name: str, lo: float, hi: float, count: int) -> "AxisSpec":
         if count < 2:
             raise ConfigurationError(f"linspace axis needs count >= 2, got {count}")
-        return cls(name=name, values=tuple(np.linspace(lo, hi, count)))
+        return cls(name=name, values=tuple(linspace(lo, hi, count)))
 
     def __post_init__(self):
         if self.name not in _PARAM_NAMES:
@@ -183,6 +180,8 @@ def run_sweep(spec: SweepSpec, max_workers: int | None = None) -> RegimeMap:
     if workers == 1:
         cells = [_run_cell(w) for w in work]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(_run_cell, work))
     return RegimeMap(cells=cells)

@@ -76,22 +76,50 @@ class TestClusterAndConic:
         assert cluster_count(pts, 1e-3)[1] == 3
         assert cluster_count(pts, 10.0)[1] == 1
 
-    def test_one_scan_gives_half_and_full_counts(self):
-        def greedy(points, radius):
-            """One greedy cover count per scan, the reference for both counts."""
-            centers = []
-            for pt in points:
-                if all(np.linalg.norm(pt - c) > radius for c in centers):
-                    centers.append(pt)
-            return len(centers)
+    @staticmethod
+    def greedy(points, radius):
+        """One greedy cover count per scan, by brute force over every center: the
+        reference for both counts, with cluster_count's predicate."""
+        centers = []
+        for x, y in points:
+            if all(math.sqrt((x - cx) * (x - cx) + (y - cy) * (y - cy)) > radius for cx, cy in centers):
+                centers.append((x, y))
+        return len(centers)
 
+    def check(self, pts, radius):
+        n = len(pts)
+        assert cluster_count(pts, radius) == (self.greedy(pts[: n // 2], radius), self.greedy(pts, radius))
+
+    def test_one_scan_gives_half_and_full_counts(self):
         rng = np.random.default_rng(17)
         for k in range(200):
             # n odd for odd k, even for even k
             pts = rng.uniform(-1.0, 1.0, size=(2 * int(rng.integers(0, 30)) + k % 2, 2))
-            radius = rng.uniform(0.05, 1.0)
-            n = len(pts)
-            assert cluster_count(pts, radius) == (greedy(pts[: n // 2], radius), greedy(pts, radius))
+            self.check(pts, rng.uniform(0.05, 1.0))
+
+    def test_points_spanning_many_cells(self):
+        # radii from 1e-4 to 1e-1 of a spread-out set far from the origin: from
+        # hundreds of thousands of hash cells down to a few hundred
+        rng = np.random.default_rng(23)
+        for radius in (1e-4, 1e-3, 1e-2, 1e-1):
+            pts = (rng.uniform(-1.0, 1.0, size=(500, 2)) * [3.0, 0.5] + [40.0, -7.0]).tolist()
+            self.check(pts, radius)
+            # and each point repeated a hair away, so most of them join a center
+            self.check([(x + radius * d, y) for x, y in pts for d in (0.0, 0.5)], radius)
+
+    def test_distance_exactly_the_radius_joins(self):
+        assert cluster_count([(0.0, 0.0), (3.0, 4.0)], 5.0) == (1, 1)
+        assert cluster_count([(0.0, 0.0), (3.0, 4.0)], 5.0 * (1 - 2.0 ** -52)) == (1, 2)
+        assert cluster_count([(1.0, 1.0), (1.0, 1.0)], 0.0) == (1, 1)
+        assert cluster_count([], 1.0) == (0, 0)
+
+    def test_a_center_two_cells_away_by_rounding_still_joins(self):
+        # x - cx rounds to 1.0, so the points lie within radius 1, though x = 2
+        # and cx = 1 - 2**-53 would fall two cells apart in cells exactly 1 wide
+        pts = [(1.0 - 2.0 ** -53, 0.0), (2.0, 0.0)]
+        assert 2.0 - pts[0][0] == 1.0
+        assert cluster_count(pts, 1.0) == (1, 1)
+        self.check(pts, 1.0)
 
 
 class TestLyapunov:
@@ -172,7 +200,7 @@ class TestClassifyRegime:
         _, events = poincare(S_BASE, P_WEAK, 1500.0, ST)
         pts = np.array([(e.state.om, e.state.op) for e in events])
         spread = float(np.max(np.ptp(pts, axis=0)))
-        assert r.n_crossings == len(events)
+        assert r.n_crossings == len(events) and r.n_clusters > 1
         assert r.n_clusters == cluster_count(pts, 1e-3 * spread)[1]
 
     def test_crossings_at_one_point_are_one_periodic_cluster(self, monkeypatch):

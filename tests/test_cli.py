@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import csv
 import json
 import math
@@ -15,7 +16,6 @@ import pytest
 
 import semiquantum.cli as cli
 import semiquantum.integrator as integrator
-import semiquantum.sweep as sweep
 from semiquantum.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGED,
@@ -26,8 +26,18 @@ from semiquantum.cli import (
     g17,
     main,
 )
-from semiquantum import svgplot
+from semiquantum import analysis, svgplot
+from semiquantum.integrator import IntegratorSettings, integrate
+from semiquantum.model import ModelParams, SystemState, effective_energy, invariant_I
 from semiquantum.svgplot import write_svg
+
+def drift(s0, states, p):
+    """The largest |change| of E_eff and of I from s0's values over s0 and states."""
+    states = [s0, *states]
+    e = [effective_energy(s, p) for s in states]
+    i = [invariant_I(s) for s in states]
+    return {"e_eff": max(abs(v - e[0]) for v in e), "i_inv": max(abs(v - i[0]) for v in i)}
+
 
 FAST_SIM = {
     "simulate": {"t_end": 20.0, "sample_interval": 0.5},
@@ -396,6 +406,7 @@ class TestOracle:
         assert code == EXIT_OK
         report = json.loads((tmp_path / "oracle.json").read_text())
         assert report["classification"]["label"] == "stable_positive_definite"
+        assert "max_abs_drift" not in report         # no samples to measure it on
         printed = json.loads(capsys.readouterr().out)
         assert printed["label"] == "stable_positive_definite"
 
@@ -410,6 +421,14 @@ class TestOracle:
         report = json.loads((tmp_path / "oracle.json").read_text())
         assert report["max_abs_deviation"] < 1e-8
         assert report["steps_accepted"] > 0 and report["rhs_evals"] == rhs_evals(report)
+        # the drift is over the compared samples, which the oracle's own settings give
+        p = ModelParams(**report["params"])
+        s0 = SystemState(n1=2.0, om=0.0, op=0.0, x=1.0, p=-2.54950976)
+        traj = integrate(s0, p, 50.0, IntegratorSettings(abs_tol=1e-12, rel_tol=1e-12),
+                         sample_interval=0.5)
+        assert len(traj) == 101
+        assert report["max_abs_drift"] == drift(s0, map(traj.state_at, range(1, 101)), p)
+        assert 0.0 < report["max_abs_drift"]["e_eff"] < 1e-9
 
     def test_critical_mode(self, tmp_path):
         cfg = write_cfg(tmp_path, {
@@ -490,6 +509,20 @@ class TestPoincare:
             assert 4 * m["steps_accepted"] >= m["crossings"] > 0
             assert m["rhs_evals"] == rhs_evals(m)
 
+    def test_members_report_drift_over_their_crossings(self, tmp_path):
+        cfg = write_cfg(tmp_path, {"poincare": {"t_end": 60.0}})
+        code = main(["poincare", "--preset", "fig2d", "--config", cfg, "--families", "2",
+                     "--direction", "-1", "--out", str(tmp_path / "fam")])
+        assert code == EXIT_OK
+        summary = json.loads((tmp_path / "fam" / "summary.json").read_text())
+        p, settings = ModelParams(**summary["params"]), IntegratorSettings(**summary["settings"])
+        for m in summary["members"]:
+            s0 = SystemState(**m["initial"])
+            _, events = analysis.poincare(s0, p, 60.0, settings, direction_filter=-1)
+            assert len(events) == m["crossings"] >= 5
+            assert m["max_abs_drift"] == drift(s0, [e.state for e in events], p)
+            assert 0.0 < m["max_abs_drift"]["i_inv"] < 1e-6     # at tolerance 1e-10
+
     def test_refinement_failure_exits_numerical(self, tmp_path, monkeypatch):
         def bad_brentq(*args, **kwargs):
             raise ValueError("f(a) and f(b) must have different signs")
@@ -516,6 +549,7 @@ class TestPoincare:
         summary = json.loads((tmp_path / "empty" / "summary.json").read_text())
         assert summary["members"][0]["crossings"] == 0
         assert "warning" in summary["members"][0]
+        assert summary["members"][0]["max_abs_drift"] == {"e_eff": 0.0, "i_inv": 0.0}
 
 
 class TestPlots:
@@ -718,7 +752,7 @@ class TestSweepSpecErrors:
     def no_pool(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a worker pool was started")
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
 
     def run_spec(self, tmp_path, **changes):
         spec = {**SWEEP_SPEC, **changes}

@@ -14,6 +14,7 @@ from semiquantum.model import (
     invariant_I,
     jacobian,
     jacobian_matrix,
+    linspace,
     make_initial,
     parity_map_params,
     parity_map_state,
@@ -232,6 +233,27 @@ class TestMakeInitial:
             assert validate_state(s).ok
 
 
+def bits(values) -> list:
+    """Each float's exact bits, so -0.0 and 0.0 differ."""
+    return [float(v).hex() for v in values]
+
+
+class TestLinspace:
+    def test_numpys_floats_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        for k in range(3000):
+            lo, hi = rng.uniform(-1.0, 1.0, size=2) * 10.0 ** rng.integers(-8, 9, size=2)
+            if k % 10 == 0:
+                hi = lo                  # lo == hi; otherwise lo > hi about half the time
+            n = int(rng.integers(0, 40)) if k % 3 else 2
+            assert bits(linspace(lo, hi, n)) == bits(np.linspace(lo, hi, n)), (lo, hi, n)
+
+    def test_ends_and_kinds(self):
+        assert linspace(1, 0, 3) == [1.0, 0.5, 0.0]
+        assert all(type(v) is float for v in linspace(0, 1, 4))
+        assert linspace(2.0, 3.0, 1) == [2.0] and linspace(2.0, 3.0, 0) == []
+
+
 class TestFamilyInitials:
     S_FIG2D = SystemState(2, 0, 0, 1, -2.54950976)     # the fig2d preset's initial state
 
@@ -244,6 +266,12 @@ class TestFamilyInitials:
             assert effective_energy(s, P_REF) == pytest.approx(e0, rel=1e-12)
             assert invariant_I(s) == pytest.approx(i0, rel=1e-12)
             assert (s.op, s.x, s.dn) == (self.S_FIG2D.op, self.S_FIG2D.x, self.S_FIG2D.dn)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 21])
+    def test_om0_grid_is_numpys_linspace(self, n):
+        om = [s.om for s in family_initials(self.S_FIG2D, P_REF, n)]
+        assert om[0] == -om[-1] < 0.0
+        assert bits(om) == bits(np.linspace(om[0], om[-1], n))
 
     def test_om0_grid_is_symmetric(self):
         om = [s.om for s in family_initials(self.S_FIG2D, P_REF, 5)]

@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 
 import numpy as np
@@ -32,6 +33,17 @@ class TestValidation:
     def test_linspace_axis(self):
         ax = AxisSpec.linspace("alpha", 0.0, 1.0, 5)
         assert ax.values == (0.0, 0.25, 0.5, 0.75, 1.0)
+
+    def test_linspace_axis_is_numpys_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        for k in range(2000):
+            lo, hi = rng.uniform(-3.0, 3.0, size=2) * 10.0 ** rng.integers(-6, 3, size=2)
+            if k % 10 == 0:
+                hi = lo
+            count = 2 if k % 4 == 0 else int(rng.integers(2, 30))
+            values = AxisSpec.linspace("alpha", lo, hi, count).values
+            assert [v.hex() for v in values] == [v.hex() for v in np.linspace(lo, hi, count).tolist()]
+            assert all(type(v) is float for v in values)
 
     def test_unknown_parameter(self):
         with pytest.raises(ConfigurationError):
@@ -139,7 +151,8 @@ class TestWorkerBound:
             def map(self, fn, work):
                 return map(fn, work)
 
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", SerialPool)
+        # run_sweep imports the pool class when it starts workers
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         return asked
 
     def one_cell(self):
