@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ConfigurationError, DivergentTrajectoryError
-from .integrator import CrossingEvent, GrowthLog, IntegrationStatus, IntegratorSettings, StepStats
+from .integrator import CrossingEvent, GrowthLog, IntegrationStatus, IntegratorSettings, Samples, StepStats
 from .integrator import Trajectory, integrate_augmented, integrate_with_events
 from .model import ModelParams, SystemState
 
@@ -31,13 +31,15 @@ MAX_PERIODIC_CLUSTERS = 64
 
 @dataclass(frozen=True)
 class LyapunovEstimate:
-    """Benettin estimate of the largest Lyapunov exponent, with the step counts of its pass."""
+    """Benettin estimate of the largest Lyapunov exponent, with the step counts of its
+    pass and the base state at each of its renormalizations (GrowthLog.states)."""
 
     lambda_max: float
     standard_error: float
     total_time: float
     renorm_count: int
     stats: StepStats
+    states: Samples
     diverged_at: float | None = None
 
 
@@ -145,6 +147,7 @@ def _estimate(log: GrowthLog, transient: float) -> LyapunovEstimate:
         total_time=reached,
         renorm_count=n,
         stats=log.stats,
+        states=log.states,
         diverged_at=log.t_div,
     )
 

@@ -431,6 +431,9 @@ def cmd_lyapunov(args):
             "total": est.total_time,
             "renorm_count": est.renorm_count,
             "diverged_at": est.diverged_at,
+            # over the base states at the renormalizations, from the initial values
+            "max_abs_drift": _max_abs_drift(
+                *_invariants([s0, *(SystemState.from_array(y) for y in est.states)], p)),
             **_work(est.stats),
         })
     print(json.dumps({"lambda_max": est.lambda_max, "standard_error": est.standard_error}))

@@ -1,25 +1,31 @@
 """Adaptive Dormand-Prince 5(4) integration of the coupled system.
 
-The Dormand-Prince tableau is held as data.  From it ``_step_source`` writes
-one attempted step for each flow and length of state, as straight-line code
+The Dormand-Prince tableau is held as data.  From it ``_loop_source`` writes
+one stepping loop for each flow and length of state, as straight-line code
 over named scalar components, compiled on first use and cached; its dense
 quartic comes from the same tableau.  A flow is an autonomous ``flow(y, p)``
 written in plain arithmetic (``_base_flow`` and ``_augmented_flow``, through
 ``rhs`` and ``field_jvp``).  It runs once on recorder symbols (``_Tape``),
 which write one assignment per float operation, so every stage evaluates the
 field inline and calls no function.  The float operations are those of the
-stage sums written out by hand with the flow called on each, in the same order,
-so the generated step changes no bit.  ``rhs`` itself runs only at the FSAL
-restarts (the first evaluation, and each after a renormalization) and when a
-flow is recorded.
+stage sums written out by hand with the flow called on each, and of the PI
+step-size controller, in the same order, so the generated loop changes no
+bit.  ``rhs`` itself runs only at the FSAL restarts (the first evaluation,
+and each after a renormalization) and when a flow is recorded.
 
-One driver, ``_drive``, steps a ``_Dopri5`` to the end time through optional
-stop marks; it owns the divergence guard and the status.  The stepper raises
-``NumericalFailureError`` when its step budget runs out.  A
-per-step hook (dense sampling or the X = 0 crossing scan) and a per-mark hook
-(renormalization of the one tangent vector carried by ``field_jvp``) make the
-front ends ``integrate``, ``integrate_with_events`` and
-``integrate_augmented``; the last can collect crossings in the same pass.
+The loop keeps the state and the FSAL stage in locals across accepted steps,
+with the error norm, the finiteness rejection, the controller, the step
+budget, the underflow check and the divergence bound inline.  It hands
+control back to Python only at a stop: a step that lands on its limit (a
+renormalization mark or the end time), makes a dense sample due, may hold an
+X = 0 crossing (the bound test on x's dense quartic), or leaves the
+divergence bound; or a failure, which ``_Dopri5.advance`` raises as
+``NumericalFailureError``.  ``_drive`` alone runs a ``_Dopri5`` from
+stop to stop to the end time through optional marks; it owns the divergence
+guard and the status.  A stop hook (dense sampling or the X = 0 crossing
+scan) and a mark hook (renormalization of the one tangent vector carried by
+``field_jvp``) make the front ends ``integrate``, ``integrate_with_events``
+and ``integrate_augmented``; the last can collect crossings in the same pass.
 
 Everything here is deterministic: identical inputs give bit-identical output
 on one platform.
@@ -109,8 +115,8 @@ class StepStats:
 
 class Samples:
     """Read-only float samples held flat in an array('d'): a sequence of floats,
-    or with width w of rows, each a tuple of w floats.  nbytes is the size of
-    the floats held."""
+    or with width w of rows, each a tuple of w floats.  A slice is a Samples of
+    the same width.  nbytes is the size of the floats held."""
 
     __slots__ = ("_flat", "_width")
 
@@ -122,11 +128,13 @@ class Samples:
         return len(self._flat) // self._width
 
     def __getitem__(self, i):
-        w = self._width
+        w, flat = self._width, self._flat
+        if isinstance(i, slice):
+            return Samples([flat[r * w + c] for r in range(len(self))[i] for c in range(w)], w)
         if w == 1:
-            return self._flat[i]
+            return flat[i]
         i = range(len(self))[i]       # negative indices, and IndexError past the end
-        return tuple(self._flat[i * w:(i + 1) * w])
+        return tuple(flat[i * w:(i + 1) * w])
 
     def __iter__(self):
         it = iter(self._flat)
@@ -170,6 +178,7 @@ class GrowthLog:
 
     times: Samples                # renormalization instants
     log_norms: Samples            # log of the tangent norm at each instant, before renormalizing
+    states: Samples               # rows (n1, om, op, x, p): the base state at each instant
     status: IntegrationStatus
     stats: StepStats
     t_div: float | None = None
@@ -294,15 +303,27 @@ class _Params:
         return params[name]
 
 
-def _step_source(flow, n: int, n_err: int) -> str:
-    """Source of one attempted step of the autonomous flow(y, p) for a state of
-    n components, straight-line code over named scalars.  flow runs once on
-    symbols (see _Tape), and each stage k2..k7 evaluates it inline, one
-    assignment per float operation; an operation on parameters and constants
-    only is computed once per attempt.  The attempt returns the RMS error over
-    the first n_err components, y_new and the stages the dense interpolant
-    reads.  The float operations and their order are those of the stage sums
-    y_old + h * (a . k) written out by hand, with flow called on each."""
+def _loop_source(flow, n: int, n_err: int) -> str:
+    """Source of the stepping loop of the autonomous flow(y, p) for a state of
+    n components, straight-line code over named scalars.
+
+    flow runs once on symbols (see _Tape), and each stage k2..k7 evaluates it
+    inline, one assignment per float operation; an operation on parameters and
+    constants only is computed once per call.  The error norm is the RMS over
+    the first n_err components.  The float operations and their order are
+    those of the stage sums y_old + h * (a . k) written out by hand, with flow
+    called on each, and of the PI controller, whose min and max are written as
+    the conditionals they equal for every input.
+
+    The loop keeps y and the FSAL stage k1 in locals across accepted steps.  It
+    returns after an accepted step that reaches t_limit, makes a sample due
+    (wake <= t + slack), leaves the divergence bound on the first five
+    components, or, with scan, may hold an X = 0 crossing (the bound test of
+    _crossing_scan on x's dense quartic); or with a failure message when the
+    step budget runs out or the step size underflows.  It returns (failure, t,
+    h_next, err_prev, y, k1, (t_old, h_last, dense stages) or None, accepted,
+    rejected).
+    """
     tape = _Tape()
     inputs = [_Sym(tape, True) for _ in range(n)]
     outputs = list(flow(inputs, _Params(tape)))
@@ -312,6 +333,8 @@ def _step_source(flow, n: int, n_err: int) -> str:
     fixed = [op for op in tape.ops if not op[0].state]
     names.update((sym, f"c_{m}") for m, (sym, _, _) in enumerate(fixed))
     varying = [op for op in tape.ops if op[0].state]
+    stages = [f"k{j + 1}" for j in range(len(_C))]
+    k7 = stages[-1]
 
     def text(a, local):
         return local[a] if isinstance(a, _Sym) else _const(a)
@@ -331,8 +354,8 @@ def _step_source(flow, n: int, n_err: int) -> str:
         lines = []
         for m, (sym, operator, operands) in enumerate(varying):
             local[sym] = targets.get(sym, f"w_{m}")
-            lines.append(f"    {local[sym]} = {expr(operator, operands, local)}")
-        lines += [f"    {stage}_{i} = {text(sym, local)}" for i, sym in enumerate(outputs)
+            lines.append(f"{local[sym]} = {expr(operator, operands, local)}")
+        lines += [f"{stage}_{i} = {text(sym, local)}" for i, sym in enumerate(outputs)
                   if targets.get(sym) != f"{stage}_{i}"]
         return lines
 
@@ -340,25 +363,82 @@ def _step_source(flow, n: int, n_err: int) -> str:
         return f"[{', '.join(f'{prefix}_{i}' for i in range(n))}]"
 
     def unpack(prefix):
-        return f"    {', '.join(f'{prefix}_{i}' for i in range(n))}{',' if n == 1 else ''} = {prefix}"
+        return f"{', '.join(f'{prefix}_{i}' for i in range(n))}{',' if n == 1 else ''} = {prefix}"
 
     def dot(row, i):
-        return _combo(row, [f"k{j + 1}_{i}" for j in range(len(row))])
+        return _combo(row, [f"{stage}_{i}" for stage in stages])
 
-    lines = ["def attempt(p, h, y, k1, atol, rtol):", unpack("y"), unpack("k1")]
-    lines += [f"    p_{attr} = p.{attr}" for attr in tape.params]
-    lines += [f"    {names[sym]} = {expr(operator, operands, names)}" for sym, operator, operands in fixed]
+    def fail(message):
+        return f'    return "{message}", t, h_next, err_prev, {listed("y")}, {listed("k1")}, None, accepted, rejected'
+
+    safety, lo, hi = _const(_SAFETY), _const(_MIN_FACTOR), _const(_MAX_FACTOR)
+    # 16 * eps * max(1, |t|), made whenever t changes
+    underflow = ["at = abs(t)", f"h_min = {_const(16.0 * _EPS)} * (at if at > 1.0 else 1.0)"]
+    head = [unpack("y"), unpack("k1")]
+    head += [f"p_{attr} = p.{attr}" for attr in tape.params]
+    head += [f"{names[sym]} = {expr(operator, operands, names)}" for sym, operator, operands in fixed]
+    head += ["atol, rtol, h_max = settings.abs_tol, settings.rel_tol, settings.h_max",
+             "bound, max_steps = settings.divergence_norm, settings.max_steps"]
+    head += [f"a_{i} = abs(y_{i})" for i in range(n_err)] + underflow
+
+    body = ["if accepted + rejected >= max_steps:", fail("step budget exhausted"),
+            "h_clip = t_limit - t",
+            "h = h_next",                                        # min(h_next, h_max, h_clip)
+            "if h_max < h:", "    h = h_max",
+            "if h_clip < h:", "    h = h_clip",
+            "if h <= h_min:", fail("step size underflow")]
     for j in range(1, len(_A)):
-        lines += [f"    z_{i} = y_{i} + h * ({dot(_A[j], i)})" for i in range(n)]
-        lines += evaluate("z", f"k{j + 1}")
-    lines += [f"    yn_{i} = y_{i} + h * ({dot(_B, i)})" for i in range(n)]
-    lines += evaluate("yn", f"k{len(_C)}")
-    lines.append("    # RMS of the scaled 5th- minus 4th-order solution (e * e, as ** raises on overflow)")
-    lines += [f"    e_{i} = h * (({dot(_E, i)}) / (atol + rtol * max(abs(y_{i}), abs(yn_{i}))))"
-              for i in range(n_err)]
+        body += [f"z_{i} = y_{i} + h * ({dot(_A[j], i)})" for i in range(n)]
+        body += evaluate("z", stages[j])
+    body += [f"yn_{i} = y_{i} + h * ({dot(_B, i)})" for i in range(n)]
+    body += evaluate("yn", k7)
+    body.append("# RMS of the scaled 5th- minus 4th-order solution (e * e, as ** raises on overflow)")
+    # |y_i| and |yn_i| are kept in a_i and an_i over the error's components
+    for i in range(n_err):
+        body += [f"an_{i} = abs(yn_{i})",
+                 f"e_{i} = h * (({dot(_E, i)}) / (atol + rtol * (an_{i} if an_{i} > a_{i} else a_{i})))"]
     squares = ", ".join(f"e_{i} * e_{i}" for i in range(n_err))
-    stages = ", ".join(["y"] + ["k1" if j == 0 else listed(f"k{j + 1}") for j in _DENSE_STAGES])
-    lines.append(f"    return math.sqrt(sum([{squares}]) / {n_err}), {listed('yn')}, ({stages})")
+    body.append(f"err = math.sqrt(sum([{squares}]) / {n_err})")
+    # x - x is 0.0 if x is finite and NaN if not.  One finiteness check is enough:
+    # the field is autonomous and each of its inputs reaches an output (0 * inf is
+    # NaN), so a non-finite trial stage reaches y_new or the error through b3..b6.
+    finite = " + ".join(["(err - err)", *(f"({v}_{i} - {v}_{i})" for v in ("yn", k7) for i in range(n))])
+    body += [f"if not {finite} == 0.0:", "    h_next = h * 0.1", "    rejected += 1", "    continue",
+             "if not err <= 1.0:",
+             f"    r = {safety} * err ** {_const(-0.2)}",
+             f"    h_next = h * (r if r > {lo} else {lo})",
+             "    rejected += 1",
+             "    continue",
+             "if err_prev is None or err == 0.0:",
+             f"    factor = {hi} if err == 0.0 else {safety} * err ** {_const(-0.2)}",
+             "else:",
+             f"    factor = {safety} * err ** {_const(-_PI_ALPHA)} * err_prev ** {_const(_PI_BETA)}",
+             f"factor = factor if factor > {lo} else {lo}",
+             f"factor = factor if factor < {hi} else {hi}",
+             "t_old = t",
+             "# land exactly on the limit when the step was clipped to it",
+             "t = t_limit if h == h_clip else t + h",
+             "h_next = h * factor",
+             "err_prev = 1e-10 if 1e-10 > err else err",
+             "accepted += 1"]
+
+    # the tests that hand control back; y_new is finite here
+    stops = ["t >= t_limit", "wake <= t + slack",
+             *(f"an_{i} > bound" if i < n_err else f"abs(yn_{i}) > bound" for i in range(min(5, n)))]
+    if n > 3:
+        quartic = " + ".join(f"abs(h * ({_combo(row, [f'{stage}_3' for stage in stages])}))" for row in _DENSE)
+        stops.append(f"scan and not {'a_3' if n_err > 3 else 'abs(y_3)'} > 2.0 * ({quartic})")
+    dense = ", ".join([listed("y")] + [k7 if j == len(_C) - 1 else listed(stages[j]) for j in _DENSE_STAGES])
+    body += [f"if {' or '.join(stops)}:",
+             f"    {k7} = {listed(k7)}",
+             f"    return None, t, h_next, err_prev, {listed('yn')}, {k7}, (t_old, h, ({dense})), accepted, rejected",
+             *(f"y_{i} = yn_{i}" for i in range(n)),
+             *(f"k1_{i} = {k7}_{i}" for i in range(n)),
+             *(f"a_{i} = an_{i}" for i in range(n_err)),
+             *underflow]
+    lines = ["def advance(p, settings, t, h_next, err_prev, y, k1, t_limit, wake, slack, scan,"
+             " accepted, rejected):"]
+    lines += ["    " + line for line in head] + ["    while True:"] + ["        " + line for line in body]
     return "\n".join(lines) + "\n"
 
 
@@ -378,9 +458,9 @@ def _compile(source: str, name: str):
 
 
 @functools.cache
-def _attempt(flow, n: int, n_err: int):
-    """The compiled _step_source(flow, n, n_err), recorded and built on first use."""
-    return _compile(_step_source(flow, n, n_err), "attempt")
+def _loop(flow, n: int, n_err: int):
+    """The compiled _loop_source(flow, n, n_err), recorded and built on first use."""
+    return _compile(_loop_source(flow, n, n_err), "advance")
 
 
 _quartic = _compile(_quartic_source(), "quartic")
@@ -390,10 +470,12 @@ class _Dopri5:
     """Single-trajectory Dormand-Prince 5(4) stepper with PI step control.
 
     State, stages and dense output are lists of Python floats.  flow(y, p) is
-    an autonomous field written in plain arithmetic; each attempted step is one
-    function generated from the tableau with flow inline (see _step_source).
-    err_dim limits the error norm to the leading components of the state (the
-    augmented mode controls the step on the base state only).
+    an autonomous field written in plain arithmetic; the stepping is one loop
+    generated from the tableau with flow inline (see _loop_source), which
+    hands control back only at a stop.  err_dim limits the error norm to the
+    leading components of the state (the augmented mode controls the step on
+    the base state only).  The stop triggers: wake and slack for the next
+    sample (none by default), and scan for the X = 0 crossing test.
     """
 
     def __init__(self, flow, p, y0, settings: IntegratorSettings, err_dim=None):
@@ -402,13 +484,15 @@ class _Dopri5:
         self.t = 0.0
         self.y = [float(v) for v in y0]
         self.s = settings
-        self.err_dim = err_dim if err_dim is not None else len(self.y)
-        self.attempt = _attempt(flow, len(self.y), self.err_dim)
+        self.loop = _loop(flow, len(self.y), err_dim if err_dim is not None else len(self.y))
         self.h = min(settings.h_init, settings.h_max)
         self.err_prev = None
         self.stats = StepStats()
         self.restart()
-        # filled by step(): the last accepted interval and its y_old and dense stages
+        self.wake = math.inf
+        self.slack = 0.0
+        self.scan = False
+        # filled by advance(): the last accepted interval and its y_old and dense stages
         self.t_old = 0.0
         self.h_last = 0.0
         self.last = None
@@ -418,44 +502,18 @@ class _Dopri5:
         self.k1 = self.flow(self.y, self.p)
         self.stats.rhs_evals += 1
 
-    def step(self, t_limit: float):
-        """Advance by one accepted step, not beyond t_limit."""
-        s, p, t, y, k1, stats = self.s, self.p, self.t, self.y, self.k1, self.stats
-        while True:
-            if stats.accepted + stats.rejected >= s.max_steps:
-                raise NumericalFailureError("step budget exhausted", last_good_time=t)
-            h_clip = t_limit - t
-            h = min(self.h, s.h_max, h_clip)
-            if h <= 16.0 * _EPS * max(1.0, abs(t)):
-                raise NumericalFailureError("step size underflow", last_good_time=t)
-            err, y_new, last = self.attempt(p, h, y, k1, s.abs_tol, s.rel_tol)
-            stats.rhs_evals += _ATTEMPT_EVALS
-            k7 = last[-1]
-            # One finiteness check is enough: the field is autonomous and each
-            # of its inputs reaches an output (0 * inf is NaN), so a non-finite
-            # trial stage reaches y_new or the error through b3..b6.
-            if not (math.isfinite(err) and all(map(math.isfinite, y_new))
-                    and all(map(math.isfinite, k7))):
-                self.h = h * 0.1
-                stats.rejected += 1
-                continue
-            if err <= 1.0:
-                if self.err_prev is None or err == 0.0:
-                    factor = _MAX_FACTOR if err == 0.0 else _SAFETY * err ** (-0.2)
-                else:
-                    factor = _SAFETY * err ** (-_PI_ALPHA) * self.err_prev ** _PI_BETA
-                factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-                self.t_old, self.h_last, self.last = t, h, last
-                # land exactly on the limit when the step was clipped to it
-                self.t = t_limit if h == h_clip else t + h
-                self.y = y_new
-                self.k1 = k7                 # FSAL
-                self.h = h * factor
-                self.err_prev = max(err, 1e-10)
-                stats.accepted += 1
-                return
-            self.h = h * max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
-            stats.rejected += 1
+    def advance(self, t_limit: float):
+        """Take accepted steps, not beyond t_limit, up to the next stop."""
+        stats = self.stats
+        attempts = stats.accepted + stats.rejected
+        (failure, self.t, self.h, self.err_prev, self.y, self.k1, last, stats.accepted,
+         stats.rejected) = self.loop(self.p, self.s, self.t, self.h, self.err_prev, self.y, self.k1,
+                                     t_limit, self.wake, self.slack, self.scan,
+                                     stats.accepted, stats.rejected)
+        stats.rhs_evals += _ATTEMPT_EVALS * (stats.accepted + stats.rejected - attempts)
+        if failure is not None:
+            raise NumericalFailureError(failure, last_good_time=self.t)
+        self.t_old, self.h_last, self.last = last
 
     def quartic(self, i: int) -> tuple:
         """Component i of the dense interpolant on the last accepted step: its
@@ -488,18 +546,20 @@ def _check_t_end(t_end: float):
         raise ConfigurationError(f"t_end must be positive and finite, got {t_end}")
 
 
-def _drive(stepper: _Dopri5, marks, on_step=None, on_mark=None):
+def _drive(stepper: _Dopri5, marks, on_stop=None, on_mark=None):
     """Advance stepper through ascending stop marks; returns (status, t_div).
 
-    Steps are clipped to land exactly on each mark.  on_step(stepper) runs
-    after every accepted step, before the divergence guard on the base state
-    (the first five components); on_mark(stepper) runs on reaching a mark.
+    Steps are clipped to land exactly on each mark.  The stepper hands back
+    control only at a stop (see _loop_source); the steps between stops are
+    those on which on_stop and the guard would do nothing.  on_stop(stepper)
+    runs at every stop, before the divergence guard on the base state (the
+    first five components); on_mark(stepper) runs on reaching a mark.
     """
     for t_mark in marks:
         while stepper.t < t_mark:
-            stepper.step(t_mark)
-            if on_step is not None:
-                on_step(stepper)
+            stepper.advance(t_mark)
+            if on_stop is not None:
+                on_stop(stepper)
             if max(map(abs, stepper.y[:5])) > stepper.s.divergence_norm:
                 return IntegrationStatus.DIVERGED, stepper.t
         if on_mark is not None:
@@ -538,6 +598,9 @@ def integrate(
     times = [0.0]
     states = list(s0.as_tuple())
     k_next = 1
+    # the stepper stops when the next sample is due: wake <= t + slack
+    stepper.wake = k_next * sample_interval
+    stepper.slack = 1e-12 * sample_interval
 
     def sample(st: _Dopri5):
         nonlocal k_next
@@ -547,8 +610,9 @@ def integrate(
                 times.append(ts)
                 states.extend(st.dense(ts) if ts < st.t else st.y)
             k_next += 1
+        st.wake = k_next * sample_interval
 
-    status, t_div = _drive(stepper, [t_end], on_step=sample)
+    status, t_div = _drive(stepper, [t_end], on_stop=sample)
     return _trajectory(stepper, times, states, s0.dn, status, t_div)
 
 
@@ -608,7 +672,8 @@ def _refine_crossing(stepper: _Dopri5, x, ta: float, tb: float):
 
 
 def _crossing_scan(p: ModelParams, dn: float, events: list):
-    """Per-step hook appending the X = 0 transits of the last step to events.
+    """Stop hook appending the X = 0 transits of the last step to events; the
+    stepper's scan flag makes it stop at every step the bound test below passes.
 
     x is read at the edges of _EVENT_SUBDIV subintervals off the quartic in
     theta that the step's dense interpolant gives x, the function brentq
@@ -617,7 +682,8 @@ def _crossing_scan(p: ModelParams, dn: float, events: list):
     def scan(st: _Dopri5):
         q = st.quartic(3)
         # |x - q0| <= |q1| + ... + |q4| for 0 <= theta <= 1: with this margin no
-        # rounding of an edge value can reach zero or q0's opposite sign
+        # rounding of an edge value can reach zero or q0's opposite sign (the
+        # stepper's own test; it stops for this hook only when it fails)
         if abs(q[0]) > 2.0 * (abs(q[1]) + abs(q[2]) + abs(q[3]) + abs(q[4])):
             return
         x = lambda t: _horner(q, (t - st.t_old) / st.h_last)
@@ -651,8 +717,9 @@ def integrate_with_events(
     _check_t_end(t_end)
 
     stepper = _Dopri5(_base_flow, p, s0.as_tuple(), settings)
+    stepper.scan = True
     events: list[CrossingEvent] = []
-    status, t_div = _drive(stepper, [t_end], on_step=_crossing_scan(p, s0.dn, events))
+    status, t_div = _drive(stepper, [t_end], on_stop=_crossing_scan(p, s0.dn, events))
     return _trajectory(stepper, [0.0], list(s0.as_tuple()), s0.dn, status, t_div), events
 
 
@@ -699,6 +766,7 @@ def integrate_augmented(
     stepper = _Dopri5(_augmented_flow, p, y0, settings, err_dim=5)
     log_times = []
     log_norms = []
+    log_states = []
     events: list[CrossingEvent] = []
 
     def renormalize(st: _Dopri5):
@@ -709,6 +777,7 @@ def integrate_augmented(
                                         last_good_time=st.t)
         log_norms.append(math.log(norm))
         log_times.append(st.t)
+        log_states.extend(st.y[:5])
         st.y = st.y[:5] + [c / norm for c in v]
         st.stats.renorms += 1
         st.restart()                                    # FSAL stage is stale after renorm
@@ -717,11 +786,13 @@ def integrate_augmented(
     # quotient within round-off of an integer counts as that integer
     n_marks = max(1, math.ceil(t_end / renorm_interval * (1 - 1e-12)))
     marks = (min(m * renorm_interval, t_end) for m in range(1, n_marks + 1))
+    stepper.scan = crossings
     scan = _crossing_scan(p, s0.dn, events) if crossings else None
-    status, t_div = _drive(stepper, marks, on_step=scan, on_mark=renormalize)
+    status, t_div = _drive(stepper, marks, on_stop=scan, on_mark=renormalize)
     return GrowthLog(
         times=Samples(log_times),
         log_norms=Samples(log_norms),
+        states=Samples(log_states, 5),
         status=status,
         stats=stepper.stats,
         t_div=t_div,

@@ -167,16 +167,17 @@ def run_sweep(spec: SweepSpec, max_workers: int | None = None) -> RegimeMap:
 
     Cells are independent; results are assembled in (axis1 index, axis2
     index) order regardless of completion order.  At most os.cpu_count()
-    worker processes run (None: that many); one worker runs the cells in
-    this process.
+    worker processes run (None: that many), and no more than there are cells,
+    since the pool starts them all at once; one worker runs the cells in this
+    process.
     """
     if max_workers is not None and max_workers < 1:
         raise ConfigurationError(f"max_workers must be >= 1, got {max_workers}")
     cpus = os.cpu_count() or 1
-    workers = min(max_workers or cpus, cpus)
     work = [(spec, i, j)
             for i in range(len(spec.axis1.values))
             for j in range(len(spec.axis2.values))]
+    workers = min(max_workers or cpus, cpus, len(work))
     if workers == 1:
         cells = [_run_cell(w) for w in work]
     else:

@@ -27,7 +27,7 @@ from semiquantum.cli import (
     main,
 )
 from semiquantum import analysis, svgplot
-from semiquantum.integrator import IntegratorSettings, integrate
+from semiquantum.integrator import IntegratorSettings, integrate, integrate_augmented
 from semiquantum.model import ModelParams, SystemState, effective_energy, invariant_I
 from semiquantum.svgplot import write_svg
 
@@ -615,6 +615,21 @@ class TestLyapunov:
         # one more field call per renormalization, transient included
         assert report["renorms"] == 30
         assert report["rhs_evals"] == rhs_evals(report) + 30
+
+    def test_report_drift_over_the_renormalizations(self, tmp_path):
+        cfg = write_cfg(tmp_path, {"lyapunov": {"transient": 10.0, "total": 30.0,
+                                                "renorm_interval": 1.0}})
+        code = main(["lyapunov", "--preset", "fig2d", "--config", cfg,
+                     "--out", str(tmp_path / "lyap")])
+        assert code == EXIT_OK
+        report = json.loads((tmp_path / "lyap" / "lyapunov.json").read_text())
+        # the base state the growth log holds at each of the 30 marks, transient included
+        p, s0 = ModelParams(**report["params"]), SystemState(**report["initial"])
+        log = integrate_augmented(s0, analysis._TANGENT0, p, 30.0,
+                                  IntegratorSettings(abs_tol=1e-10, rel_tol=1e-10), renorm_interval=1.0)
+        assert len(log.states) == len(log.times) == 30
+        assert report["max_abs_drift"] == drift(s0, [SystemState.from_array(y) for y in log.states], p)
+        assert 0.0 < report["max_abs_drift"]["e_eff"] < 1e-8      # at tolerance 1e-10
 
     def test_divergence_exit(self, tmp_path):
         cfg = write_cfg(tmp_path, {"lyapunov": {"transient": 300.0, "total": 1000.0}})

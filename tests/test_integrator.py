@@ -142,7 +142,7 @@ class TestFinitenessCheck:
         assert all(map(math.isfinite, k1)) and k2[:2] == [math.inf, math.inf]
         stepper = _Dopri5(_base_flow, p, y, IntegratorSettings(h_init=h, max_steps=1))
         with pytest.raises(NumericalFailureError, match="step budget exhausted"):
-            stepper.step(10.0)
+            stepper.advance(10.0)
         assert (stepper.stats.accepted, stepper.stats.rejected) == (0, 1)
         # the finiteness branch cuts h tenfold; a NaN error alone would cut it fivefold
         assert stepper.h == h * 0.1
@@ -189,15 +189,65 @@ def _reference_quartic(h, y0, g1, g3, g4, g5, g6, g7):
     )
 
 
+def _reference_control(err, y_new, k7, h, err_prev):
+    """The finiteness check and PI controller the generated loop replaced,
+    transcribed: (accepted, the next step size, the next err_prev)."""
+    if not (math.isfinite(err) and all(map(math.isfinite, y_new)) and all(map(math.isfinite, k7))):
+        return False, h * 0.1, err_prev
+    if err <= 1.0:
+        if err_prev is None or err == 0.0:
+            factor = 10.0 if err == 0.0 else 0.9 * err ** (-0.2)
+        else:
+            factor = 0.9 * err ** (-(0.7 / 5.0)) * err_prev ** (0.4 / 5.0)
+        factor = min(10.0, max(0.2, factor))
+        return True, h * factor, max(err, 1e-10)
+    return False, h * max(0.2, 0.9 * err ** (-0.2)), err_prev
+
+
+class _ReferenceStepper:
+    """The per-step stepping the generated loop replaced, transcribed: one accepted
+    step per call of step, by _reference_attempt and _reference_control."""
+
+    def __init__(self, flow, p, y0, settings, n_err):
+        self.flow, self.p, self.s, self.n_err = flow, p, settings, n_err
+        self.t, self.y = 0.0, [float(v) for v in y0]
+        self.k1 = flow(self.y, p)
+        self.h, self.err_prev = min(settings.h_init, settings.h_max), None
+        self.accepted = self.rejected = 0
+        self.t_old = self.h_last = self.last = None
+
+    def step(self, t_limit):
+        s = self.s
+        while True:
+            if self.accepted + self.rejected >= s.max_steps:
+                raise NumericalFailureError("step budget exhausted", last_good_time=self.t)
+            h_clip = t_limit - self.t
+            h = min(self.h, s.h_max, h_clip)
+            if h <= 16.0 * sys.float_info.epsilon * max(1.0, abs(self.t)):
+                raise NumericalFailureError("step size underflow", last_good_time=self.t)
+            err, y_new, last = _reference_attempt(self.flow, self.p, h, self.y, self.k1,
+                                                  s.abs_tol, s.rel_tol, self.n_err)
+            accepted, self.h, self.err_prev = _reference_control(err, y_new, last[-1], h, self.err_prev)
+            if accepted:
+                self.accepted += 1
+                self.t_old, self.h_last, self.last = self.t, h, last
+                self.t = t_limit if h == h_clip else self.t + h
+                self.y, self.k1 = y_new, last[-1]
+                return
+            self.rejected += 1
+
+
 def _bits(v):
-    """Every float of a nested result as its 8 bytes, so -0.0 and inf compare too.
-    Every NaN reads alike: the sign of a NaN made from two NaNs is not fixed by
-    the operation, as CPython's adaptive interpreter can pick the other operand's
-    after it specializes an instruction, and the finiteness check rejects every
-    NaN alike."""
+    """Every float of a nested result as its 8 bytes, so -0.0 and inf compare too;
+    anything else as it is.  Every NaN reads alike: the sign of a NaN made from
+    two NaNs is not fixed by the operation, as CPython's adaptive interpreter can
+    pick the other operand's after it specializes an instruction, and the
+    finiteness check rejects every NaN alike."""
     if isinstance(v, float):
         return b"nan" if math.isnan(v) else struct.pack("<d", v)
-    return tuple(_bits(x) for x in v)
+    if isinstance(v, (list, tuple)):
+        return tuple(_bits(x) for x in v)
+    return v
 
 
 class TestGeneratedStep:
@@ -220,10 +270,16 @@ class TestGeneratedStep:
 
     @pytest.mark.parametrize("n, n_err", [(3, 3), (5, 5), (10, 5)])
     def test_attempt_matches_the_hand_written_stages(self, n, n_err):
+        # one attempt of the generated loop (a budget of one, t_limit = t + h) against
+        # the hand-written stages and the controller: with the trial's tolerances, and
+        # with tolerances scaled to put the error near 0.5, the decision, the next
+        # step size and err_prev; with tolerances no finite error fails, also every
+        # bit of y_new, k7 and the dense stages
         flow = {3: _three_flow, 5: integrator._base_flow, 10: integrator._augmented_flow}[n]
         rng = random.Random(n)
-        generated = integrator._attempt(flow, n, n_err)
+        loop = integrator._loop(flow, n, n_err)
         overflowed = 0
+        decisions, factors = set(), set()
         for trial in range(200):
             p = ModelParams(eps=rng.uniform(0.1, 3.0), gamma=0.0, delta=rng.uniform(-3.0, 3.0),
                             alpha=rng.uniform(-2.0, 2.0), omega=rng.uniform(0.1, 3.0))
@@ -234,29 +290,44 @@ class TestGeneratedStep:
             y = [scale * rng.uniform(-3.0, 3.0) * 10.0 ** rng.randint(-3, 3) for _ in range(n)]
             k1 = flow(y, p)
             atol, rtol = 10.0 ** rng.uniform(-14, -6), 10.0 ** rng.uniform(-14, -6)
-            got = generated(p, h, y, k1, atol, rtol)
-            want = _reference_attempt(flow, p, h, y, k1, atol, rtol, n_err)
-            assert _bits(got) == _bits(want)
-            overflowed += not all(map(math.isfinite, [got[0], *got[1]]))
+            # err_prev = 1e-10, its floor, makes the smallest factors: the clip at 0.2
+            err_prev = None if trial % 2 else 1e-10 if trial % 4 == 0 else 10.0 ** rng.uniform(-10.0, 0.0)
+            err = _reference_attempt(flow, p, h, y, k1, atol, rtol, n_err)[0]
+            tol_scale = err / 0.5 if 0.0 < err < math.inf else 1.0
+            for tols in ((atol, rtol), (atol * tol_scale, rtol * tol_scale), (1e300, 1e300)):
+                settings = IntegratorSettings(abs_tol=tols[0], rel_tol=tols[1], max_steps=1)
+                got = loop(p, settings, 0.0, h, err_prev, y, k1, h, math.inf, 0.0, False, 0, 0)
+                err, y_new, last = _reference_attempt(flow, p, h, y, k1, *tols, n_err)
+                accepted, h_next, err_next = _reference_control(err, y_new, last[-1], h, err_prev)
+                if accepted:
+                    want = (None, h, h_next, err_next, y_new, last[-1], (0.0, h, last), 1, 0)
+                else:
+                    want = ("step budget exhausted", 0.0, h_next, err_next, y, k1, None, 0, 1)
+                assert _bits(got) == _bits(want)
+                decisions.add((tols[0] < 1e300, accepted))
+                factors.add(round(h_next / h, 12) if accepted else None)
+            overflowed += not all(map(math.isfinite, [err, *y_new]))
             for i in range(n):
-                comps = [r[i] for r in got[2]]
+                comps = [r[i] for r in last]
                 assert _bits(integrator._quartic(h, *comps)) == _bits(_reference_quartic(h, *comps))
         assert 0 < overflowed < 200
+        assert decisions == {(True, True), (True, False), (False, True), (False, False)}
+        assert {0.2, 10.0} < factors
 
     def test_source_is_compiled_once_per_state_length(self):
         base, augmented = integrator._base_flow, integrator._augmented_flow
-        assert integrator._attempt(base, 5, 5) is integrator._attempt(base, 5, 5)
-        assert integrator._attempt(augmented, 10, 5) is not integrator._attempt(augmented, 10, 10)
-        source = integrator._step_source(base, 5, 5)
+        assert integrator._loop(base, 5, 5) is integrator._loop(base, 5, 5)
+        assert integrator._loop(augmented, 10, 5) is not integrator._loop(augmented, 10, 10)
+        source = integrator._loop_source(base, 5, 5)
         assert "k2_4" in source and "e_4" in source and "e_5" not in source
-        # an operation on parameters only is made once per attempt, not once per stage
+        # an operation on parameters only is made once per call, not once per stage
         assert source.count("2.0 * p_eps") == 1
 
     @pytest.mark.parametrize("n, n_err", [(5, 5), (10, 5)])
     def test_model_flows_are_inline(self, n, n_err):
         # no stage calls a function: the only calls left are the error norm's
         flow = {5: integrator._base_flow, 10: integrator._augmented_flow}[n]
-        tree = ast.parse(integrator._step_source(flow, n, n_err))
+        tree = ast.parse(integrator._loop_source(flow, n, n_err))
         calls = {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
         assert calls <= {"math.sqrt", "sum", "max", "abs"}
 
@@ -265,9 +336,9 @@ class TestGeneratedStep:
             return [y[0] / p.eps]
 
         with pytest.raises(TypeError):
-            integrator._step_source(divides, 1, 1)
+            integrator._loop_source(divides, 1, 1)
         with pytest.raises(ValueError, match="returned 2"):
-            integrator._step_source(lambda y, p: [y[0], y[0]], 1, 1)
+            integrator._loop_source(lambda y, p: [y[0], y[0]], 1, 1)
 
 
 def _three_flow(y, p):
@@ -275,6 +346,156 @@ def _three_flow(y, p):
     negation, an operation on parameters only and an output copied from its input."""
     a, b, c = y
     return [p.eps * a * b - p.alpha * c + -0.5 * p.delta * p.omega, -(a * c) + (p.omega * b - 1), a]
+
+
+FIG1B = ModelParams(eps=1.05, gamma=0.0, delta=1.0, alpha=0.015, omega=1.0)
+FIG1B_Y0 = [2.0, 0.0, 0.0, 1.0, -2.54950976]
+# the flows of the front ends: (flow, n_err) by state length, started on fig1b
+LOOP_FLOWS = {5: (integrator._base_flow, 5), 10: (integrator._augmented_flow, 5)}
+
+
+def _loop_initial(n):
+    return FIG1B_Y0 + [1.0 / math.sqrt(5.0)] * (n - 5)
+
+
+def _packed(st):
+    """The bytes of a stepper's t and y."""
+    return struct.pack(f"<{1 + len(st.y)}d", st.t, *st.y)
+
+
+class TestSteppingLoop:
+    """The generated loop against _ReferenceStepper, the per-step stepping it
+    replaced: the same accepted steps, bit for bit, and a stop at the first step
+    that needs one, for each reason."""
+
+    SETTINGS = IntegratorSettings(abs_tol=1e-10, rel_tol=1e-10, h_init=1.0)   # rejects at the start
+
+    def pair(self, n, settings=SETTINGS):
+        flow, n_err = LOOP_FLOWS[n]
+        y0 = _loop_initial(n)
+        return (_ReferenceStepper(flow, FIG1B, y0, settings, n_err),
+                integrator._Dopri5(flow, FIG1B, y0, settings, err_dim=n_err))
+
+    @staticmethod
+    def assert_same(ref, stepper):
+        assert _packed(stepper) == _packed(ref)
+        assert (stepper.stats.accepted, stepper.stats.rejected) == (ref.accepted, ref.rejected)
+        assert _bits((stepper.h, stepper.err_prev, stepper.k1)) == _bits((ref.h, ref.err_prev, ref.k1))
+        assert _bits((stepper.t_old, stepper.h_last, stepper.last)) == _bits((ref.t_old, ref.h_last, ref.last))
+
+    @staticmethod
+    def first_stop(ref, t_limit, stop):
+        """Step ref up to its first accepted step at t_limit or where stop(ref) holds."""
+        ref.step(t_limit)
+        while ref.t < t_limit and not stop(ref):
+            ref.step(t_limit)
+
+    @pytest.mark.parametrize("n", sorted(LOOP_FLOWS))
+    def test_every_accepted_step_matches_the_per_step_reference(self, n):
+        # a sample always due stops the loop after every accepted step
+        ref, stepper = self.pair(n)
+        stepper.wake = -math.inf
+        marks = [0.7 * m for m in range(1, 30)]
+        want, got = [], []
+        for t_mark in marks:
+            while ref.t < t_mark:
+                ref.step(t_mark)
+                want.append(_packed(ref))
+            while stepper.t < t_mark:
+                stepper.advance(t_mark)
+                got.append(_packed(stepper))
+            self.assert_same(ref, stepper)
+        assert got == want
+        assert len(got) > 300 and stepper.stats.rejected > 0
+        # every mark is landed on exactly, and most steps end between marks
+        ends = {struct.unpack_from("<d", b)[0] for b in got}
+        assert set(marks) <= ends and len(ends) > 2 * len(marks)
+        assert stepper.stats.rhs_evals == 1 + 6 * (ref.accepted + ref.rejected)
+
+    @pytest.mark.parametrize("n", sorted(LOOP_FLOWS))
+    def test_stops_at_the_mark(self, n):
+        # h_max caps the steps, which take about 0.03 unbounded
+        settings = IntegratorSettings(abs_tol=1e-10, rel_tol=1e-10, h_max=0.02)
+        ref, stepper = self.pair(n, settings)
+        self.first_stop(ref, 3.3, lambda r: False)
+        stepper.advance(3.3)
+        assert stepper.t == 3.3 and stepper.stats.accepted >= 3.3 / 0.02
+        self.assert_same(ref, stepper)
+
+    @pytest.mark.parametrize("n", sorted(LOOP_FLOWS))
+    def test_stops_when_a_sample_is_due(self, n):
+        ref, stepper = self.pair(n)
+        stepper.wake, stepper.slack = 1.25, 1e-12 * 0.25
+        self.first_stop(ref, 20.0, lambda r: 1.25 <= r.t + 1e-12 * 0.25)
+        stepper.advance(20.0)
+        assert 1.25 <= stepper.t < 20.0
+        self.assert_same(ref, stepper)
+        # a sample due exactly at a step end: the 40th from here
+        for _ in range(40):
+            ref.step(20.0)
+        stepper.wake, stepper.slack = ref.t, 0.0
+        stepper.advance(20.0)
+        self.assert_same(ref, stepper)
+
+    @pytest.mark.parametrize("n", sorted(LOOP_FLOWS))
+    def test_stops_where_a_crossing_may_lie(self, n):
+        def may_cross(r):
+            q = integrator._quartic(r.h_last, *[c[3] for c in r.last])
+            return not abs(q[0]) > 2.0 * (abs(q[1]) + abs(q[2]) + abs(q[3]) + abs(q[4]))
+
+        ref, stepper = self.pair(n)
+        stepper.scan = True
+        self.first_stop(ref, 20.0, may_cross)
+        stepper.advance(20.0)
+        assert stepper.t < 20.0 and abs(stepper.y[3]) < 0.1
+        self.assert_same(ref, stepper)
+
+    @pytest.mark.parametrize("n", sorted(LOOP_FLOWS))
+    def test_stops_past_the_divergence_bound(self, n):
+        # |p| starts at 2.5495 and reaches about 2.74
+        settings = IntegratorSettings(abs_tol=1e-10, rel_tol=1e-10, divergence_norm=2.6)
+        ref, stepper = self.pair(n, settings)
+        self.first_stop(ref, 20.0, lambda r: max(map(abs, r.y[:5])) > 2.6)
+        stepper.advance(20.0)
+        assert stepper.t < 20.0
+        self.assert_same(ref, stepper)
+        assert integrator._drive(stepper, [20.0]) == (IntegrationStatus.DIVERGED, stepper.t)
+
+    @pytest.mark.parametrize("n", sorted(LOOP_FLOWS))
+    def test_exhausted_budget(self, n):
+        settings = IntegratorSettings(abs_tol=1e-10, rel_tol=1e-10, h_init=1.0, max_steps=40)
+        ref, stepper = self.pair(n, settings)
+        with pytest.raises(NumericalFailureError, match="step budget exhausted") as want:
+            self.first_stop(ref, 20.0, lambda r: False)
+        with pytest.raises(NumericalFailureError, match="step budget exhausted") as got:
+            stepper.advance(20.0)
+        assert got.value.last_good_time == want.value.last_good_time == stepper.t > 0.0
+        assert (stepper.stats.accepted, stepper.stats.rejected) == (ref.accepted, ref.rejected)
+        assert stepper.stats.accepted + stepper.stats.rejected == 40
+        assert _bits((stepper.y, stepper.h)) == _bits((ref.y, ref.h))
+
+    def test_step_size_underflow(self):
+        # dy/dt = y * y from y = 1 blows up at t = 1: the steps shrink with 1 - t until
+        # one is below 16 eps; the guard's bound is never reached
+        def blow_up(y, p):
+            return [y[0] * y[0]]
+
+        settings = IntegratorSettings(abs_tol=1e-10, rel_tol=1e-10, divergence_norm=1e300)
+        ref = _ReferenceStepper(blow_up, FIG1B, [1.0], settings, 1)
+        stepper = integrator._Dopri5(blow_up, FIG1B, [1.0], settings)
+        with pytest.raises(NumericalFailureError, match="step size underflow") as want:
+            self.first_stop(ref, 2.0, lambda r: False)
+        with pytest.raises(NumericalFailureError, match="step size underflow") as got:
+            stepper.advance(2.0)
+        assert got.value.last_good_time == want.value.last_good_time == stepper.t
+        assert 1.0 - 1e-10 < stepper.t < 1.0
+        assert (stepper.stats.accepted, stepper.stats.rejected) == (ref.accepted, ref.rejected)
+        assert _bits((stepper.y, stepper.h)) == _bits((ref.y, ref.h))
+        # a step of exactly 16 eps at t <= 1 is too short already
+        stepper = integrator._Dopri5(blow_up, FIG1B, [1.0], settings)
+        with pytest.raises(NumericalFailureError, match="step size underflow"):
+            stepper.advance(16.0 * sys.float_info.epsilon)
+        assert stepper.stats.accepted + stepper.stats.rejected == 0
 
 
 class TestFirstOrderInAlpha:
@@ -345,10 +566,12 @@ class TestDeterminism:
         s0 = SystemState(2, 0, 0, 1, -2.54950976)
         t_end, interval = 50.0, 0.3
         stepper = integrator._Dopri5(integrator._base_flow, p, s0.to_array(), IntegratorSettings())
+        stepper.slack = 1e-12 * interval
         times, states = [0.0], [s0.to_array()]
         k = 1
         while stepper.t < t_end:
-            stepper.step(t_end)
+            stepper.wake = k * interval
+            stepper.advance(t_end)
             while k * interval <= stepper.t + 1e-12 * interval:
                 if k * interval <= t_end:
                     times.append(k * interval)
@@ -371,6 +594,30 @@ class TestDeterminism:
         assert np.all(np.diff(traj.times) > 0)
         interior = np.array(traj.times)[1:-1]
         assert np.allclose(interior / 0.25, np.round(interior / 0.25), atol=1e-9)
+
+
+class TestSamples:
+    SLICES = [slice(1, 3), slice(-3, None), slice(None, -2), slice(None, None, 2), slice(-1, 0, -3),
+              slice(None, None, -1), slice(3, 1), slice(5, 5), slice(100, None), slice(-100, 2)]
+
+    @pytest.mark.parametrize("width", [1, 5])
+    @pytest.mark.parametrize("s", SLICES, ids=str)
+    def test_a_slice_is_samples_of_the_same_width(self, width, s):
+        samples = integrator.Samples([0.5 * v for v in range(7 * width)], width)
+        part = samples[s]
+        assert isinstance(part, integrator.Samples)
+        assert list(part) == list(samples)[s]
+        assert len(part) == len(list(samples)[s])
+        assert part.nbytes == 8 * width * len(part)
+        if len(part):
+            assert part[0] == list(samples)[s][0]
+        with pytest.raises(TypeError):
+            part[0] = 1.0
+
+    def test_trajectory_slices(self):
+        traj = integrate(SystemState(2, 0, 0, 1, -2.54950976), FIG1B, 1.0, TIGHT, sample_interval=0.25)
+        assert list(traj.states[1:3]) == [traj.states[1], traj.states[2]]
+        assert list(traj.times[1:3]) == [0.25, 0.5]
 
 
 class TestEvents:

@@ -159,11 +159,27 @@ class TestWorkerBound:
         return small_spec(axis1=AxisSpec("eps", (1.05,)), axis2=AxisSpec("alpha", (1e-4,)),
                           budget=40.0, transient=10.0)
 
+    def cells(self, count):
+        return small_spec(axis1=AxisSpec("eps", tuple(1.05 + 0.01 * k for k in range(count))),
+                          axis2=AxisSpec("alpha", (1e-4,)), budget=40.0, transient=10.0)
+
     def test_pool_capped_at_cpu_count(self, requested):
         cpus = os.cpu_count() or 1
-        rm = run_sweep(self.one_cell(), max_workers=cpus + 1)
+        rm = run_sweep(self.cells(cpus + 1), max_workers=cpus + 1)
         assert rm.cells[0].status == "ok"
         assert requested == ([] if cpus == 1 else [cpus])
+
+    def test_pool_capped_at_cell_count(self, requested):
+        # the pool starts all its workers at once: one per cell at most
+        cpus = os.cpu_count() or 1
+        rm = run_sweep(self.cells(2), max_workers=cpus)
+        assert [c.status for c in rm.cells] == ["ok", "ok"]
+        assert requested == ([] if cpus == 1 else [2])
+
+    def test_one_cell_starts_no_pool(self, requested):
+        rm = run_sweep(self.one_cell(), max_workers=2)
+        assert rm.cells[0].status == "ok"
+        assert requested == []
 
     def test_zero_workers_rejected(self, requested):
         with pytest.raises(ConfigurationError):
