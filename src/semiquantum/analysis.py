@@ -53,7 +53,8 @@ class Regime(Enum):
 
 @dataclass
 class RegimeClassification:
-    """Regime label plus the evidence it was decided on."""
+    """Regime label plus the evidence it was decided on; n_crossings counts the
+    X = 0 crossings of the pass whatever the label."""
 
     label: Regime
     lyapunov: LyapunovEstimate | None = None
@@ -205,21 +206,21 @@ def classify_regime(
     log = integrate_augmented(
         s0, _TANGENT0, p, budget, settings, renorm_interval=renorm_interval, crossings=True
     )
+    n_cross = len(log.crossings)
     try:
         est = _estimate(log, transient)
     except DivergentTrajectoryError as exc:
         return RegimeClassification(
-            label=Regime.DIVERGENT, divergence_time=exc.t_div,
+            label=Regime.DIVERGENT, divergence_time=exc.t_div, n_crossings=n_cross,
             notes="diverged before the Lyapunov transient completed",
         )
     if est.diverged_at is not None:
         return RegimeClassification(
-            label=Regime.DIVERGENT, lyapunov=est, divergence_time=est.diverged_at
+            label=Regime.DIVERGENT, lyapunov=est, divergence_time=est.diverged_at, n_crossings=n_cross
         )
     if est.lambda_max > CHAOS_THRESHOLD and est.lambda_max > SIGNIFICANCE_SIGMA * est.standard_error:
-        return RegimeClassification(label=Regime.CHAOTIC, lyapunov=est)
+        return RegimeClassification(label=Regime.CHAOTIC, lyapunov=est, n_crossings=n_cross)
 
-    n_cross = len(log.crossings)
     if n_cross < MIN_CROSSINGS:
         return RegimeClassification(
             label=Regime.INCONCLUSIVE, lyapunov=est, n_crossings=n_cross,

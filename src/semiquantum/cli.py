@@ -485,10 +485,14 @@ def cmd_sweep(args):
                 "" if cell.standard_error is None else g17(cell.standard_error),
                 "" if cell.divergence_time is None else g17(cell.divergence_time),
                 cell.status,
+                "" if cell.n_crossings is None else cell.n_crossings,
+                "" if cell.n_clusters is None else cell.n_clusters,
+                cell.notes,
             ])
         _write_csv(target,
                    ["axis1_name", "axis1_value", "axis2_name", "axis2_value",
-                    "regime", "lambda_max", "stderr", "divergence_time", "status"],
+                    "regime", "lambda_max", "stderr", "divergence_time", "status",
+                    "n_crossings", "n_clusters", "notes"],
                    rows)
         results["cells"] = len(regime_map)
 

@@ -2,28 +2,28 @@
 
 The Dormand-Prince tableau is held as data.  From it ``_loop_source`` writes
 one stepping loop for each flow and length of state, as straight-line code
-over named scalar components, compiled on first use and cached; its dense
-quartic comes from the same tableau.  A flow is an autonomous ``flow(y, p)``
-written in plain arithmetic (``_base_flow`` and ``_augmented_flow``, through
-``rhs`` and ``field_jvp``).  It runs once on recorder symbols (``_Tape``),
-which write one assignment per float operation, so every stage evaluates the
+over named scalar components, compiled on first use and cached; no other
+code reads the tableau.  A flow is an autonomous ``flow(y, p)`` written in
+plain arithmetic (``_base_flow`` and ``_augmented_flow``, through ``rhs``
+and ``field_jvp``).  It runs once on recorder symbols (``_Tape``), which
+write one assignment per float operation, so every stage evaluates the
 field inline and calls no function.  The float operations are those of the
 stage sums written out by hand with the flow called on each, and of the PI
 step-size controller, in the same order, so the generated loop changes no
 bit.  ``rhs`` itself runs only at the FSAL restarts (the first evaluation,
 and each after a renormalization) and when a flow is recorded.
 
-The loop keeps the state and the FSAL stage in locals across accepted steps,
-with the error norm, the finiteness rejection, the controller, the step
-budget, the underflow check and the divergence bound inline.  It hands
-control back to Python only at a stop: a step that lands on its limit (a
-renormalization mark or the end time), makes a dense sample due, may hold an
-X = 0 crossing (the bound test on x's dense quartic), or leaves the
-divergence bound; or a failure, which ``_Dopri5.advance`` raises as
-``NumericalFailureError``.  ``_drive`` alone runs a ``_Dopri5`` from
-stop to stop to the end time through optional marks; it owns the divergence
-guard and the status.  A stop hook (dense sampling or the X = 0 crossing
-scan) and a mark hook (renormalization of the one tangent vector carried by
+The loop keeps the state and the FSAL stage in locals, with the error norm,
+the finiteness rejection, the controller, the step budget and the underflow
+check inline, and decides once per step whether it leaves the divergence
+bound and whether an X = 0 crossing may lie in it.  It hands control back
+to Python only at a stop: a step that lands on its limit (a renormalization
+mark or the end time), makes a dense sample due, or has either decision, with
+every component's dense quartic and the two decisions; or a failure, which
+``_Dopri5.advance`` raises as ``NumericalFailureError``.  ``_drive`` alone
+runs a ``_Dopri5`` from stop to stop to the end time through optional marks;
+it owns the status.  A stop hook (dense sampling or the X = 0 crossing scan)
+and a mark hook (renormalization of the one tangent vector carried by
 ``field_jvp``) make the front ends ``integrate``, ``integrate_with_events``
 and ``integrate_augmented``; the last can collect crossings in the same pass.
 
@@ -213,8 +213,6 @@ _DENSE = (
 )
 # field evaluations per attempt: every stage but k1, which the last step's k7 gives
 _ATTEMPT_EVALS = len(_C) - 1
-# the stages the dense interpolant reads, kept by an accepted step with its y_old
-_DENSE_STAGES = [j for j in range(len(_C)) if any(row[j][0] for row in _DENSE)]
 
 
 def _combo(row, names) -> str:
@@ -315,14 +313,16 @@ def _loop_source(flow, n: int, n_err: int) -> str:
     called on each, and of the PI controller, whose min and max are written as
     the conditionals they equal for every input.
 
-    The loop keeps y and the FSAL stage k1 in locals across accepted steps.  It
+    The loop keeps y and the FSAL stage k1 in locals across accepted steps.
+    Each accepted step decides once whether it leaves the divergence bound on
+    the first five components (diverged) and, with scan, whether it may hold
+    an X = 0 crossing (crossing: a bound test on x's dense quartic).  It
     returns after an accepted step that reaches t_limit, makes a sample due
-    (wake <= t + slack), leaves the divergence bound on the first five
-    components, or, with scan, may hold an X = 0 crossing (the bound test of
-    _crossing_scan on x's dense quartic); or with a failure message when the
-    step budget runs out or the step size underflows.  It returns (failure, t,
-    h_next, err_prev, y, k1, (t_old, h_last, dense stages) or None, accepted,
-    rejected).
+    (wake <= t + slack), or has either decision; or with a failure message
+    when the step budget runs out or the step size underflows.  It returns
+    (failure, t, h_next, err_prev, y, k1, (t_old, h_last, quartics, diverged,
+    crossing) or None, accepted, rejected); quartics holds each component's
+    dense quartic in theta = (t - t_old) / h_last, constant term first.
     """
     tape = _Tape()
     inputs = [_Sym(tape, True) for _ in range(n)]
@@ -422,16 +422,21 @@ def _loop_source(flow, n: int, n_err: int) -> str:
              "err_prev = 1e-10 if 1e-10 > err else err",
              "accepted += 1"]
 
-    # the tests that hand control back; y_new is finite here
-    stops = ["t >= t_limit", "wake <= t + slack",
-             *(f"an_{i} > bound" if i < n_err else f"abs(yn_{i}) > bound" for i in range(min(5, n)))]
+    # the step's two decisions, each made once; y_new is finite here
+    body.append("diverged = " + " or ".join(f"an_{i} > bound" if i < n_err else f"abs(yn_{i}) > bound"
+                                            for i in range(min(5, n))))
     if n > 3:
-        quartic = " + ".join(f"abs(h * ({_combo(row, [f'{stage}_3' for stage in stages])}))" for row in _DENSE)
-        stops.append(f"scan and not {'a_3' if n_err > 3 else 'abs(y_3)'} > 2.0 * ({quartic})")
-    dense = ", ".join([listed("y")] + [k7 if j == len(_C) - 1 else listed(stages[j]) for j in _DENSE_STAGES])
-    body += [f"if {' or '.join(stops)}:",
-             f"    {k7} = {listed(k7)}",
-             f"    return None, t, h_next, err_prev, {listed('yn')}, {k7}, (t_old, h, ({dense})), accepted, rejected",
+        # |x - q0| <= |q1| + ... + |q4| for 0 <= theta <= 1: with this margin no rounding
+        # of a value of x's quartic q can reach zero or q0's opposite sign
+        quartic = " + ".join(f"abs(h * ({dot(row, 3)}))" for row in _DENSE)
+        body.append(f"crossing = scan and not {'a_3' if n_err > 3 else 'abs(y_3)'} > 2.0 * ({quartic})")
+    else:
+        body.append("crossing = False")
+    quartics = ", ".join(f"({', '.join([f'y_{i}', *(f'h * ({dot(row, i)})' for row in _DENSE)])})"
+                         for i in range(n))
+    body += ["if t >= t_limit or wake <= t + slack or diverged or crossing:",
+             f"    return (None, t, h_next, err_prev, {listed('yn')}, {listed(k7)},"
+             f" (t_old, h, ({quartics},), diverged, crossing), accepted, rejected)",
              *(f"y_{i} = yn_{i}" for i in range(n)),
              *(f"k1_{i} = {k7}_{i}" for i in range(n)),
              *(f"a_{i} = an_{i}" for i in range(n_err)),
@@ -442,28 +447,12 @@ def _loop_source(flow, n: int, n_err: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _quartic_source() -> str:
-    """Source of the dense interpolant's quartic in theta for one component, from
-    its value at t_old and its stages: coefficients from the constant term up."""
-    names = [f"k{j + 1}" for j in range(len(_C))]
-    kept = ", ".join(names[j] for j in _DENSE_STAGES)
-    rows = "".join(f"        h * ({_combo(row, names)}),\n" for row in _DENSE)
-    return f"def quartic(h, y0, {kept}):\n    return (\n        y0,\n{rows}    )\n"
-
-
-def _compile(source: str, name: str):
-    namespace = {}
-    exec(compile(source, f"<dopri5 {name}>", "exec"), globals(), namespace)
-    return namespace[name]
-
-
 @functools.cache
 def _loop(flow, n: int, n_err: int):
     """The compiled _loop_source(flow, n, n_err), recorded and built on first use."""
-    return _compile(_loop_source(flow, n, n_err), "advance")
-
-
-_quartic = _compile(_quartic_source(), "quartic")
+    namespace = {}
+    exec(compile(_loop_source(flow, n, n_err), "<dopri5 advance>", "exec"), globals(), namespace)
+    return namespace["advance"]
 
 
 class _Dopri5:
@@ -475,7 +464,8 @@ class _Dopri5:
     hands control back only at a stop.  err_dim limits the error norm to the
     leading components of the state (the augmented mode controls the step on
     the base state only).  The stop triggers: wake and slack for the next
-    sample (none by default), and scan for the X = 0 crossing test.
+    sample (none by default), and scan for the X = 0 crossing test.  A stop
+    leaves the last step's dense quartics and the loop's two decisions.
     """
 
     def __init__(self, flow, p, y0, settings: IntegratorSettings, err_dim=None):
@@ -492,10 +482,12 @@ class _Dopri5:
         self.wake = math.inf
         self.slack = 0.0
         self.scan = False
-        # filled by advance(): the last accepted interval and its y_old and dense stages
+        # filled by advance() at each stop: the last accepted step and the loop's decisions on it
         self.t_old = 0.0
         self.h_last = 0.0
-        self.last = None
+        self.quartics = ()
+        self.diverged = False
+        self.crossing = False
 
     def restart(self):
         """Evaluate the FSAL stage k1 afresh at the current state."""
@@ -506,24 +498,19 @@ class _Dopri5:
         """Take accepted steps, not beyond t_limit, up to the next stop."""
         stats = self.stats
         attempts = stats.accepted + stats.rejected
-        (failure, self.t, self.h, self.err_prev, self.y, self.k1, last, stats.accepted,
+        (failure, self.t, self.h, self.err_prev, self.y, self.k1, stop, stats.accepted,
          stats.rejected) = self.loop(self.p, self.s, self.t, self.h, self.err_prev, self.y, self.k1,
                                      t_limit, self.wake, self.slack, self.scan,
                                      stats.accepted, stats.rejected)
         stats.rhs_evals += _ATTEMPT_EVALS * (stats.accepted + stats.rejected - attempts)
         if failure is not None:
             raise NumericalFailureError(failure, last_good_time=self.t)
-        self.t_old, self.h_last, self.last = last
-
-    def quartic(self, i: int) -> tuple:
-        """Component i of the dense interpolant on the last accepted step: its
-        quartic in theta = (t - t_old) / h_last, coefficients from the constant term up."""
-        return _quartic(self.h_last, *[r[i] for r in self.last])
+        self.t_old, self.h_last, self.quartics, self.diverged, self.crossing = stop
 
     def dense(self, t: float) -> list:
-        """The interpolant at t, every component."""
+        """The interpolant of the last accepted step at t, every component."""
         theta = (t - self.t_old) / self.h_last
-        return [_horner(self.quartic(i), theta) for i in range(len(self.y))]
+        return [_horner(q, theta) for q in self.quartics]
 
 
 def _horner(c, theta: float) -> float:
@@ -552,15 +539,15 @@ def _drive(stepper: _Dopri5, marks, on_stop=None, on_mark=None):
     Steps are clipped to land exactly on each mark.  The stepper hands back
     control only at a stop (see _loop_source); the steps between stops are
     those on which on_stop and the guard would do nothing.  on_stop(stepper)
-    runs at every stop, before the divergence guard on the base state (the
-    first five components); on_mark(stepper) runs on reaching a mark.
+    runs at every stop, before the divergence guard, which acts on the
+    stepper's own decision; on_mark(stepper) runs on reaching a mark.
     """
     for t_mark in marks:
         while stepper.t < t_mark:
             stepper.advance(t_mark)
             if on_stop is not None:
                 on_stop(stepper)
-            if max(map(abs, stepper.y[:5])) > stepper.s.divergence_norm:
+            if stepper.diverged:
                 return IntegrationStatus.DIVERGED, stepper.t
         if on_mark is not None:
             on_mark(stepper)
@@ -591,8 +578,8 @@ def integrate(
     """
     settings = settings or IntegratorSettings()
     _check_t_end(t_end)
-    if not sample_interval > 0:
-        raise ConfigurationError(f"sample_interval must be positive, got {sample_interval}")
+    if not 0 < sample_interval < math.inf:
+        raise ConfigurationError(f"sample_interval must be positive and finite, got {sample_interval}")
 
     stepper = _Dopri5(_base_flow, p, s0.as_tuple(), settings)
     times = [0.0]
@@ -604,13 +591,13 @@ def integrate(
 
     def sample(st: _Dopri5):
         nonlocal k_next
-        while k_next * sample_interval <= st.t + 1e-12 * sample_interval:
-            ts = k_next * sample_interval
+        while st.wake <= st.t + st.slack:
+            ts = st.wake
             if ts <= t_end:
                 times.append(ts)
                 states.extend(st.dense(ts) if ts < st.t else st.y)
             k_next += 1
-        st.wake = k_next * sample_interval
+            st.wake = k_next * sample_interval
 
     status, t_div = _drive(stepper, [t_end], on_stop=sample)
     return _trajectory(stepper, times, states, s0.dn, status, t_div)
@@ -673,19 +660,16 @@ def _refine_crossing(stepper: _Dopri5, x, ta: float, tb: float):
 
 def _crossing_scan(p: ModelParams, dn: float, events: list):
     """Stop hook appending the X = 0 transits of the last step to events; the
-    stepper's scan flag makes it stop at every step the bound test below passes.
+    stepper's scan flag makes it stop, with crossing set, at every step where
+    x's dense quartic may reach zero (see _loop_source).
 
-    x is read at the edges of _EVENT_SUBDIV subintervals off the quartic in
-    theta that the step's dense interpolant gives x, the function brentq
-    refines, so a sign change brackets a root.
+    x is read at the edges of _EVENT_SUBDIV subintervals off that quartic in
+    theta, the function brentq refines, so a sign change brackets a root.
     """
     def scan(st: _Dopri5):
-        q = st.quartic(3)
-        # |x - q0| <= |q1| + ... + |q4| for 0 <= theta <= 1: with this margin no
-        # rounding of an edge value can reach zero or q0's opposite sign (the
-        # stepper's own test; it stops for this hook only when it fails)
-        if abs(q[0]) > 2.0 * (abs(q[1]) + abs(q[2]) + abs(q[3]) + abs(q[4])):
+        if not st.crossing:                     # the stepper's bound test on x's quartic
             return
+        q = st.quartics[3]
         x = lambda t: _horner(q, (t - st.t_old) / st.h_last)
         dt = (st.t - st.t_old) / _EVENT_SUBDIV
         edges = [st.t_old + i * dt for i in range(_EVENT_SUBDIV)] + [st.t]
@@ -749,8 +733,9 @@ def integrate_augmented(
     """
     settings = settings or IntegratorSettings()
     _check_t_end(t_end)
-    if not renorm_interval > 0:
-        raise ConfigurationError(f"renorm_interval must be positive, got {renorm_interval}")
+    if not (renorm_interval > 0 and math.isfinite(t_end / renorm_interval)):
+        raise ConfigurationError(
+            f"renorm_interval must be positive, with t_end / renorm_interval finite, got {renorm_interval!r}")
     try:
         tangent = list(tangent0)
     except TypeError:                                   # not iterable

@@ -101,6 +101,9 @@ class SweepSpec:
         if not (0 < self.budget < math.inf and 0 <= self.transient < math.inf
                 and 0 < self.renorm_interval < math.inf):
             raise ConfigurationError("sweep budgets must be positive and finite")
+        if not math.isfinite(self.budget / self.renorm_interval):
+            raise ConfigurationError(
+                f"sweep budget / renorm_interval must be finite, got {self.budget} / {self.renorm_interval!r}")
         if not self.budget > self.transient:
             raise ConfigurationError(f"sweep budget ({self.budget}) must exceed transient ({self.transient})")
 
@@ -118,6 +121,10 @@ class CellResult:
     standard_error: float | None
     divergence_time: float | None
     status: str                      # "ok" | "skipped: ..." | "failed: ..."
+    # the section evidence of RegimeClassification
+    n_crossings: int | None = None
+    n_clusters: int | None = None
+    notes: str = ""
 
 
 @dataclass
@@ -159,6 +166,9 @@ def _run_cell(args) -> CellResult:
         standard_error=None if est is None else est.standard_error,
         divergence_time=result.divergence_time,
         status="ok",
+        n_crossings=result.n_crossings,
+        n_clusters=result.n_clusters,
+        notes=result.notes,
     )
 
 

@@ -253,3 +253,5 @@ class TestClassifyRegime:
                             renorm_interval=50.0)
         assert r.label is Regime.CHAOTIC
         assert r.lyapunov.lambda_max > 5e-3
+        # the crossings of the pass are counted whatever the label
+        assert r.n_crossings >= 50 and r.n_clusters is None

@@ -649,6 +649,16 @@ class TestLyapunov:
         assert code == EXIT_CONFIG
         assert not (tmp_path / "ln" / "lyapunov.json").exists()
 
+    def test_subnormal_renorm_interval_is_config_error(self, tmp_path, capsys):
+        # total / renorm_interval overflows to inf: no mark schedule can be made
+        cfg = write_cfg(tmp_path, {"lyapunov": {"transient": 10.0, "total": 30.0,
+                                                "renorm_interval": 5e-324}})
+        code = main(["lyapunov", "--preset", "fig2d", "--config", cfg,
+                     "--out", str(tmp_path / "ls")])
+        assert code == EXIT_CONFIG
+        assert "configuration error: renorm_interval must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "ls" / "lyapunov.json").exists()
+
     def test_too_few_growth_samples_is_config_error(self, tmp_path):
         # one renormalization (t = 150) past the transient of a regular orbit
         cfg = write_cfg(tmp_path, {"lyapunov": {"transient": 10.0, "total": 200.0,
@@ -674,12 +684,35 @@ class TestSweep:
         assert code == EXIT_OK
         rows = read_csv(tmp_path / "sw" / "regimes.csv")
         assert rows[0] == ["axis1_name", "axis1_value", "axis2_name", "axis2_value",
-                           "regime", "lambda_max", "stderr", "divergence_time", "status"]
+                           "regime", "lambda_max", "stderr", "divergence_time", "status",
+                           "n_crossings", "n_clusters", "notes"]
         assert len(rows) == 3
         for r in rows[1:]:
             assert r[0] == "eps" and r[2] == "alpha"
             assert r[8] == "ok"
             assert r[4] in ("periodic", "quasiperiodic", "chaotic", "divergent", "inconclusive")
+
+    def test_regime_csv_carries_the_section_evidence(self, tmp_path):
+        # the RegimeClassification evidence in the appended columns: a cell
+        # inconclusive for too few crossings, with its note, and a skipped cell
+        spec = write_cfg(tmp_path, {
+            "params": {"eps": 1.05, "gamma": 0.0, "delta": 1.0, "alpha": 1e-4, "omega": 1.0},
+            "initial": {"e_eff": 4.8, "i_inv": 4.0, "ominus0": 2.5},
+            "axis1": {"name": "eps", "values": [1.05, 3.0]},
+            "axis2": {"name": "alpha", "values": [1e-4]},
+            "budget": 40.0,
+            "transient": 10.0,
+            "integrator": {"abs_tol": 1e-8, "rel_tol": 1e-8},
+            "workers": 1,
+        }, name="sweep.json")
+        assert main(["sweep", spec, "--out", str(tmp_path / "sw")]) == EXIT_OK
+        header, ok, skipped = read_csv(tmp_path / "sw" / "regimes.csv")
+        ok, skipped = dict(zip(header, ok)), dict(zip(header, skipped))
+        assert (ok["status"], ok["regime"], ok["n_clusters"]) == ("ok", "inconclusive", "")
+        assert 0 < int(ok["n_crossings"]) < 50
+        assert ok["notes"] == f"only {ok['n_crossings']} crossings (< 50) within the budget"
+        assert skipped["status"].startswith("skipped:")
+        assert (skipped["n_crossings"], skipped["n_clusters"], skipped["notes"]) == ("", "", "")
 
     def test_unwritable_regimes_csv_is_config_error(self, tmp_path, monkeypatch, capsys):
         def refuse(*args, **kwargs):

@@ -77,6 +77,26 @@ class TestSettings:
                 sample_interval=math.nan,
             )
 
+    def test_infinite_sample_interval(self):
+        # it would make the next sample due forever: inf <= t + inf
+        with pytest.raises(ConfigurationError, match="sample_interval must be positive and finite"):
+            integrate(
+                SystemState(2, 0, 0, 1, 0),
+                ModelParams(eps=1.05, gamma=0, delta=1.0, alpha=0.015, omega=1.0),
+                1.0,
+                sample_interval=math.inf,
+            )
+
+    @pytest.mark.parametrize("interval", [5e-324, 0.0, -1.0, math.nan])
+    def test_renorm_interval_without_a_finite_mark_count(self, interval):
+        # 1 / 5e-324 overflows to inf, whose ceiling has no integer
+        with pytest.raises(ConfigurationError, match="renorm_interval"):
+            integrate_augmented(
+                SystemState(2, 0, 0, 1, 0), [1.0] * 5,
+                ModelParams(eps=1.0, gamma=0, delta=1.0, alpha=0.0, omega=1.0),
+                1.0, renorm_interval=interval,
+            )
+
 
 class TestOracleAgreement:
     def test_stable_linear_limit(self):
@@ -189,6 +209,19 @@ def _reference_quartic(h, y0, g1, g3, g4, g5, g6, g7):
     )
 
 
+def _reference_stop(h, stages, y_new, bound, scan):
+    """What an accepted step hands back besides y_new and k7, from the reference's
+    stages (y, k1, k3..k7): (h, every component's dense quartic, diverged, crossing)."""
+    quartics = tuple(_reference_quartic(h, *comps) for comps in zip(*stages))
+    diverged = max(map(abs, y_new[:5])) > bound
+    return h, quartics, diverged, scan and len(y_new) > 3 and _may_cross(quartics[3])
+
+
+def _may_cross(q):
+    """The X = 0 bound test on x's dense quartic q, as the crossing scan used to make it."""
+    return not abs(q[0]) > 2.0 * (abs(q[1]) + abs(q[2]) + abs(q[3]) + abs(q[4]))
+
+
 def _reference_control(err, y_new, k7, h, err_prev):
     """The finiteness check and PI controller the generated loop replaced,
     transcribed: (accepted, the next step size, the next err_prev)."""
@@ -274,12 +307,12 @@ class TestGeneratedStep:
         # the hand-written stages and the controller: with the trial's tolerances, and
         # with tolerances scaled to put the error near 0.5, the decision, the next
         # step size and err_prev; with tolerances no finite error fails, also every
-        # bit of y_new, k7 and the dense stages
+        # bit of y_new, k7, each component's dense quartic and the loop's decisions
         flow = {3: _three_flow, 5: integrator._base_flow, 10: integrator._augmented_flow}[n]
         rng = random.Random(n)
         loop = integrator._loop(flow, n, n_err)
         overflowed = 0
-        decisions, factors = set(), set()
+        decisions, factors, stops = set(), set(), set()
         for trial in range(200):
             p = ModelParams(eps=rng.uniform(0.1, 3.0), gamma=0.0, delta=rng.uniform(-3.0, 3.0),
                             alpha=rng.uniform(-2.0, 2.0), omega=rng.uniform(0.1, 3.0))
@@ -294,25 +327,31 @@ class TestGeneratedStep:
             err_prev = None if trial % 2 else 1e-10 if trial % 4 == 0 else 10.0 ** rng.uniform(-10.0, 0.0)
             err = _reference_attempt(flow, p, h, y, k1, atol, rtol, n_err)[0]
             tol_scale = err / 0.5 if 0.0 < err < math.inf else 1.0
+            # scan on every other trial; on two trials in three, a divergence bound that
+            # some of the new states leave
+            bound = 10.0 ** rng.uniform(-1.0, 1.0) if trial % 3 else 1e8
+            scan = trial % 2 == 0
             for tols in ((atol, rtol), (atol * tol_scale, rtol * tol_scale), (1e300, 1e300)):
-                settings = IntegratorSettings(abs_tol=tols[0], rel_tol=tols[1], max_steps=1)
-                got = loop(p, settings, 0.0, h, err_prev, y, k1, h, math.inf, 0.0, False, 0, 0)
+                settings = IntegratorSettings(abs_tol=tols[0], rel_tol=tols[1], max_steps=1,
+                                              divergence_norm=bound)
+                got = loop(p, settings, 0.0, h, err_prev, y, k1, h, math.inf, 0.0, scan, 0, 0)
                 err, y_new, last = _reference_attempt(flow, p, h, y, k1, *tols, n_err)
                 accepted, h_next, err_next = _reference_control(err, y_new, last[-1], h, err_prev)
                 if accepted:
-                    want = (None, h, h_next, err_next, y_new, last[-1], (0.0, h, last), 1, 0)
+                    stop = _reference_stop(h, last, y_new, bound, scan)
+                    want = (None, h, h_next, err_next, y_new, last[-1], (0.0, *stop), 1, 0)
+                    stops.add(stop[-2:])
                 else:
                     want = ("step budget exhausted", 0.0, h_next, err_next, y, k1, None, 0, 1)
                 assert _bits(got) == _bits(want)
                 decisions.add((tols[0] < 1e300, accepted))
                 factors.add(round(h_next / h, 12) if accepted else None)
             overflowed += not all(map(math.isfinite, [err, *y_new]))
-            for i in range(n):
-                comps = [r[i] for r in last]
-                assert _bits(integrator._quartic(h, *comps)) == _bits(_reference_quartic(h, *comps))
         assert 0 < overflowed < 200
         assert decisions == {(True, True), (True, False), (False, True), (False, False)}
         assert {0.2, 10.0} < factors
+        # both decisions were made both ways (a 3-component state has no x to scan)
+        assert stops == {(d, c) for d in (False, True) for c in (False, n > 3)}
 
     def test_source_is_compiled_once_per_state_length(self):
         base, augmented = integrator._base_flow, integrator._augmented_flow
@@ -378,10 +417,14 @@ class TestSteppingLoop:
 
     @staticmethod
     def assert_same(ref, stepper):
+        """Equal state, counts and controller, and the stop the reference's last step
+        makes: its dense quartics, bit for bit, and the two decisions."""
         assert _packed(stepper) == _packed(ref)
         assert (stepper.stats.accepted, stepper.stats.rejected) == (ref.accepted, ref.rejected)
         assert _bits((stepper.h, stepper.err_prev, stepper.k1)) == _bits((ref.h, ref.err_prev, ref.k1))
-        assert _bits((stepper.t_old, stepper.h_last, stepper.last)) == _bits((ref.t_old, ref.h_last, ref.last))
+        want = _reference_stop(ref.h_last, ref.last, ref.y, stepper.s.divergence_norm, stepper.scan)
+        got = (stepper.h_last, stepper.quartics, stepper.diverged, stepper.crossing)
+        assert _bits((stepper.t_old, *got)) == _bits((ref.t_old, *want))
 
     @staticmethod
     def first_stop(ref, t_limit, stop):
@@ -421,6 +464,7 @@ class TestSteppingLoop:
         stepper.advance(3.3)
         assert stepper.t == 3.3 and stepper.stats.accepted >= 3.3 / 0.02
         self.assert_same(ref, stepper)
+        assert not (stepper.diverged or stepper.crossing)
 
     @pytest.mark.parametrize("n", sorted(LOOP_FLOWS))
     def test_stops_when_a_sample_is_due(self, n):
@@ -430,6 +474,7 @@ class TestSteppingLoop:
         stepper.advance(20.0)
         assert 1.25 <= stepper.t < 20.0
         self.assert_same(ref, stepper)
+        assert not (stepper.diverged or stepper.crossing)
         # a sample due exactly at a step end: the 40th from here
         for _ in range(40):
             ref.step(20.0)
@@ -440,8 +485,7 @@ class TestSteppingLoop:
     @pytest.mark.parametrize("n", sorted(LOOP_FLOWS))
     def test_stops_where_a_crossing_may_lie(self, n):
         def may_cross(r):
-            q = integrator._quartic(r.h_last, *[c[3] for c in r.last])
-            return not abs(q[0]) > 2.0 * (abs(q[1]) + abs(q[2]) + abs(q[3]) + abs(q[4]))
+            return _may_cross(_reference_quartic(r.h_last, *[c[3] for c in r.last]))
 
         ref, stepper = self.pair(n)
         stepper.scan = True
@@ -449,6 +493,20 @@ class TestSteppingLoop:
         stepper.advance(20.0)
         assert stepper.t < 20.0 and abs(stepper.y[3]) < 0.1
         self.assert_same(ref, stepper)
+        assert stepper.crossing and not stepper.diverged
+        # every stop carries the decision: a mark that clips the first step where x
+        # may cross (the default h_init, so that no earlier step is clipped)
+        settings = IntegratorSettings(abs_tol=1e-10, rel_tol=1e-10)
+        ref, stepper = self.pair(n, settings)
+        self.first_stop(ref, 20.0, may_cross)
+        t_mark = ref.t_old + 0.9 * ref.h_last
+        ref, stepper = self.pair(n, settings)
+        stepper.scan = True
+        self.first_stop(ref, t_mark, lambda r: False)
+        stepper.advance(t_mark)
+        assert stepper.t == t_mark
+        self.assert_same(ref, stepper)
+        assert stepper.crossing
 
     @pytest.mark.parametrize("n", sorted(LOOP_FLOWS))
     def test_stops_past_the_divergence_bound(self, n):
@@ -459,6 +517,7 @@ class TestSteppingLoop:
         stepper.advance(20.0)
         assert stepper.t < 20.0
         self.assert_same(ref, stepper)
+        assert stepper.diverged and not stepper.crossing
         assert integrator._drive(stepper, [20.0]) == (IntegrationStatus.DIVERGED, stepper.t)
 
     @pytest.mark.parametrize("n", sorted(LOOP_FLOWS))

@@ -69,6 +69,11 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             small_spec(budget=-1.0)
 
+    def test_subnormal_renorm_interval_is_rejected_before_any_cell_runs(self):
+        # budget / renorm_interval overflows to inf, which no cell can schedule
+        with pytest.raises(ConfigurationError, match="renorm_interval must be finite"):
+            small_spec(renorm_interval=5e-324)
+
     @pytest.mark.parametrize("build", [
         lambda: IntegratorSettings(divergence_norm=float("nan")),
         lambda: IntegratorSettings(max_steps=float("nan")),
@@ -124,6 +129,9 @@ class TestRunSweep:
             if c.regime is not Regime.DIVERGENT:
                 assert c.lambda_max is not None
                 assert np.isfinite(c.lambda_max)
+            # the section evidence of the cell's classification
+            assert c.n_crossings >= 0
+            assert (c.n_clusters is not None) == (c.regime in (Regime.PERIODIC, Regime.QUASIPERIODIC))
 
     def test_literal_state_recipe(self):
         spec = small_spec(recipe=InitialRecipe(state=SystemState(2, 0, 0, 1, -2.5495)))

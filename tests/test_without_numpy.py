@@ -7,6 +7,7 @@ model's array adapters still return numpy arrays: they import numpy when
 called.
 """
 
+import csv
 import json
 import os
 import subprocess
@@ -84,8 +85,8 @@ def test_command_runs_without_numpy(inputs, tmp_path, name):
     assert out.returncode == 0, out.stderr
     assert sorted(f.name for f in tmp_path.iterdir()) == sorted(files)
     if name == "sweep":
-        statuses = [line.rsplit(",", 1)[-1] for line in (tmp_path / "regimes.csv").read_text().split()[1:]]
-        assert statuses == ["ok", "ok"]
+        with open(tmp_path / "regimes.csv", newline="") as fh:
+            assert [row["status"] for row in csv.DictReader(fh)] == ["ok", "ok"]
 
 
 def test_array_adapters_return_numpy_arrays():
