@@ -54,7 +54,7 @@ class Regime(Enum):
 @dataclass
 class RegimeClassification:
     """Regime label plus the evidence it was decided on; n_crossings counts the
-    X = 0 crossings of the pass whatever the label."""
+    X = 0 crossings of the pass and stats its step counts, whatever the label."""
 
     label: Regime
     lyapunov: LyapunovEstimate | None = None
@@ -62,6 +62,7 @@ class RegimeClassification:
     n_crossings: int = 0
     n_clusters: int | None = None
     notes: str = ""
+    stats: StepStats | None = None
 
 
 def poincare(
@@ -211,19 +212,20 @@ def classify_regime(
         est = _estimate(log, transient)
     except DivergentTrajectoryError as exc:
         return RegimeClassification(
-            label=Regime.DIVERGENT, divergence_time=exc.t_div, n_crossings=n_cross,
+            label=Regime.DIVERGENT, divergence_time=exc.t_div, n_crossings=n_cross, stats=log.stats,
             notes="diverged before the Lyapunov transient completed",
         )
     if est.diverged_at is not None:
         return RegimeClassification(
-            label=Regime.DIVERGENT, lyapunov=est, divergence_time=est.diverged_at, n_crossings=n_cross
+            label=Regime.DIVERGENT, lyapunov=est, divergence_time=est.diverged_at, n_crossings=n_cross,
+            stats=log.stats,
         )
     if est.lambda_max > CHAOS_THRESHOLD and est.lambda_max > SIGNIFICANCE_SIGMA * est.standard_error:
-        return RegimeClassification(label=Regime.CHAOTIC, lyapunov=est, n_crossings=n_cross)
+        return RegimeClassification(label=Regime.CHAOTIC, lyapunov=est, n_crossings=n_cross, stats=log.stats)
 
     if n_cross < MIN_CROSSINGS:
         return RegimeClassification(
-            label=Regime.INCONCLUSIVE, lyapunov=est, n_crossings=n_cross,
+            label=Regime.INCONCLUSIVE, lyapunov=est, n_crossings=n_cross, stats=log.stats,
             notes=f"only {n_cross} crossings (< {MIN_CROSSINGS}) within the budget",
         )
     pts = [(e.state.om, e.state.op) for e in log.crossings]
@@ -235,5 +237,5 @@ def classify_regime(
     else:
         label = Regime.QUASIPERIODIC
     return RegimeClassification(
-        label=label, lyapunov=est, n_crossings=n_cross, n_clusters=n_full
+        label=label, lyapunov=est, n_crossings=n_cross, n_clusters=n_full, stats=log.stats
     )

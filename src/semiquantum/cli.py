@@ -247,8 +247,10 @@ def _report(path: Path, head: dict):
 
 
 def _work(stats: StepStats) -> dict:
-    """The integrator work behind a result, as every summary reports it."""
-    return {"steps_accepted": stats.accepted, "steps_rejected": stats.rejected,
+    """The integrator work behind a result, as every summary reports it, with the
+    stepper it comes from ("taylor" with its order, or "dopri5")."""
+    method = {"method": stats.method} if stats.order is None else {"method": stats.method, "order": stats.order}
+    return {**method, "steps_accepted": stats.accepted, "steps_rejected": stats.rejected,
             "rhs_evals": stats.rhs_evals, "renorms": stats.renorms}
 
 
@@ -488,11 +490,13 @@ def cmd_sweep(args):
                 "" if cell.n_crossings is None else cell.n_crossings,
                 "" if cell.n_clusters is None else cell.n_clusters,
                 cell.notes,
+                "" if cell.steps_accepted is None else cell.steps_accepted,
+                "" if cell.rhs_evals is None else cell.rhs_evals,
             ])
         _write_csv(target,
                    ["axis1_name", "axis1_value", "axis2_name", "axis2_value",
                     "regime", "lambda_max", "stderr", "divergence_time", "status",
-                    "n_crossings", "n_clusters", "notes"],
+                    "n_crossings", "n_clusters", "notes", "steps_accepted", "rhs_evals"],
                    rows)
         results["cells"] = len(regime_map)
 

@@ -1,31 +1,44 @@
-"""Adaptive Dormand-Prince 5(4) integration of the coupled system.
+"""Integration of the coupled system by two generated steppers.
 
-The Dormand-Prince tableau is held as data.  From it ``_loop_source`` writes
-one stepping loop for each flow and length of state, as straight-line code
-over named scalar components, compiled on first use and cached; no other
-code reads the tableau.  A flow is an autonomous ``flow(y, p)`` written in
-plain arithmetic (``_base_flow`` and ``_augmented_flow``, through ``rhs``
-and ``field_jvp``).  It runs once on recorder symbols (``_Tape``), which
-write one assignment per float operation, so every stage evaluates the
-field inline and calls no function.  The float operations are those of the
-stage sums written out by hand with the flow called on each, and of the PI
-step-size controller, in the same order, so the generated loop changes no
-bit.  ``rhs`` itself runs only at the FSAL restarts (the first evaluation,
-and each after a renormalization) and when a flow is recorded.
+A flow is an autonomous ``flow(y, p)`` written in plain arithmetic
+(``_base_flow`` and ``_augmented_flow``, through ``rhs`` and
+``field_jvp``).  It runs once on recorder symbols (``_Tape``), which write
+one assignment per float operation; each stepper is generated from that
+recording as straight-line code over named scalar components, compiled on
+first use and cached, so the field is written inline and no step calls a
+function.  ``rhs`` itself runs only when a flow is recorded and at the DOP5
+FSAL restarts (the first evaluation, and each after a renormalization).
 
-The loop keeps the state and the FSAL stage in locals, with the error norm,
-the finiteness rejection, the controller, the step budget and the underflow
-check inline, and decides once per step whether it leaves the divergence
-bound and whether an X = 0 crossing may lie in it.  It hands control back
-to Python only at a stop: a step that lands on its limit (a renormalization
-mark or the end time), makes a dense sample due, or has either decision, with
-every component's dense quartic and the two decisions; or a failure, which
-``_Dopri5.advance`` raises as ``NumericalFailureError``.  ``_drive`` alone
-runs a ``_Dopri5`` from stop to stop to the end time through optional marks;
-it owns the status.  A stop hook (dense sampling or the X = 0 crossing scan)
-and a mark hook (renormalization of the one tangent vector carried by
-``field_jvp``) make the front ends ``integrate``, ``integrate_with_events``
-and ``integrate_augmented``; the last can collect crossings in the same pass.
+``integrate`` (behind ``simulate`` and ``oracle``) runs the Taylor stepper.
+``_taylor_source`` turns the recording into the recurrence of the solution's
+Taylor coefficients, y_{k+1} = f_k / (k + 1), with a Cauchy product for each
+product of two state terms (the field is quadratic), at the order the
+tolerance gives and with Jorba & Zou's step size (2005, section 3).  The
+step's polynomials are its dense output.  Every accepted step is a stop;
+no step is rejected; ``StepStats.rhs_evals`` counts the orders of the
+recurrence evaluated, the order once per step.
+
+``integrate_with_events`` and ``integrate_augmented`` run adaptive
+Dormand-Prince 5(4).  The tableau is held as data, and ``_loop_source``
+writes from it one stepping loop for each flow and length of state.  The
+float operations are those of the stage sums written out by hand with the
+flow called on each, and of the PI step-size controller, in the same order,
+so the generated loop changes no bit.  The loop keeps the state and the FSAL
+stage in locals, with the error norm, the finiteness rejection, the
+controller, the step budget and the underflow check inline, and decides
+once per step whether it leaves the divergence bound and whether an X = 0
+crossing may lie in it.  It hands control back to Python only at a stop: a
+step that lands on its limit (a renormalization mark or the end time), makes
+a dense sample due, or has either decision, with every component's dense
+quartic and the two decisions; or a failure, which ``_Dopri5.advance``
+raises as ``NumericalFailureError``.  Its ``StepStats.rhs_evals`` counts
+field evaluations: 1 to start, 6 per attempt, 1 per renormalization.
+
+``_drive`` alone runs a stepper from stop to stop to the end time through
+optional marks; it owns the status.  A stop hook (dense sampling or the
+X = 0 crossing scan) and a mark hook (renormalization of the one tangent
+vector carried by ``field_jvp``) make the three front ends; the augmented
+one can collect crossings in the same pass.
 
 Everything here is deterministic: identical inputs give bit-identical output
 on one platform.
@@ -68,6 +81,12 @@ _MAX_FACTOR = 10.0
 _PI_ALPHA = 0.7 / 5.0
 _PI_BETA = 0.4 / 5.0
 
+# Taylor steps (Jorba & Zou 2005, section 3): the lowest order, and the factors of
+# h = rho / e**2 * exp(-0.7 / (order - 1)), rho the radius the last two coefficients give
+_TAYLOR_MIN_ORDER = 2
+_TAYLOR_STEP = math.exp(-2.0)
+_TAYLOR_SAFETY = 0.7
+
 _EVENT_MAX_ITER = 100
 # number of sign-check subintervals per accepted step when locating crossings
 _EVENT_SUBDIV = 4
@@ -109,8 +128,11 @@ class IntegrationStatus(Enum):
 class StepStats:
     accepted: int = 0
     rejected: int = 0
-    rhs_evals: int = 0            # field evaluations: 1 to start, 6 per attempt, 1 per renormalization
+    rhs_evals: int = 0            # dopri5: field evaluations, 1 to start, 6 per attempt, 1 per renormalization;
+                                  # taylor: orders of the field recurrence, the order once per step
     renorms: int = 0              # renormalizations of the tangent vector
+    method: str = "dopri5"        # the stepper the counts come from: "dopri5" or "taylor"
+    order: int | None = None      # the Taylor order; None for dopri5
 
 
 class Samples:
@@ -465,7 +487,7 @@ class _Dopri5:
     leading components of the state (the augmented mode controls the step on
     the base state only).  The stop triggers: wake and slack for the next
     sample (none by default), and scan for the X = 0 crossing test.  A stop
-    leaves the last step's dense quartics and the loop's two decisions.
+    leaves the last step's dense quartics (polys) and the loop's two decisions.
     """
 
     def __init__(self, flow, p, y0, settings: IntegratorSettings, err_dim=None):
@@ -485,7 +507,7 @@ class _Dopri5:
         # filled by advance() at each stop: the last accepted step and the loop's decisions on it
         self.t_old = 0.0
         self.h_last = 0.0
-        self.quartics = ()
+        self.polys = ()
         self.diverged = False
         self.crossing = False
 
@@ -505,17 +527,218 @@ class _Dopri5:
         stats.rhs_evals += _ATTEMPT_EVALS * (stats.accepted + stats.rejected - attempts)
         if failure is not None:
             raise NumericalFailureError(failure, last_good_time=self.t)
-        self.t_old, self.h_last, self.quartics, self.diverged, self.crossing = stop
+        self.t_old, self.h_last, self.polys, self.diverged, self.crossing = stop
 
     def dense(self, t: float) -> list:
         """The interpolant of the last accepted step at t, every component."""
         theta = (t - self.t_old) / self.h_last
-        return [_horner(q, theta) for q in self.quartics]
+        return [_horner(q, theta) for q in self.polys]
 
 
 def _horner(c, theta: float) -> float:
-    c0, c1, c2, c3, c4 = c
-    return c0 + theta * (c1 + theta * (c2 + theta * (c3 + theta * c4)))
+    """The polynomial with coefficients c, constant term first, at theta."""
+    value = c[-1]
+    for ck in c[-2::-1]:
+        value = ck + theta * value
+    return value
+
+
+def _taylor_order(settings: IntegratorSettings) -> int:
+    """Jorba & Zou's order for the tolerance eps, ceil(1 - ln(eps) / 2), with eps the
+    smaller tolerance and no smaller than the float epsilon (so at most 20)."""
+    eps = max(min(settings.abs_tol, settings.rel_tol), _EPS)
+    return max(_TAYLOR_MIN_ORDER, math.ceil(1.0 - 0.5 * math.log(eps)))
+
+
+def _taylor_source(flow, n: int, order: int) -> str:
+    """Source of one Taylor step of the autonomous flow(y, p) for a state of n
+    components, straight-line code over named scalars.
+
+    flow runs once on symbols (see _Tape).  Its operations give the recurrence
+    of the coefficients y_{i,k} of each component's series in t - t_old, for
+    k = 0..order: coefficient k of every value the flow computes, then
+    y_{i,k+1} = f_{i,k} / (k + 1).  A product of two state terms is a Cauchy
+    product, sum over j = 0..k of a_j * b_{k-j}, added left to right; +, -,
+    unary - and a constant times a term act termwise; a constant added to a
+    term goes into coefficient 0 only.  An operation on parameters and
+    constants only is computed once per call.
+
+    The step size follows Jorba & Zou (2005, section 3): rho, the smaller of
+    (scale / |y_{order-1}|)**(1 / (order - 1)) and (scale / |y_order|)**(1 / order)
+    over the max-norms of the last two coefficients, where scale is 1 while
+    rel_tol * |y| <= abs_tol and |y| otherwise; then h = rho / e**2 *
+    exp(-0.7 / (order - 1)) (_TAYLOR_STEP and _TAYLOR_SAFETY), clipped by
+    h_max and by t_limit, on which it lands exactly.  Coefficient m
+    scaled by h**m (by repeated products) gives each component's step
+    polynomial in theta = (t - t_old) / h; y_new is its Horner sum at
+    theta = 1.
+
+    Every accepted step returns (None, t, y_new, (t_old, h, polys, diverged,
+    False), accepted): diverged is the bound test on the first five
+    components, and no crossing scan runs.  A step budget already spent, a
+    coefficient or y_new that is not finite, or a step size that underflows
+    returns (message, t, None, None, accepted) instead.
+    """
+    tape = _Tape()
+    inputs = [_Sym(tape, True) for _ in range(n)]
+    outputs = list(flow(inputs, _Params(tape)))
+    if len(outputs) != n:
+        raise ValueError(f"a flow on {n} components returned {len(outputs)}")
+    names = {sym: f"p_{attr}" for attr, sym in tape.params.items()}
+    fixed = [op for op in tape.ops if not op[0].state]
+    names.update((sym, f"c_{m}") for m, (sym, _, _) in enumerate(fixed))
+    varying = [op for op in tape.ops if op[0].state]
+    # (state symbol, k) -> coefficient k as source text, None where it is exactly 0
+    series = {(sym, 0): f"y{i}_0" for i, sym in enumerate(inputs)}
+
+    def coef(a, k):
+        if isinstance(a, _Sym) and a.state:
+            return series[a, k]
+        if k:
+            return None
+        return names[a] if isinstance(a, _Sym) else _const(a)
+
+    def term(operator, operands, k):
+        """Coefficient k of an operation: (source text, whether it needs its own name)."""
+        if len(operands) == 1:
+            a = coef(operands[0], k)
+            return (None, False) if a is None else (f"-{a}", True)
+        x, y = operands
+        if operator == "*":
+            if not (isinstance(x, _Sym) and x.state):
+                b = coef(y, k)
+                return (None, False) if b is None else (f"{coef(x, 0)} * {b}", True)
+            if not (isinstance(y, _Sym) and y.state):
+                a = coef(x, k)
+                return (None, False) if a is None else (f"{a} * {coef(y, 0)}", True)
+            terms = [f"{coef(x, j)} * {coef(y, k - j)}" for j in range(k + 1)
+                     if coef(x, j) is not None and coef(y, k - j) is not None]
+            return (" + ".join(terms), True) if terms else (None, False)
+        a, b = coef(x, k), coef(y, k)
+        if b is None:
+            return a, False
+        if a is None:
+            return (b, False) if operator == "+" else (f"-{b}", True)
+        return f"{a} {operator} {b}", True
+
+    head = [f"{', '.join(f'y{i}_0' for i in range(n))}{',' if n == 1 else ''} = y"]
+    head += [f"p_{attr} = p.{attr}" for attr in tape.params]
+    head += [f"{names[sym]} = " + (f"{operator}{coef(operands[0], 0)}" if len(operands) == 1
+                                   else f" {operator} ".join(coef(a, 0) for a in operands))
+             for sym, operator, operands in fixed]
+    body = []
+    for k in range(order):
+        for m, (sym, operator, operands) in enumerate(varying):
+            text, named = term(operator, operands, k)
+            if named:
+                body.append(f"w{m}_{k} = {text}")
+                text = f"w{m}_{k}"
+            series[sym, k] = text
+        for i, sym in enumerate(outputs):
+            f = coef(sym, k)
+            if f is not None and k:                     # f / 1 is f: coefficient 1 is f_0 itself
+                body.append(f"y{i}_{k + 1} = {f} / {k + 1}")
+                f = f"y{i}_{k + 1}"
+            series[inputs[i], k + 1] = f
+
+    def norm(k):
+        terms = [f"abs({series[sym, k]})" for sym in inputs if series[sym, k] is not None]
+        return f"max({', '.join(terms)})" if len(terms) > 1 else terms[0] if terms else "0.0"
+
+    body += ["# the step size from the last two coefficients (Jorba & Zou 2005, section 3)",
+             f"xn = {norm(0)}",
+             "scale = 1.0 if rtol * xn <= atol else xn",
+             f"na = {norm(order - 1)}",
+             f"nb = {norm(order)}",
+             f"ra = (scale / na) ** {_const(1.0 / (order - 1))} if na > 0.0 else math.inf",
+             f"rb = (scale / nb) ** {_const(1.0 / order)} if nb > 0.0 else math.inf",
+             f"h = (ra if ra < rb else rb) * {_const(_TAYLOR_STEP * math.exp(-_TAYLOR_SAFETY / (order - 1)))}",
+             "h_clip = t_limit - t",
+             "if h_max < h:", "    h = h_max",
+             "if h_clip < h:", "    h = h_clip",
+             "q1 = h"]
+    body += [f"q{m} = q{m - 1} * h" for m in range(2, order + 1)]
+    polys = []
+    for i, sym in enumerate(inputs):
+        scaled = [f"y{i}_0"]
+        for m in range(1, order + 1):
+            if series[sym, m] is None:
+                scaled.append("0.0")
+            else:
+                body.append(f"s{i}_{m} = {series[sym, m]} * q{m}")
+                scaled.append(f"s{i}_{m}")
+        body.append(f"yn_{i} = {' + ('.join(scaled)}{')' * order}")
+        polys.append(f"({', '.join(scaled)})")
+    finite = " + ".join(f"(yn_{i} - yn_{i})" for i in range(n))
+    body += [f"if not {finite} == 0.0:",
+             '    return "non-finite Taylor coefficient or state", t, None, None, accepted',
+             "at = abs(t)",
+             f"if h <= {_const(16.0 * _EPS)} * (at if at > 1.0 else 1.0):",
+             '    return "step size underflow", t, None, None, accepted',
+             "t_old = t",
+             "# land exactly on the limit when the step was clipped to it",
+             "t = t_limit if h == h_clip else t + h",
+             "diverged = " + " or ".join(f"abs(yn_{i}) > bound" for i in range(min(5, n))),
+             f"return None, t, [{', '.join(f'yn_{i}' for i in range(n))}], "
+             f"(t_old, h, ({', '.join(polys)},), diverged, False), accepted + 1"]
+    lines = ["def advance(p, settings, t, y, t_limit, accepted):"]
+    lines += ["    " + line for line in head]
+    lines += ["    atol, rtol, h_max = settings.abs_tol, settings.rel_tol, settings.h_max",
+              "    bound = settings.divergence_norm",
+              "    if accepted >= settings.max_steps:",
+              '        return "step budget exhausted", t, None, None, accepted']
+    lines += ["    " + line for line in body]
+    return "\n".join(lines) + "\n"
+
+
+@functools.cache
+def _taylor(flow, n: int, order: int):
+    """The compiled _taylor_source(flow, n, order), recorded and built on first use."""
+    namespace = {}
+    exec(compile(_taylor_source(flow, n, order), "<taylor advance>", "exec"), globals(), namespace)
+    return namespace["advance"]
+
+
+class _Taylor:
+    """Single-trajectory Taylor stepper of the order _taylor_order gives for the
+    tolerances.  The state and the step polynomials are lists of Python floats;
+    the step is generated from flow's recurrence (see _taylor_source).  Every
+    accepted step is a stop, which leaves the step's polynomials in polys and
+    its divergence decision; crossing is always False.  There is no rejected
+    step; rhs_evals counts the orders of the field recurrence evaluated, the
+    order once per step.  wake and slack are kept for the sampling hook: each
+    step stops anyway.
+    """
+
+    def __init__(self, flow, p, y0, settings: IntegratorSettings):
+        self.p = p
+        self.t = 0.0
+        self.y = [float(v) for v in y0]
+        self.s = settings
+        self.order = _taylor_order(settings)
+        self.step = _taylor(flow, len(self.y), self.order)
+        self.stats = StepStats(method="taylor", order=self.order)
+        self.wake = math.inf
+        self.slack = 0.0
+        # filled by advance() at each stop: the last accepted step and its decisions
+        self.t_old = 0.0
+        self.h_last = 0.0
+        self.polys = ()
+        self.diverged = False
+        self.crossing = False
+
+    def advance(self, t_limit: float):
+        """Take one step, not beyond t_limit."""
+        stats = self.stats
+        failure, t, y, stop, stats.accepted = self.step(self.p, self.s, self.t, self.y, t_limit,
+                                                        stats.accepted)
+        if failure is not None:
+            raise NumericalFailureError(failure, last_good_time=self.t)
+        stats.rhs_evals += self.order
+        self.t, self.y = t, y
+        self.t_old, self.h_last, self.polys, self.diverged, self.crossing = stop
+
+    dense = _Dopri5.dense
 
 
 def _base_flow(y, p: ModelParams) -> list:
@@ -533,12 +756,13 @@ def _check_t_end(t_end: float):
         raise ConfigurationError(f"t_end must be positive and finite, got {t_end}")
 
 
-def _drive(stepper: _Dopri5, marks, on_stop=None, on_mark=None):
+def _drive(stepper: _Dopri5 | _Taylor, marks, on_stop=None, on_mark=None):
     """Advance stepper through ascending stop marks; returns (status, t_div).
 
     Steps are clipped to land exactly on each mark.  The stepper hands back
-    control only at a stop (see _loop_source); the steps between stops are
-    those on which on_stop and the guard would do nothing.  on_stop(stepper)
+    control only at a stop (see _loop_source and _taylor_source); the steps
+    between stops are those on which on_stop and the guard would do nothing.
+    on_stop(stepper)
     runs at every stop, before the divergence guard, which acts on the
     stepper's own decision; on_mark(stepper) runs on reaching a mark.
     """
@@ -554,7 +778,7 @@ def _drive(stepper: _Dopri5, marks, on_stop=None, on_mark=None):
     return IntegrationStatus.COMPLETED, None
 
 
-def _trajectory(stepper: _Dopri5, times, states, dn, status, t_div) -> Trajectory:
+def _trajectory(stepper: _Dopri5 | _Taylor, times, states, dn, status, t_div) -> Trajectory:
     """Close the samples (times, and states flat) with the last state reached."""
     if stepper.t > times[-1]:
         times.append(stepper.t)
@@ -569,11 +793,12 @@ def integrate(
     settings: IntegratorSettings | None = None,
     sample_interval: float = 0.1,
 ) -> Trajectory:
-    """Integrate the coupled system, sampling by dense output.
+    """Integrate the coupled system with the Taylor stepper, sampling by dense
+    output (the step polynomials).
 
     Samples are emitted at t = 0, at every multiple of sample_interval and at
     the final reached time; step-size control is never distorted by output
-    requests.  Integration stops early with DIVERGED status when the max-norm
+    requests; settings.h_init is not used.  Integration stops early with DIVERGED status when the max-norm
     of the state exceeds settings.divergence_norm.
     """
     settings = settings or IntegratorSettings()
@@ -581,15 +806,15 @@ def integrate(
     if not 0 < sample_interval < math.inf:
         raise ConfigurationError(f"sample_interval must be positive and finite, got {sample_interval}")
 
-    stepper = _Dopri5(_base_flow, p, s0.as_tuple(), settings)
+    stepper = _Taylor(_base_flow, p, s0.as_tuple(), settings)
     times = [0.0]
     states = list(s0.as_tuple())
     k_next = 1
-    # the stepper stops when the next sample is due: wake <= t + slack
+    # the next sample is due when wake <= t + slack
     stepper.wake = k_next * sample_interval
     stepper.slack = 1e-12 * sample_interval
 
-    def sample(st: _Dopri5):
+    def sample(st: _Taylor):
         nonlocal k_next
         while st.wake <= st.t + st.slack:
             ts = st.wake
@@ -669,7 +894,7 @@ def _crossing_scan(p: ModelParams, dn: float, events: list):
     def scan(st: _Dopri5):
         if not st.crossing:                     # the stepper's bound test on x's quartic
             return
-        q = st.quartics[3]
+        q = st.polys[3]
         x = lambda t: _horner(q, (t - st.t_old) / st.h_last)
         dt = (st.t - st.t_old) / _EVENT_SUBDIV
         edges = [st.t_old + i * dt for i in range(_EVENT_SUBDIV)] + [st.t]

@@ -125,6 +125,9 @@ class CellResult:
     n_crossings: int | None = None
     n_clusters: int | None = None
     notes: str = ""
+    # the work of the cell's one pass (RegimeClassification.stats)
+    steps_accepted: int | None = None
+    rhs_evals: int | None = None
 
 
 @dataclass
@@ -169,6 +172,8 @@ def _run_cell(args) -> CellResult:
         n_crossings=result.n_crossings,
         n_clusters=result.n_clusters,
         notes=result.notes,
+        steps_accepted=result.stats.accepted,
+        rhs_evals=result.stats.rhs_evals,
     )
 
 

@@ -29,6 +29,7 @@ from semiquantum.cli import (
 from semiquantum import analysis, svgplot
 from semiquantum.integrator import IntegratorSettings, integrate, integrate_augmented
 from semiquantum.model import ModelParams, SystemState, effective_energy, invariant_I
+from semiquantum.sweep import InitialRecipe
 from semiquantum.svgplot import write_svg
 
 def drift(s0, states, p):
@@ -134,6 +135,8 @@ class TestConfigHandling:
             raise ValueError("a programming error")
 
         monkeypatch.setattr(integrator, "rhs", broken_rhs)
+        # simulate's Taylor step calls rhs only when it is recorded, on first use in a process
+        integrator._taylor.cache_clear()
         with pytest.raises(ValueError, match="a programming error"):
             main(["simulate", "--preset", "fig1b", "--out", str(tmp_path)])
         assert "configuration error" not in capsys.readouterr().err
@@ -160,7 +163,13 @@ class TestPresets:
 
 
 def rhs_evals(report: dict) -> int:
-    """Field calls of an unrenormalized run: one to start, six per attempted step."""
+    """The field work of an unrenormalized run by the rule of the stepper the report
+    names: taylor evaluates its order of the field recurrence once per step and
+    rejects no step; dopri5 calls the field once to start and six times per attempt."""
+    if report["method"] == "taylor":
+        assert report["steps_rejected"] == 0
+        return report["order"] * report["steps_accepted"]
+    assert report["method"] == "dopri5" and "order" not in report
     return 1 + 6 * (report["steps_accepted"] + report["steps_rejected"])
 
 
@@ -283,8 +292,10 @@ class TestNumericSections:
         assert section in capsys.readouterr().err
 
 
-BUDGET_300 = {
-    "integrator": {"max_steps": 300},
+# simulate and oracle take about 1.5 Taylor steps per time unit here, the others
+# many more DOP5 steps
+BUDGET_100 = {
+    "integrator": {"max_steps": 100},
     "simulate": {"t_end": 200.0},
     "poincare": {"t_end": 200.0},
     "lyapunov": {"transient": 10.0, "total": 200.0},
@@ -302,7 +313,7 @@ class TestStepBudget:
         (["oracle", "--mode", "linear"], "oracle.json"),
     ], ids=["simulate", "poincare", "lyapunov", "oracle"])
     def test_commands_exit_numerical(self, tmp_path, argv, report):
-        cfg = write_cfg(tmp_path, {**BUDGET_300, "params": {"alpha": 0.0}, "oracle": {"t_end": 200.0}})
+        cfg = write_cfg(tmp_path, {**BUDGET_100, "params": {"alpha": 0.0}, "oracle": {"t_end": 200.0}})
         out = tmp_path / "run"
         assert main([*argv, "--preset", "fig2d", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
         summary = json.loads((out / report).read_text())
@@ -345,6 +356,7 @@ class TestSimulate:
         assert first[4] == 1.0
         summary = json.loads((tmp_path / "run" / "summary.json").read_text())
         assert summary["status"] == "completed"
+        assert (summary["method"], summary["order"]) == ("taylor", 13)       # at tolerance 1e-10
         assert summary["rhs_evals"] == rhs_evals(summary) and summary["renorms"] == 0
         # the drift is read off the CSV's own invariant columns
         for key, col in (("e_eff", 6), ("i_inv", 7)):
@@ -420,6 +432,7 @@ class TestOracle:
         assert code == EXIT_OK
         report = json.loads((tmp_path / "oracle.json").read_text())
         assert report["max_abs_deviation"] < 1e-8
+        assert (report["method"], report["order"]) == ("taylor", 15)         # at tolerance 1e-12
         assert report["steps_accepted"] > 0 and report["rhs_evals"] == rhs_evals(report)
         # the drift is over the compared samples, which the oracle's own settings give
         p = ModelParams(**report["params"])
@@ -440,6 +453,7 @@ class TestOracle:
         assert code == EXIT_OK
         report = json.loads((tmp_path / "oracle.json").read_text())
         assert report["max_rel_deviation"] < 1e-7
+        assert report["method"] == "taylor"
         assert report["steps_accepted"] > 0 and report["rhs_evals"] == rhs_evals(report)
 
     def test_nonzero_alpha_rejected(self, tmp_path):
@@ -507,7 +521,7 @@ class TestPoincare:
             # a step cannot hold more than _EVENT_SUBDIV crossings
             assert isinstance(m["steps_rejected"], int) and m["steps_rejected"] >= 0
             assert 4 * m["steps_accepted"] >= m["crossings"] > 0
-            assert m["rhs_evals"] == rhs_evals(m)
+            assert m["method"] == "dopri5" and m["rhs_evals"] == rhs_evals(m)
 
     def test_members_report_drift_over_their_crossings(self, tmp_path):
         cfg = write_cfg(tmp_path, {"poincare": {"t_end": 60.0}})
@@ -614,7 +628,7 @@ class TestLyapunov:
         assert report["steps_accepted"] >= 30
         # one more field call per renormalization, transient included
         assert report["renorms"] == 30
-        assert report["rhs_evals"] == rhs_evals(report) + 30
+        assert report["method"] == "dopri5" and report["rhs_evals"] == rhs_evals(report) + 30
 
     def test_report_drift_over_the_renormalizations(self, tmp_path):
         cfg = write_cfg(tmp_path, {"lyapunov": {"transient": 10.0, "total": 30.0,
@@ -685,11 +699,13 @@ class TestSweep:
         rows = read_csv(tmp_path / "sw" / "regimes.csv")
         assert rows[0] == ["axis1_name", "axis1_value", "axis2_name", "axis2_value",
                            "regime", "lambda_max", "stderr", "divergence_time", "status",
-                           "n_crossings", "n_clusters", "notes"]
+                           "n_crossings", "n_clusters", "notes", "steps_accepted", "rhs_evals"]
         assert len(rows) == 3
         for r in rows[1:]:
             assert r[0] == "eps" and r[2] == "alpha"
             assert r[8] == "ok"
+            # the augmented pass: 1 + 6 field calls per attempt + 1 per renormalization
+            assert int(r[13]) >= 1 + 6 * int(r[12]) + 300 and int(r[12]) >= 300
             assert r[4] in ("periodic", "quasiperiodic", "chaotic", "divergent", "inconclusive")
 
     def test_regime_csv_carries_the_section_evidence(self, tmp_path):
@@ -713,6 +729,13 @@ class TestSweep:
         assert ok["notes"] == f"only {ok['n_crossings']} crossings (< 50) within the budget"
         assert skipped["status"].startswith("skipped:")
         assert (skipped["n_crossings"], skipped["n_clusters"], skipped["notes"]) == ("", "", "")
+        assert (skipped["steps_accepted"], skipped["rhs_evals"]) == ("", "")
+        # the work columns are the counts of the cell's one pass
+        p = ModelParams(eps=1.05, gamma=0.0, delta=1.0, alpha=1e-4, omega=1.0)
+        s0 = InitialRecipe(e_eff=4.8, i_inv=4.0, om0=2.5).build(p)
+        stats = analysis.classify_regime(s0, p, IntegratorSettings(abs_tol=1e-8, rel_tol=1e-8),
+                                         budget=40.0, transient=10.0).stats
+        assert (ok["steps_accepted"], ok["rhs_evals"]) == (str(stats.accepted), str(stats.rhs_evals))
 
     def test_unwritable_regimes_csv_is_config_error(self, tmp_path, monkeypatch, capsys):
         def refuse(*args, **kwargs):

@@ -5,6 +5,7 @@ import struct
 import sys
 from array import array
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -423,7 +424,7 @@ class TestSteppingLoop:
         assert (stepper.stats.accepted, stepper.stats.rejected) == (ref.accepted, ref.rejected)
         assert _bits((stepper.h, stepper.err_prev, stepper.k1)) == _bits((ref.h, ref.err_prev, ref.k1))
         want = _reference_stop(ref.h_last, ref.last, ref.y, stepper.s.divergence_norm, stepper.scan)
-        got = (stepper.h_last, stepper.quartics, stepper.diverged, stepper.crossing)
+        got = (stepper.h_last, stepper.polys, stepper.diverged, stepper.crossing)
         assert _bits((stepper.t_old, *got)) == _bits((ref.t_old, *want))
 
     @staticmethod
@@ -557,6 +558,195 @@ class TestSteppingLoop:
         assert stepper.stats.accepted + stepper.stats.rejected == 0
 
 
+def _cauchy(a, b, k):
+    """Coefficient k of the product of two series: a_j * b_(k-j) added left to right from j = 0."""
+    total = a[0] * b[k]
+    for j in range(1, k + 1):
+        total = total + a[j] * b[k - j]
+    return total
+
+
+def _reference_coefficients(y, p, order):
+    """The Taylor coefficients 0..order of field's solution through y, by the Cauchy
+    recurrence written out by hand for field, y_(k+1) = f_k / (k + 1), kept as the
+    oracle of the generated step.  Any number type with +, -, * and / will do."""
+    c = [[v] for v in y]
+    n1, om, op, x, px = c
+    dd = []                                   # the series of 2.0 * (delta + alpha * x)
+    for k in range(order):
+        ax = p.alpha * x[k]
+        dd.append(2.0 * (p.delta + ax if k == 0 else ax))
+        f = [_cauchy(dd, om, k),
+             _cauchy(dd, n1, k) + 2.0 * p.eps * op[k],
+             -2.0 * p.eps * om[k],
+             p.omega * px[k],
+             -(p.omega * x[k] + p.alpha * op[k])]
+        for ci, fk in zip(c, f):
+            ci.append(fk / (k + 1))
+    return c
+
+
+def _reference_step_size(c, settings, order):
+    """Jorba & Zou's step from the last two coefficients' max-norms, before any clip."""
+    xn = max(abs(ci[0]) for ci in c)
+    s = 1.0 if settings.rel_tol * xn <= settings.abs_tol else xn
+    rho = math.inf
+    for j in (order - 1, order):
+        norm = max(abs(ci[j]) for ci in c)
+        if norm > 0.0:
+            rho = min(rho, (s / norm) ** (1.0 / j))
+    return rho * (math.exp(-2.0) * math.exp(-0.7 / (order - 1)))
+
+
+def _random_system(rng, scale=1.0):
+    p = ModelParams(eps=rng.uniform(0.1, 3.0), gamma=0.0, delta=rng.uniform(-3.0, 3.0),
+                    alpha=rng.uniform(-2.0, 2.0), omega=rng.uniform(0.1, 3.0))
+    return p, [scale * rng.uniform(-2.0, 2.0) * 10.0 ** rng.randint(-2, 0) for _ in range(5)]
+
+
+ORDERS = [2, 5, 13, 18, 20]
+
+
+class TestTaylorStep:
+    """The generated Taylor step against the hand-written recurrence for field."""
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_coefficients_match_the_hand_written_recurrence(self, order):
+        # h = 2**-12, h_max: every power of h is exact, so each scaled coefficient
+        # in the step polynomials keeps every bit of the coefficient
+        step = integrator._taylor(integrator._base_flow, 5, order)
+        rng = random.Random(order)
+        settings = IntegratorSettings(h_max=2.0 ** -12)
+        for _ in range(50):
+            p, y = _random_system(rng)
+            c = _reference_coefficients(y, p, order)
+            failure, t, y_new, (t_old, h, polys, diverged, crossing), accepted = step(p, settings, 0.0, y, 1.0, 0)
+            assert (failure, t_old, h, accepted) == (None, 0.0, 2.0 ** -12, 1)
+            assert _bits(polys) == _bits(tuple(tuple(ck * h ** k for k, ck in enumerate(ci)) for ci in c))
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_step_size_scaling_and_new_state(self, order):
+        # the step from the reference coefficients, clipped by h_max or by t_limit or
+        # not at all; coefficient m scaled by h**m (repeated products), and y_new the
+        # Horner sum of each step polynomial at theta = 1, bit for bit
+        step = integrator._taylor(integrator._base_flow, 5, order)
+        rng = random.Random(100 + order)
+        clips, decisions = set(), set()
+        for trial in range(150):
+            p, y = _random_system(rng)
+            h_max = 10.0 if trial % 3 else 10.0 ** rng.uniform(-4.0, -1.0)
+            tol = 10.0 ** rng.uniform(-14.0, -6.0)
+            settings = IntegratorSettings(abs_tol=tol, rel_tol=tol * 10.0 ** rng.uniform(-2.0, 2.0),
+                                          h_max=h_max, divergence_norm=rng.choice([1e8, 0.5]))
+            t = rng.uniform(0.0, 100.0)
+            t_limit = t + (10.0 if trial % 4 else 10.0 ** rng.uniform(-4.0, -1.0))
+            c = _reference_coefficients(y, p, order)
+            h_free = _reference_step_size(c, settings, order)
+            h = min(h_free, h_max, t_limit - t)
+            q = [1.0, h]
+            for _ in range(2, order + 1):
+                q.append(q[-1] * h)
+            polys = tuple(tuple(ck * qk for ck, qk in zip(ci, q)) for ci in c)
+            y_new = [integrator._horner(poly, 1.0) for poly in polys]
+            diverged = max(map(abs, y_new)) > settings.divergence_norm
+            t_new = t_limit if h == t_limit - t else t + h
+            got = step(p, settings, t, y, t_limit, 7)
+            assert _bits(got) == _bits((None, t_new, y_new, (t, h, polys, diverged, False), 8))
+            clips.add("free" if h == h_free else "h_max" if h == h_max else "t_limit")
+            decisions.add(diverged)
+        assert clips == {"free", "h_max", "t_limit"} and decisions == {False, True}
+
+    def test_source_is_compiled_once_per_order(self):
+        base = integrator._base_flow
+        assert integrator._taylor(base, 5, 18) is integrator._taylor(base, 5, 18)
+        assert integrator._taylor(base, 5, 18) is not integrator._taylor(base, 5, 13)
+        source = integrator._taylor_source(base, 5, 18)
+        # an operation on parameters only is made once per call
+        assert source.count("2.0 * p_eps") == 1
+        # the field is inline: the only calls left are the norms'
+        calls = {ast.unparse(node.func) for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)}
+        assert calls == {"max", "abs"}
+
+    @pytest.mark.parametrize("tol, order", [(1.0, 2), (1e-6, 8), (1e-10, 13), (1e-12, 15), (1e-14, 18),
+                                            (1e-16, 20), (1e-300, 20)])
+    def test_order_comes_from_the_tolerance(self, tol, order):
+        assert integrator._taylor_order(IntegratorSettings(abs_tol=tol, rel_tol=tol)) == order
+        assert integrator._taylor_order(IntegratorSettings(abs_tol=1.0, rel_tol=tol)) == order
+
+    def test_constants_negations_and_copied_inputs(self):
+        # _three_flow's constants of both signs, int, negation, operation on parameters
+        # only and output copied from its input, against DOP5 at a tighter tolerance
+        p = ModelParams(eps=1.3, gamma=0.0, delta=-0.4, alpha=0.7, omega=0.9)
+        taylor = integrator._Taylor(_three_flow, p, [0.3, -0.2, 0.5], IntegratorSettings(abs_tol=1e-12, rel_tol=1e-12))
+        dopri5 = integrator._Dopri5(_three_flow, p, [0.3, -0.2, 0.5], IntegratorSettings(abs_tol=1e-14, rel_tol=1e-14))
+        for stepper in (taylor, dopri5):
+            assert integrator._drive(stepper, [0.5, 1.0]) == (IntegrationStatus.COMPLETED, None)
+        assert taylor.t == dopri5.t == 1.0
+        assert max(abs(a - b) for a, b in zip(taylor.y, dopri5.y)) < 1e-11
+        assert taylor.stats.rejected == 0 and taylor.stats.rhs_evals == 15 * taylor.stats.accepted
+
+    def test_exhausted_budget(self):
+        settings = IntegratorSettings(max_steps=40)
+        stepper = integrator._Taylor(integrator._base_flow, FIG1B, FIG1B_Y0, settings)
+        with pytest.raises(NumericalFailureError, match="step budget exhausted") as failure:
+            integrator._drive(stepper, [1000.0])
+        assert failure.value.last_good_time == stepper.t > 0.0
+        assert (stepper.stats.accepted, stepper.stats.rejected) == (40, 0)
+        assert stepper.stats.rhs_evals == 40 * stepper.order
+
+    def test_step_size_underflow(self):
+        # dy/dt = y * y from y = 1 blows up at t = 1: each step is a fixed share of
+        # the distance to the blow-up of the computed solution (within 1e-11 of t = 1),
+        # until one is below 16 eps
+        def blow_up(y, p):
+            return [y[0] * y[0]]
+
+        settings = IntegratorSettings(abs_tol=1e-10, rel_tol=1e-10, divergence_norm=1e300)
+        stepper = integrator._Taylor(blow_up, FIG1B, [1.0], settings)
+        with pytest.raises(NumericalFailureError, match="step size underflow") as failure:
+            integrator._drive(stepper, [2.0])
+        assert failure.value.last_good_time == stepper.t
+        assert abs(stepper.t - 1.0) < 1e-11 and stepper.y[0] > 1e12 and stepper.stats.rejected == 0
+        # a step of exactly 16 eps at t <= 1 is too short already
+        stepper = integrator._Taylor(blow_up, FIG1B, [1.0], settings)
+        with pytest.raises(NumericalFailureError, match="step size underflow"):
+            stepper.advance(16.0 * sys.float_info.epsilon)
+        assert stepper.stats.accepted == 0
+
+    def test_non_finite_coefficient(self):
+        # y**2 overflows in coefficient 1
+        stepper = integrator._Taylor(lambda y, p: [y[0] * y[0]], FIG1B, [1e200], IntegratorSettings())
+        with pytest.raises(NumericalFailureError, match="non-finite Taylor coefficient") as failure:
+            stepper.advance(1.0)
+        assert failure.value.last_good_time == 0.0 and stepper.stats.accepted == 0
+
+
+class TestTaylorAccuracy:
+    def test_no_less_accurate_than_dopri5(self):
+        # fig1b to t = 10 against a 40-digit Taylor reference (order 30, fixed step 1/8):
+        # at 1e-14 and at 1e-10, integrate's error at t = 10 is no larger than the DOP5
+        # loop's at the same tolerance (measured: 4.1e-14 against 3.5e-13, and 1.0e-11
+        # against 4.7e-10)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            mp_p = SimpleNamespace(**{k: mpmath.mpf(getattr(FIG1B, k)) for k in ("eps", "delta", "alpha", "omega")})
+            y = [mpmath.mpf(v) for v in FIG1B_Y0]
+            h = mpmath.mpf(1) / 8
+            for _ in range(80):
+                y = [integrator._horner([ck * h ** k for k, ck in enumerate(ci)], 1)
+                     for ci in _reference_coefficients(y, mp_p, 30)]
+            ref = [float(v) for v in y]
+        s0 = SystemState(*FIG1B_Y0)
+        for tol in (1e-14, 1e-10):
+            settings = IntegratorSettings(abs_tol=tol, rel_tol=tol)
+            taylor = integrate(s0, FIG1B, 10.0, settings, sample_interval=10.0)
+            dopri5 = integrator._Dopri5(integrator._base_flow, FIG1B, FIG1B_Y0, settings)
+            integrator._drive(dopri5, [10.0])
+            assert taylor.times[-1] == dopri5.t == 10.0
+            errors = [max(abs(a - b) for a, b in zip(y_end, ref)) for y_end in (taylor.states[-1], dopri5.y)]
+            assert errors[0] <= errors[1]
+
+
 class TestFirstOrderInAlpha:
     def test_deviation_from_the_critical_closed_form_is_first_order(self):
         # criterion 8's setup: the state and s = dy/dalpha co-integrated at alpha = 0,
@@ -618,18 +808,16 @@ class TestDeterminism:
         assert sample_bytes(a) == sample_bytes(b)
 
     def test_samples_are_those_of_the_stepper(self):
-        # the reference, held in numpy arrays: the stepper driven by hand, its dense
-        # interpolant at each multiple of the interval, and the last state reached;
-        # integrate's float containers must keep every bit of it
+        # the reference, held in numpy arrays: the Taylor stepper driven by hand, a stop
+        # at every step, its step polynomials at each multiple of the interval, and the
+        # last state reached; integrate's float containers must keep every bit of it
         p = ModelParams(eps=1.05, gamma=0.0, delta=1.0, alpha=0.015, omega=1.0)    # fig1b
         s0 = SystemState(2, 0, 0, 1, -2.54950976)
         t_end, interval = 50.0, 0.3
-        stepper = integrator._Dopri5(integrator._base_flow, p, s0.to_array(), IntegratorSettings())
-        stepper.slack = 1e-12 * interval
+        stepper = integrator._Taylor(integrator._base_flow, p, s0.to_array(), IntegratorSettings())
         times, states = [0.0], [s0.to_array()]
         k = 1
         while stepper.t < t_end:
-            stepper.wake = k * interval
             stepper.advance(t_end)
             while k * interval <= stepper.t + 1e-12 * interval:
                 if k * interval <= t_end:

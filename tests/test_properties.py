@@ -2,8 +2,9 @@
 
 The two invariants I and E_eff are conserved; the parity map and the time
 reversal R: (n1, om, op, x, p) -> (n1, -om, op, x, -p) are symmetries of the
-flow; and the tangent vector of the augmented flow is the derivative of the
-flow along it.  hypothesis draws the systems, derandomized, so every run tries
+flow; the tangent vector of the augmented flow is the derivative of the flow
+along it; and the two steppers, Taylor (integrate) and DOP5, give the same
+flow.  hypothesis draws the systems, derandomized, so every run tries
 the same examples.  Each bound is the worst value measured over 600 examples
 drawn without derandomizing (two seeds of 300, at the same tolerance and run
 length), times a margin; both are stated next to it.
@@ -88,6 +89,19 @@ def reversal_error(p, s, t_end=T) -> float:
     return max(abs(a - b) for a, b in zip(reverse(back).as_tuple(), s.as_tuple())) / max(map(abs, s.as_tuple()))
 
 
+def stepper_deviation(p, s) -> float:
+    """The largest difference between integrate's samples every 0.25 up to T (the
+    Taylor stepper) and the DOP5 loop's states at the same times (marks it lands
+    on), both at TOL, relative to the largest component the run reaches."""
+    taylor = integrate(s, p, T, TOL, sample_interval=0.25)
+    dopri5 = [s.as_tuple()]
+    stepper = integrator._Dopri5(integrator._base_flow, p, s.as_tuple(), TOL)
+    integrator._drive(stepper, [0.25 * k for k in range(1, 13)], on_mark=lambda st: dopri5.append(st.y))
+    assert len(dopri5) == len(taylor) == 13
+    size = max(max(map(abs, y)) for y in taylor.states)
+    return max(abs(a - b) for y, z in zip(taylor.states, dopri5) for a, b in zip(y, z)) / size
+
+
 def tangent_errors(p, s, v0) -> tuple:
     """The augmented flow from (s, v0) to T against central differences: of the
     flow, (phi_T(s + d v0) - phi_T(s - d v0)) / 2d with d = 1e-4, relative to
@@ -144,6 +158,14 @@ def test_time_reversal_on_the_fig2d_orbit():
     # T = 7 from (2, 0.3, 0.1, 1, -2.5): measured 2.3e-12 relative to |p0| = 2.5,
     # 5.8e-12 absolute; a margin of about 4
     assert reversal_error(FIG2D, SystemState(2.0, 0.3, 0.1, 1.0, -2.5), t_end=7.0) <= 1e-11
+
+
+@EXAMPLES
+@given(systems())
+def test_the_steppers_agree(system):
+    # measured worst on orbits that stay within 100: 1.7e-12; a margin of about 6
+    assume(bounded(*system))
+    assert stepper_deviation(*system) <= 1e-11
 
 
 @EXAMPLES

@@ -3,10 +3,12 @@
 perfbench/tracer.py replaces functions at the names their callers look up,
 and reads facts off their results.  A refactor that drops or renames one of
 them, or changes a result the tracer reads, breaks the traced benchmark;
-these tests make it fail here as well.  perfbench/layers.py derives
-integrator.rhs_evals from the step counts, which must equal the stepper's own
-count.  The wrapped semiquantum.integrator.rhs is called only at the stepper's
-restarts and when a flow is recorded: the stages evaluate the field inline.
+these tests make it fail here as well.  Each stepper's rhs_evals follows its
+own rule from the step counts: for DOP5, the rule perfbench/layers.py derives
+integrator.rhs_evals by; for the Taylor stepper of integrate, the order of the
+recurrence once per step.  The wrapped semiquantum.integrator.rhs is called
+only at the DOP5 restarts and when a flow is recorded: the steps evaluate the
+field inline.
 """
 
 import importlib
@@ -44,7 +46,7 @@ def test_wrapped_name_resolves_to_callable(module, attr):
 
 P = ModelParams(eps=1.05, gamma=0.0, delta=1.0, alpha=0.015, omega=1.0)
 S0 = SystemState(2, 0, 0, 1, -2.54950976)
-# a large first step forces rejections, which cost six evaluations as well
+# a large first step forces DOP5 rejections, which cost six evaluations as well
 SETTINGS = IntegratorSettings(abs_tol=1e-10, rel_tol=1e-10, h_init=1.0)
 
 
@@ -63,14 +65,21 @@ RUNS = {
 
 @pytest.mark.parametrize("front_end", sorted(RUNS))
 def test_rhs_calls_follow_the_rhs_evals_formula(front_end, monkeypatch):
-    # perfbench/layers.py's formula counts field evaluations, inline stages included
     RUNS[front_end]()                   # records the flow, so the run below only replays it
     calls = []
     field = integrator.rhs
     monkeypatch.setattr(integrator, "rhs", lambda y, p: calls.append(1) or field(y, p))
     stats = RUNS[front_end]()
-    assert stats.rejected > 0
     assert stats.renorms == (40 if front_end == "augmented" else 0)
+    if front_end == "integrate":
+        # one order of the field recurrence per step, no step rejected, and no call
+        # of integrator.rhs once the step is recorded
+        assert (stats.method, stats.order, stats.rejected) == ("taylor", 13, 0)
+        assert stats.rhs_evals == stats.order * stats.accepted
+        assert calls == []
+        return
+    # perfbench/layers.py's formula counts field evaluations, inline stages included
+    assert stats.method == "dopri5" and stats.rejected > 0
     assert stats.rhs_evals == 1 + 6 * (stats.accepted + stats.rejected) + stats.renorms
     # the stages evaluate the field inline: integrator.rhs runs only at the restarts
     assert len(calls) == 1 + stats.renorms
