@@ -249,9 +249,11 @@ def _report(path: Path, head: dict):
 def _work(stats: StepStats) -> dict:
     """The integrator work behind a result, as every summary reports it, with the
     stepper it comes from ("taylor" with its order, or "dopri5")."""
-    method = {"method": stats.method} if stats.order is None else {"method": stats.method, "order": stats.order}
-    return {**method, "steps_accepted": stats.accepted, "steps_rejected": stats.rejected,
+    work = {"method": stats.method, "steps_accepted": stats.accepted, "steps_rejected": stats.rejected,
             "rhs_evals": stats.rhs_evals, "renorms": stats.renorms}
+    if stats.order is not None:
+        work["order"] = stats.order
+    return work
 
 
 def _invariants(states, p: ModelParams) -> tuple[list, list]:

@@ -98,7 +98,8 @@ class IntegratorSettings:
 
     The default tolerances are near the double-precision floor; they were
     chosen so the conserved quantities drift by less than 1e-10 over
-    t = 1000 on the bundled scenarios.
+    t = 1000 on the bundled scenarios.  h_init is the first DOP5 step; the
+    Taylor stepper sizes every step, the first too, from its coefficients.
     """
 
     abs_tol: float = 1e-14
@@ -706,8 +707,7 @@ class _Taylor:
     accepted step is a stop, which leaves the step's polynomials in polys and
     its divergence decision; crossing is always False.  There is no rejected
     step; rhs_evals counts the orders of the field recurrence evaluated, the
-    order once per step.  wake and slack are kept for the sampling hook: each
-    step stops anyway.
+    order once per step.
     """
 
     def __init__(self, flow, p, y0, settings: IntegratorSettings):
@@ -718,8 +718,6 @@ class _Taylor:
         self.order = _taylor_order(settings)
         self.step = _taylor(flow, len(self.y), self.order)
         self.stats = StepStats(method="taylor", order=self.order)
-        self.wake = math.inf
-        self.slack = 0.0
         # filled by advance() at each stop: the last accepted step and its decisions
         self.t_old = 0.0
         self.h_last = 0.0
@@ -810,19 +808,17 @@ def integrate(
     times = [0.0]
     states = list(s0.as_tuple())
     k_next = 1
-    # the next sample is due when wake <= t + slack
-    stepper.wake = k_next * sample_interval
-    stepper.slack = 1e-12 * sample_interval
+    slack = 1e-12 * sample_interval
 
     def sample(st: _Taylor):
+        """Every sample due by the end of the step, off its polynomials: every step stops."""
         nonlocal k_next
-        while st.wake <= st.t + st.slack:
-            ts = st.wake
+        while k_next * sample_interval <= st.t + slack:
+            ts = k_next * sample_interval
             if ts <= t_end:
                 times.append(ts)
                 states.extend(st.dense(ts) if ts < st.t else st.y)
             k_next += 1
-            st.wake = k_next * sample_interval
 
     status, t_div = _drive(stepper, [t_end], on_stop=sample)
     return _trajectory(stepper, times, states, s0.dn, status, t_div)
