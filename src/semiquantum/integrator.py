@@ -2,34 +2,37 @@
 
 A flow is an autonomous ``flow(y, p)`` written in plain arithmetic
 (``_base_flow`` and ``_augmented_flow``, through ``rhs`` and
-``field_jvp``).  It runs once on recorder symbols (``_Tape``), which write
-one assignment per float operation; each stepper is generated from that
-recording as straight-line code over named scalar components, compiled on
-first use and cached, so the field is written inline and no step calls a
-function.  ``rhs`` itself runs only when a flow is recorded and at the DOP5
+``field_jvp``).  ``_Recording`` runs it once on recorder symbols (``_Tape``),
+which write one entry per float operation.  One emitter, ``_term``, writes a
+recorded operation as source for coefficient k of its Taylor series, whose
+coefficient 0 is the operation itself.  From that recording two generators
+write each stepper as straight-line code over named scalar components, with
+the settings read, the clips, the underflow check and the landing on the
+limit in common; ``_compiled`` compiles each on first use and caches it, so
+the field is inline and no step calls a function.  ``_Stepper`` holds what
+both steppers keep: state, stats, the stop each advance leaves and its dense
+output.  ``rhs`` itself runs only when a flow is recorded and at the DOP5
 FSAL restarts (the first evaluation, and each after a renormalization).
 
 ``integrate`` (behind ``simulate`` and ``oracle``) runs the Taylor stepper.
-``_taylor_source`` turns the recording into the recurrence of the solution's
-Taylor coefficients, y_{k+1} = f_k / (k + 1), with a Cauchy product for each
-product of two state terms (the field is quadratic), at the order the
-tolerance gives and with Jorba & Zou's step size (2005, section 3).  The
-step's polynomials are its dense output.  Every accepted step is a stop;
-no step is rejected; ``StepStats.rhs_evals`` counts the orders of the
-recurrence evaluated, the order once per step.
+``_taylor_source`` writes the recurrence of the solution's Taylor
+coefficients, y_{k+1} = f_k / (k + 1), at the order the tolerance gives and
+with Jorba & Zou's step size (2005, section 3).  The step's polynomials are
+its dense output.  Every accepted step is a stop; no step is rejected;
+``StepStats.rhs_evals`` counts the orders of the recurrence evaluated, the
+order once per step.
 
 ``integrate_with_events`` and ``integrate_augmented`` run adaptive
 Dormand-Prince 5(4).  The tableau is held as data, and ``_loop_source``
-writes from it one stepping loop for each flow and length of state.  The
-float operations are those of the stage sums written out by hand with the
-flow called on each, and of the PI step-size controller, in the same order,
-so the generated loop changes no bit.  The loop keeps the state and the FSAL
-stage in locals, with the error norm, the finiteness rejection, the
-controller, the step budget and the underflow check inline, and decides
-once per step whether it leaves the divergence bound and whether an X = 0
-crossing may lie in it.  It hands control back to Python only at a stop: a
-step that lands on its limit (a renormalization mark or the end time), makes
-a dense sample due, or has either decision, with every component's dense
+writes from it one stepping loop for each flow and length of state, whose
+stages evaluate the flow as coefficient 0 of the recording.  The float
+operations are those of the stage sums written out by hand with the flow
+called on each, and of the PI step-size controller, in the same order, so
+the generated loop changes no bit.  The loop keeps the state and the FSAL
+stage in locals, and decides once per step whether it leaves the divergence
+bound and whether an X = 0 crossing may lie in it.  It hands control back to
+Python only at a stop: a step that lands on its limit (a renormalization
+mark or the end time) or has either decision, with every component's dense
 quartic and the two decisions; or a failure, which ``_Dopri5.advance``
 raises as ``NumericalFailureError``.  Its ``StepStats.rhs_evals`` counts
 field evaluations: 1 to start, 6 per attempt, 1 per renormalization.
@@ -86,6 +89,9 @@ _PI_BETA = 0.4 / 5.0
 _TAYLOR_MIN_ORDER = 2
 _TAYLOR_STEP = math.exp(-2.0)
 _TAYLOR_SAFETY = 0.7
+
+# the most samples integrate emits, t_end / sample_interval: about 0.2 GB of floats before packing
+_MAX_SAMPLES = 10**6
 
 _EVENT_MAX_ITER = 100
 # number of sign-check subintervals per accepted step when locating crossings
@@ -324,14 +330,104 @@ class _Params:
         return params[name]
 
 
+def _coef(series: dict, a, k: int):
+    """Coefficient k of operand a as source text, None where it is exactly 0.
+    series maps (symbol, k) to text; a term off the state has coefficient 0 only."""
+    if isinstance(a, _Sym):
+        return series[a, k] if a.state or not k else None
+    return None if k else _const(a)
+
+
+def _term(series: dict, operator: str, operands, k: int):
+    """Coefficient k of one recorded operation as source text, with whether it
+    needs its own name; (None, False) where it is exactly 0.
+
+    A product of two state terms is a Cauchy product, sum over j = 0..k of
+    a_j * b_{k-j}, added left to right; +, -, unary - and a product with a term
+    off the state act termwise, and a term off the state added to a state term
+    goes into coefficient 0 only.  Coefficient 0 is the operation itself on its
+    operands' values: the flow evaluated at a point.
+    """
+    coef = functools.partial(_coef, series)
+    if len(operands) == 1:
+        a = coef(operands[0], k)
+        return (None, False) if a is None else (f"-{a}", True)
+    x, y = operands
+    if operator == "*":
+        if not (isinstance(x, _Sym) and x.state):
+            b = coef(y, k)
+            return (None, False) if b is None else (f"{coef(x, 0)} * {b}", True)
+        if not (isinstance(y, _Sym) and y.state):
+            a = coef(x, k)
+            return (None, False) if a is None else (f"{a} * {coef(y, 0)}", True)
+        terms = [f"{coef(x, j)} * {coef(y, k - j)}" for j in range(k + 1)
+                 if coef(x, j) is not None and coef(y, k - j) is not None]
+        return (" + ".join(terms), True) if terms else (None, False)
+    a, b = coef(x, k), coef(y, k)
+    if b is None:
+        return a, False
+    if a is None:
+        return (b, False) if operator == "+" else (f"-{b}", True)
+    return f"{a} {operator} {b}", True
+
+
+class _Recording:
+    """flow(y, p) run once on symbols for a state of n components (see _Tape),
+    as both generated steppers write it.  head loads the parameters and computes
+    each operation on parameters and constants only, once per call; emit writes
+    the operations on the state, one coefficient at a time."""
+
+    def __init__(self, flow, n: int):
+        tape = _Tape()
+        self.inputs = [_Sym(tape, True) for _ in range(n)]
+        self.outputs = list(flow(self.inputs, _Params(tape)))
+        if len(self.outputs) != n:
+            raise ValueError(f"a flow on {n} components returned {len(self.outputs)}")
+        self.names = {(sym, 0): f"p_{attr}" for attr, sym in tape.params.items()}
+        self.head = [f"p_{attr} = p.{attr}" for attr in tape.params]
+        for m, (sym, operator, operands) in enumerate(op for op in tape.ops if not op[0].state):
+            self.head.append(f"c_{m} = {_term(self.names, operator, operands, 0)[0]}")
+            self.names[sym, 0] = f"c_{m}"
+        self.varying = [op for op in tape.ops if op[0].state]
+
+    def series(self, inputs) -> dict:
+        """(symbol, k) -> source text: the names off the state, and coefficient 0 of
+        input i as inputs[i]."""
+        return {**self.names, **{(sym, 0): text for sym, text in zip(self.inputs, inputs)}}
+
+    def emit(self, series: dict, k: int, targets: dict) -> list:
+        """The lines computing coefficient k of each operation on the state, entered
+        into series; one that needs a name is assigned to targets[symbol], or to
+        w{m}_{k} for the m-th operation."""
+        lines = []
+        for m, (sym, operator, operands) in enumerate(self.varying):
+            text, named = _term(series, operator, operands, k)
+            if named:
+                name = targets.get(sym, f"w{m}_{k}")
+                lines.append(f"{name} = {text}")
+                text = name
+            series[sym, k] = text
+        return lines
+
+
+# Lines both generated steppers share.  Each setting is read once into a local.
+_SETTINGS = ["atol, rtol, h_max = settings.abs_tol, settings.rel_tol, settings.h_max",
+             "bound, max_steps = settings.divergence_norm, settings.max_steps"]
+# h = min(h, h_max, h_clip), h_clip the distance to t_limit
+_CLIP = ["h_clip = t_limit - t", "if h_max < h:", "    h = h_max", "if h_clip < h:", "    h = h_clip"]
+# the shortest step, 16 * eps * max(1, |t|), made whenever t changes
+_UNDERFLOW = ["at = abs(t)", f"h_min = {_const(16.0 * _EPS)} * (at if at > 1.0 else 1.0)"]
+# the accepted step lands exactly on the limit when it was clipped to it
+_LAND = ["t_old = t", "t = t_limit if h == h_clip else t + h"]
+
+
 def _loop_source(flow, n: int, n_err: int) -> str:
     """Source of the stepping loop of the autonomous flow(y, p) for a state of
     n components, straight-line code over named scalars.
 
-    flow runs once on symbols (see _Tape), and each stage k2..k7 evaluates it
-    inline, one assignment per float operation; an operation on parameters and
-    constants only is computed once per call.  The error norm is the RMS over
-    the first n_err components.  The float operations and their order are
+    Each stage k2..k7 evaluates the recording of flow inline (see _Recording),
+    as coefficient 0 of its operations.  The error norm is the RMS over the
+    first n_err components.  The float operations and their order are
     those of the stage sums y_old + h * (a . k) written out by hand, with flow
     called on each, and of the PI controller, whose min and max are written as
     the conditionals they equal for every input.
@@ -340,47 +436,27 @@ def _loop_source(flow, n: int, n_err: int) -> str:
     Each accepted step decides once whether it leaves the divergence bound on
     the first five components (diverged) and, with scan, whether it may hold
     an X = 0 crossing (crossing: a bound test on x's dense quartic).  It
-    returns after an accepted step that reaches t_limit, makes a sample due
-    (wake <= t + slack), or has either decision; or with a failure message
-    when the step budget runs out or the step size underflows.  It returns
-    (failure, t, h_next, err_prev, y, k1, (t_old, h_last, quartics, diverged,
-    crossing) or None, accepted, rejected); quartics holds each component's
-    dense quartic in theta = (t - t_old) / h_last, constant term first.
+    returns after an accepted step that reaches t_limit or has either
+    decision; or with a failure message when the step budget runs out or the
+    step size underflows.  It returns (failure, t, h_next, err_prev, y, k1,
+    (t_old, h_last, quartics, diverged, crossing) or None, accepted,
+    rejected); quartics holds each component's dense quartic in theta =
+    (t - t_old) / h_last, constant term first.
     """
-    tape = _Tape()
-    inputs = [_Sym(tape, True) for _ in range(n)]
-    outputs = list(flow(inputs, _Params(tape)))
-    if len(outputs) != n:
-        raise ValueError(f"a flow on {n} components returned {len(outputs)}")
-    names = {sym: f"p_{attr}" for attr, sym in tape.params.items()}
-    fixed = [op for op in tape.ops if not op[0].state]
-    names.update((sym, f"c_{m}") for m, (sym, _, _) in enumerate(fixed))
-    varying = [op for op in tape.ops if op[0].state]
+    rec = _Recording(flow, n)
     stages = [f"k{j + 1}" for j in range(len(_C))]
     k7 = stages[-1]
 
-    def text(a, local):
-        return local[a] if isinstance(a, _Sym) else _const(a)
-
-    def expr(operator, operands, local):
-        if len(operands) == 1:
-            return f"{operator}{text(operands[0], local)}"
-        return f" {operator} ".join(text(a, local) for a in operands)
-
     def evaluate(prefix, stage):
-        """flow on the components prefix_i, assigned to stage_i."""
-        local = {**names, **{sym: f"{prefix}_{i}" for i, sym in enumerate(inputs)}}
+        """flow on the components prefix_i, each output computed into stage_i."""
+        series = rec.series([f"{prefix}_{i}" for i in range(n)])
         targets = {}
-        for i, sym in enumerate(outputs):
-            if isinstance(sym, _Sym) and sym.state and sym not in local and sym not in targets:
+        for i, sym in enumerate(rec.outputs):
+            if isinstance(sym, _Sym) and (sym, 0) not in series and sym not in targets:
                 targets[sym] = f"{stage}_{i}"
-        lines = []
-        for m, (sym, operator, operands) in enumerate(varying):
-            local[sym] = targets.get(sym, f"w_{m}")
-            lines.append(f"{local[sym]} = {expr(operator, operands, local)}")
-        lines += [f"{stage}_{i} = {text(sym, local)}" for i, sym in enumerate(outputs)
-                  if targets.get(sym) != f"{stage}_{i}"]
-        return lines
+        lines = rec.emit(series, 0, targets)
+        return lines + [f"{stage}_{i} = {_coef(series, sym, 0)}" for i, sym in enumerate(rec.outputs)
+                        if targets.get(sym) != f"{stage}_{i}"]
 
     def listed(prefix):
         return f"[{', '.join(f'{prefix}_{i}' for i in range(n))}]"
@@ -395,20 +471,11 @@ def _loop_source(flow, n: int, n_err: int) -> str:
         return f'    return "{message}", t, h_next, err_prev, {listed("y")}, {listed("k1")}, None, accepted, rejected'
 
     safety, lo, hi = _const(_SAFETY), _const(_MIN_FACTOR), _const(_MAX_FACTOR)
-    # 16 * eps * max(1, |t|), made whenever t changes
-    underflow = ["at = abs(t)", f"h_min = {_const(16.0 * _EPS)} * (at if at > 1.0 else 1.0)"]
-    head = [unpack("y"), unpack("k1")]
-    head += [f"p_{attr} = p.{attr}" for attr in tape.params]
-    head += [f"{names[sym]} = {expr(operator, operands, names)}" for sym, operator, operands in fixed]
-    head += ["atol, rtol, h_max = settings.abs_tol, settings.rel_tol, settings.h_max",
-             "bound, max_steps = settings.divergence_norm, settings.max_steps"]
-    head += [f"a_{i} = abs(y_{i})" for i in range(n_err)] + underflow
+    head = [unpack("y"), unpack("k1"), *rec.head, *_SETTINGS]
+    head += [f"a_{i} = abs(y_{i})" for i in range(n_err)] + _UNDERFLOW
 
     body = ["if accepted + rejected >= max_steps:", fail("step budget exhausted"),
-            "h_clip = t_limit - t",
-            "h = h_next",                                        # min(h_next, h_max, h_clip)
-            "if h_max < h:", "    h = h_max",
-            "if h_clip < h:", "    h = h_clip",
+            "h = h_next", *_CLIP,
             "if h <= h_min:", fail("step size underflow")]
     for j in range(1, len(_A)):
         body += [f"z_{i} = y_{i} + h * ({dot(_A[j], i)})" for i in range(n)]
@@ -438,9 +505,7 @@ def _loop_source(flow, n: int, n_err: int) -> str:
              f"    factor = {safety} * err ** {_const(-_PI_ALPHA)} * err_prev ** {_const(_PI_BETA)}",
              f"factor = factor if factor > {lo} else {lo}",
              f"factor = factor if factor < {hi} else {hi}",
-             "t_old = t",
-             "# land exactly on the limit when the step was clipped to it",
-             "t = t_limit if h == h_clip else t + h",
+             *_LAND,
              "h_next = h * factor",
              "err_prev = 1e-10 if 1e-10 > err else err",
              "accepted += 1"]
@@ -457,60 +522,70 @@ def _loop_source(flow, n: int, n_err: int) -> str:
         body.append("crossing = False")
     quartics = ", ".join(f"({', '.join([f'y_{i}', *(f'h * ({dot(row, i)})' for row in _DENSE)])})"
                          for i in range(n))
-    body += ["if t >= t_limit or wake <= t + slack or diverged or crossing:",
+    body += ["if t >= t_limit or diverged or crossing:",
              f"    return (None, t, h_next, err_prev, {listed('yn')}, {listed(k7)},"
              f" (t_old, h, ({quartics},), diverged, crossing), accepted, rejected)",
              *(f"y_{i} = yn_{i}" for i in range(n)),
              *(f"k1_{i} = {k7}_{i}" for i in range(n)),
              *(f"a_{i} = an_{i}" for i in range(n_err)),
-             *underflow]
-    lines = ["def advance(p, settings, t, h_next, err_prev, y, k1, t_limit, wake, slack, scan,"
-             " accepted, rejected):"]
+             *_UNDERFLOW]
+    lines = ["def advance(p, settings, t, h_next, err_prev, y, k1, t_limit, scan, accepted, rejected):"]
     lines += ["    " + line for line in head] + ["    while True:"] + ["        " + line for line in body]
     return "\n".join(lines) + "\n"
 
 
 @functools.cache
-def _loop(flow, n: int, n_err: int):
-    """The compiled _loop_source(flow, n, n_err), recorded and built on first use."""
+def _compiled(source, *args):
+    """The advance function that source(*args) writes (_loop_source or
+    _taylor_source), compiled in this module's globals on first use and cached."""
     namespace = {}
-    exec(compile(_loop_source(flow, n, n_err), "<dopri5 advance>", "exec"), globals(), namespace)
+    exec(compile(source(*args), f"<{source.__name__}>", "exec"), globals(), namespace)
     return namespace["advance"]
 
 
-class _Dopri5:
-    """Single-trajectory Dormand-Prince 5(4) stepper with PI step control.
+class _Stepper:
+    """What both steppers hold: the parameters p, time t, state y (a list of
+    Python floats), settings s and stats; and, filled by advance() at each stop,
+    the last accepted step from t_old, of length h_last, with every component's
+    polynomial in theta = (t - t_old) / h_last (polys, constant term first) and
+    the two decisions on it (diverged, crossing)."""
 
-    State, stages and dense output are lists of Python floats.  flow(y, p) is
-    an autonomous field written in plain arithmetic; the stepping is one loop
-    generated from the tableau with flow inline (see _loop_source), which
-    hands control back only at a stop.  err_dim limits the error norm to the
-    leading components of the state (the augmented mode controls the step on
-    the base state only).  The stop triggers: wake and slack for the next
-    sample (none by default), and scan for the X = 0 crossing test.  A stop
-    leaves the last step's dense quartics (polys) and the loop's two decisions.
-    """
-
-    def __init__(self, flow, p, y0, settings: IntegratorSettings, err_dim=None):
-        self.flow = flow
+    def __init__(self, p, y0, settings: IntegratorSettings, stats: StepStats):
         self.p = p
         self.t = 0.0
         self.y = [float(v) for v in y0]
         self.s = settings
-        self.loop = _loop(flow, len(self.y), err_dim if err_dim is not None else len(self.y))
+        self.stats = stats
+        self.t_old = self.h_last = 0.0
+        self.polys = ()
+        self.diverged = self.crossing = False
+
+    def dense(self, t: float) -> list:
+        """The polynomials of the last accepted step at t, every component."""
+        theta = (t - self.t_old) / self.h_last
+        return [_horner(q, theta) for q in self.polys]
+
+
+class _Dopri5(_Stepper):
+    """Single-trajectory Dormand-Prince 5(4) stepper with PI step control.
+
+    flow(y, p) is an autonomous field written in plain arithmetic; the stepping
+    is one loop generated from the tableau with flow inline (see _loop_source),
+    which hands control back only at a stop.  err_dim limits the error norm to
+    the leading components of the state (the augmented mode controls the step
+    on the base state only).  scan turns on the X = 0 crossing test.  A stop
+    leaves the last step's dense quartics in polys.
+    """
+
+    def __init__(self, flow, p, y0, settings: IntegratorSettings, err_dim=None):
+        super().__init__(p, y0, settings, StepStats())
+        self.flow = flow
+        n = len(self.y)
+        self.loop = _compiled(_loop_source, flow, n, err_dim if err_dim is not None else n)
         self.h = min(settings.h_init, settings.h_max)
         self.err_prev = None
-        self.stats = StepStats()
         self.restart()
-        self.wake = math.inf
-        self.slack = 0.0
         self.scan = False
-        # filled by advance() at each stop: the last accepted step and the loop's decisions on it
-        self.t_old = 0.0
-        self.h_last = 0.0
-        self.polys = ()
-        self.diverged = False
-        self.crossing = False
 
     def restart(self):
         """Evaluate the FSAL stage k1 afresh at the current state."""
@@ -523,17 +598,11 @@ class _Dopri5:
         attempts = stats.accepted + stats.rejected
         (failure, self.t, self.h, self.err_prev, self.y, self.k1, stop, stats.accepted,
          stats.rejected) = self.loop(self.p, self.s, self.t, self.h, self.err_prev, self.y, self.k1,
-                                     t_limit, self.wake, self.slack, self.scan,
-                                     stats.accepted, stats.rejected)
+                                     t_limit, self.scan, stats.accepted, stats.rejected)
         stats.rhs_evals += _ATTEMPT_EVALS * (stats.accepted + stats.rejected - attempts)
         if failure is not None:
             raise NumericalFailureError(failure, last_good_time=self.t)
         self.t_old, self.h_last, self.polys, self.diverged, self.crossing = stop
-
-    def dense(self, t: float) -> list:
-        """The interpolant of the last accepted step at t, every component."""
-        theta = (t - self.t_old) / self.h_last
-        return [_horner(q, theta) for q in self.polys]
 
 
 def _horner(c, theta: float) -> float:
@@ -555,14 +624,10 @@ def _taylor_source(flow, n: int, order: int) -> str:
     """Source of one Taylor step of the autonomous flow(y, p) for a state of n
     components, straight-line code over named scalars.
 
-    flow runs once on symbols (see _Tape).  Its operations give the recurrence
-    of the coefficients y_{i,k} of each component's series in t - t_old, for
-    k = 0..order: coefficient k of every value the flow computes, then
-    y_{i,k+1} = f_{i,k} / (k + 1).  A product of two state terms is a Cauchy
-    product, sum over j = 0..k of a_j * b_{k-j}, added left to right; +, -,
-    unary - and a constant times a term act termwise; a constant added to a
-    term goes into coefficient 0 only.  An operation on parameters and
-    constants only is computed once per call.
+    The recording of flow (see _Recording) gives the recurrence of the
+    coefficients y_{i,k} of each component's series in t - t_old, for
+    k = 0..order: coefficient k of every operation on the state (see _term),
+    then y_{i,k+1} = f_{i,k} / (k + 1).
 
     The step size follows Jorba & Zou (2005, section 3): rho, the smaller of
     (scale / |y_{order-1}|)**(1 / (order - 1)) and (scale / |y_order|)**(1 / order)
@@ -580,70 +645,20 @@ def _taylor_source(flow, n: int, order: int) -> str:
     coefficient or y_new that is not finite, or a step size that underflows
     returns (message, t, None, None, accepted) instead.
     """
-    tape = _Tape()
-    inputs = [_Sym(tape, True) for _ in range(n)]
-    outputs = list(flow(inputs, _Params(tape)))
-    if len(outputs) != n:
-        raise ValueError(f"a flow on {n} components returned {len(outputs)}")
-    names = {sym: f"p_{attr}" for attr, sym in tape.params.items()}
-    fixed = [op for op in tape.ops if not op[0].state]
-    names.update((sym, f"c_{m}") for m, (sym, _, _) in enumerate(fixed))
-    varying = [op for op in tape.ops if op[0].state]
-    # (state symbol, k) -> coefficient k as source text, None where it is exactly 0
-    series = {(sym, 0): f"y{i}_0" for i, sym in enumerate(inputs)}
-
-    def coef(a, k):
-        if isinstance(a, _Sym) and a.state:
-            return series[a, k]
-        if k:
-            return None
-        return names[a] if isinstance(a, _Sym) else _const(a)
-
-    def term(operator, operands, k):
-        """Coefficient k of an operation: (source text, whether it needs its own name)."""
-        if len(operands) == 1:
-            a = coef(operands[0], k)
-            return (None, False) if a is None else (f"-{a}", True)
-        x, y = operands
-        if operator == "*":
-            if not (isinstance(x, _Sym) and x.state):
-                b = coef(y, k)
-                return (None, False) if b is None else (f"{coef(x, 0)} * {b}", True)
-            if not (isinstance(y, _Sym) and y.state):
-                a = coef(x, k)
-                return (None, False) if a is None else (f"{a} * {coef(y, 0)}", True)
-            terms = [f"{coef(x, j)} * {coef(y, k - j)}" for j in range(k + 1)
-                     if coef(x, j) is not None and coef(y, k - j) is not None]
-            return (" + ".join(terms), True) if terms else (None, False)
-        a, b = coef(x, k), coef(y, k)
-        if b is None:
-            return a, False
-        if a is None:
-            return (b, False) if operator == "+" else (f"-{b}", True)
-        return f"{a} {operator} {b}", True
-
-    head = [f"{', '.join(f'y{i}_0' for i in range(n))}{',' if n == 1 else ''} = y"]
-    head += [f"p_{attr} = p.{attr}" for attr in tape.params]
-    head += [f"{names[sym]} = " + (f"{operator}{coef(operands[0], 0)}" if len(operands) == 1
-                                   else f" {operator} ".join(coef(a, 0) for a in operands))
-             for sym, operator, operands in fixed]
+    rec = _Recording(flow, n)
+    series = rec.series([f"y{i}_0" for i in range(n)])
     body = []
     for k in range(order):
-        for m, (sym, operator, operands) in enumerate(varying):
-            text, named = term(operator, operands, k)
-            if named:
-                body.append(f"w{m}_{k} = {text}")
-                text = f"w{m}_{k}"
-            series[sym, k] = text
-        for i, sym in enumerate(outputs):
-            f = coef(sym, k)
+        body += rec.emit(series, k, {})
+        for i, sym in enumerate(rec.outputs):
+            f = _coef(series, sym, k)
             if f is not None and k:                     # f / 1 is f: coefficient 1 is f_0 itself
                 body.append(f"y{i}_{k + 1} = {f} / {k + 1}")
                 f = f"y{i}_{k + 1}"
-            series[inputs[i], k + 1] = f
+            series[rec.inputs[i], k + 1] = f
 
     def norm(k):
-        terms = [f"abs({series[sym, k]})" for sym in inputs if series[sym, k] is not None]
+        terms = [f"abs({series[sym, k]})" for sym in rec.inputs if series[sym, k] is not None]
         return f"max({', '.join(terms)})" if len(terms) > 1 else terms[0] if terms else "0.0"
 
     body += ["# the step size from the last two coefficients (Jorba & Zou 2005, section 3)",
@@ -654,13 +669,11 @@ def _taylor_source(flow, n: int, order: int) -> str:
              f"ra = (scale / na) ** {_const(1.0 / (order - 1))} if na > 0.0 else math.inf",
              f"rb = (scale / nb) ** {_const(1.0 / order)} if nb > 0.0 else math.inf",
              f"h = (ra if ra < rb else rb) * {_const(_TAYLOR_STEP * math.exp(-_TAYLOR_SAFETY / (order - 1)))}",
-             "h_clip = t_limit - t",
-             "if h_max < h:", "    h = h_max",
-             "if h_clip < h:", "    h = h_clip",
+             *_CLIP,
              "q1 = h"]
     body += [f"q{m} = q{m - 1} * h" for m in range(2, order + 1)]
     polys = []
-    for i, sym in enumerate(inputs):
+    for i, sym in enumerate(rec.inputs):
         scaled = [f"y{i}_0"]
         for m in range(1, order + 1):
             if series[sym, m] is None:
@@ -673,57 +686,33 @@ def _taylor_source(flow, n: int, order: int) -> str:
     finite = " + ".join(f"(yn_{i} - yn_{i})" for i in range(n))
     body += [f"if not {finite} == 0.0:",
              '    return "non-finite Taylor coefficient or state", t, None, None, accepted',
-             "at = abs(t)",
-             f"if h <= {_const(16.0 * _EPS)} * (at if at > 1.0 else 1.0):",
+             *_UNDERFLOW,
+             "if h <= h_min:",
              '    return "step size underflow", t, None, None, accepted',
-             "t_old = t",
-             "# land exactly on the limit when the step was clipped to it",
-             "t = t_limit if h == h_clip else t + h",
+             *_LAND,
              "diverged = " + " or ".join(f"abs(yn_{i}) > bound" for i in range(min(5, n))),
              f"return None, t, [{', '.join(f'yn_{i}' for i in range(n))}], "
              f"(t_old, h, ({', '.join(polys)},), diverged, False), accepted + 1"]
-    lines = ["def advance(p, settings, t, y, t_limit, accepted):"]
-    lines += ["    " + line for line in head]
-    lines += ["    atol, rtol, h_max = settings.abs_tol, settings.rel_tol, settings.h_max",
-              "    bound = settings.divergence_norm",
-              "    if accepted >= settings.max_steps:",
-              '        return "step budget exhausted", t, None, None, accepted']
-    lines += ["    " + line for line in body]
+    head = [f"{', '.join(f'y{i}_0' for i in range(n))}{',' if n == 1 else ''} = y", *rec.head, *_SETTINGS,
+            "if accepted >= max_steps:",
+            '    return "step budget exhausted", t, None, None, accepted']
+    lines = ["def advance(p, settings, t, y, t_limit, accepted):"] + ["    " + line for line in head + body]
     return "\n".join(lines) + "\n"
 
 
-@functools.cache
-def _taylor(flow, n: int, order: int):
-    """The compiled _taylor_source(flow, n, order), recorded and built on first use."""
-    namespace = {}
-    exec(compile(_taylor_source(flow, n, order), "<taylor advance>", "exec"), globals(), namespace)
-    return namespace["advance"]
-
-
-class _Taylor:
+class _Taylor(_Stepper):
     """Single-trajectory Taylor stepper of the order _taylor_order gives for the
-    tolerances.  The state and the step polynomials are lists of Python floats;
-    the step is generated from flow's recurrence (see _taylor_source).  Every
-    accepted step is a stop, which leaves the step's polynomials in polys and
-    its divergence decision; crossing is always False.  There is no rejected
-    step; rhs_evals counts the orders of the field recurrence evaluated, the
-    order once per step.
+    tolerances; the step is generated from flow's recurrence (see
+    _taylor_source).  Every accepted step is a stop, which leaves the step's
+    polynomials in polys and its divergence decision; crossing is always
+    False.  There is no rejected step; rhs_evals counts the orders of the field
+    recurrence evaluated, the order once per step.
     """
 
     def __init__(self, flow, p, y0, settings: IntegratorSettings):
-        self.p = p
-        self.t = 0.0
-        self.y = [float(v) for v in y0]
-        self.s = settings
         self.order = _taylor_order(settings)
-        self.step = _taylor(flow, len(self.y), self.order)
-        self.stats = StepStats(method="taylor", order=self.order)
-        # filled by advance() at each stop: the last accepted step and its decisions
-        self.t_old = 0.0
-        self.h_last = 0.0
-        self.polys = ()
-        self.diverged = False
-        self.crossing = False
+        super().__init__(p, y0, settings, StepStats(method="taylor", order=self.order))
+        self.step = _compiled(_taylor_source, flow, len(self.y), self.order)
 
     def advance(self, t_limit: float):
         """Take one step, not beyond t_limit."""
@@ -735,8 +724,6 @@ class _Taylor:
         stats.rhs_evals += self.order
         self.t, self.y = t, y
         self.t_old, self.h_last, self.polys, self.diverged, self.crossing = stop
-
-    dense = _Dopri5.dense
 
 
 def _base_flow(y, p: ModelParams) -> list:
@@ -754,7 +741,7 @@ def _check_t_end(t_end: float):
         raise ConfigurationError(f"t_end must be positive and finite, got {t_end}")
 
 
-def _drive(stepper: _Dopri5 | _Taylor, marks, on_stop=None, on_mark=None):
+def _drive(stepper: _Stepper, marks, on_stop=None, on_mark=None):
     """Advance stepper through ascending stop marks; returns (status, t_div).
 
     Steps are clipped to land exactly on each mark.  The stepper hands back
@@ -776,7 +763,7 @@ def _drive(stepper: _Dopri5 | _Taylor, marks, on_stop=None, on_mark=None):
     return IntegrationStatus.COMPLETED, None
 
 
-def _trajectory(stepper: _Dopri5 | _Taylor, times, states, dn, status, t_div) -> Trajectory:
+def _trajectory(stepper: _Stepper, times, states, dn, status, t_div) -> Trajectory:
     """Close the samples (times, and states flat) with the last state reached."""
     if stepper.t > times[-1]:
         times.append(stepper.t)
@@ -797,23 +784,27 @@ def integrate(
     Samples are emitted at t = 0, at every multiple of sample_interval and at
     the final reached time; step-size control is never distorted by output
     requests; settings.h_init is not used.  Integration stops early with DIVERGED status when the max-norm
-    of the state exceeds settings.divergence_norm.
+    of the state exceeds settings.divergence_norm.  A t_end / sample_interval
+    above _MAX_SAMPLES is a ConfigurationError, raised before any step.
     """
     settings = settings or IntegratorSettings()
     _check_t_end(t_end)
     if not 0 < sample_interval < math.inf:
         raise ConfigurationError(f"sample_interval must be positive and finite, got {sample_interval}")
+    if not t_end / sample_interval <= _MAX_SAMPLES:
+        raise ConfigurationError(f"t_end / sample_interval must be at most {_MAX_SAMPLES}, "
+                                 f"got {t_end / sample_interval:.6g}")
 
     stepper = _Taylor(_base_flow, p, s0.as_tuple(), settings)
     times = [0.0]
     states = list(s0.as_tuple())
     k_next = 1
-    slack = 1e-12 * sample_interval
+    margin = 1e-12 * sample_interval     # a sample due within round-off of a step end
 
     def sample(st: _Taylor):
         """Every sample due by the end of the step, off its polynomials: every step stops."""
         nonlocal k_next
-        while k_next * sample_interval <= st.t + slack:
+        while k_next * sample_interval <= st.t + margin:
             ts = k_next * sample_interval
             if ts <= t_end:
                 times.append(ts)
@@ -862,16 +853,20 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int) -> flo
     raise RuntimeError(f"failed to converge after {maxiter} iterations, value is {xcur!r}")
 
 
-def _refine_crossing(stepper: _Dopri5, x, ta: float, tb: float):
-    """Locate the root of the interpolated x(t) on [ta, tb]."""
+def _refine_crossing(stepper: _Stepper, x, ta: float, tb: float):
+    """Locate the root of the interpolated x(t) on [ta, tb].  |x| there may be
+    1e-12 * (1 + |y|), plus |dX/dt| = |omega * p| times the time tolerance brentq
+    is given: float time may not resolve the root more finely."""
+    xtol, rtol = 1e-15, 4 * _EPS
     try:
-        t_cross = brentq(x, ta, tb, xtol=1e-15, rtol=4 * _EPS, maxiter=_EVENT_MAX_ITER)
+        t_cross = brentq(x, ta, tb, xtol=xtol, rtol=rtol, maxiter=_EVENT_MAX_ITER)
     except (ValueError, RuntimeError) as exc:    # no bracket, or no convergence
         raise NumericalFailureError(
             f"crossing refinement on [{ta:.17g}, {tb:.17g}] failed: {exc}", last_good_time=ta
         ) from exc
     y_cross = stepper.dense(t_cross)[:5]
     tol = 1e-12 * (1.0 + math.hypot(*y_cross))
+    tol += abs(stepper.p.omega * y_cross[4]) * (xtol + rtol * abs(t_cross))
     if abs(y_cross[3]) > tol:
         raise NumericalFailureError(
             f"crossing refinement stalled at t={t_cross:.6g}", last_good_time=ta
@@ -887,7 +882,7 @@ def _crossing_scan(p: ModelParams, dn: float, events: list):
     x is read at the edges of _EVENT_SUBDIV subintervals off that quartic in
     theta, the function brentq refines, so a sign change brackets a root.
     """
-    def scan(st: _Dopri5):
+    def scan(st: _Stepper):
         if not st.crossing:                     # the stepper's bound test on x's quartic
             return
         q = st.polys[3]

@@ -136,7 +136,7 @@ class TestConfigHandling:
 
         monkeypatch.setattr(integrator, "rhs", broken_rhs)
         # simulate's Taylor step calls rhs only when it is recorded, on first use in a process
-        integrator._taylor.cache_clear()
+        integrator._compiled.cache_clear()
         with pytest.raises(ValueError, match="a programming error"):
             main(["simulate", "--preset", "fig1b", "--out", str(tmp_path)])
         assert "configuration error" not in capsys.readouterr().err
@@ -403,6 +403,14 @@ class TestSimulate:
         assert code == EXIT_CONFIG
         assert "radicand inf" in capsys.readouterr().err
 
+    def test_too_many_samples_is_config_error(self, tmp_path, capsys):
+        # 2e7 sample intervals, above the bound of 1e6; nothing is integrated or written
+        cfg = write_cfg(tmp_path, {"simulate": {"t_end": 20.0, "sample_interval": 1e-6}})
+        assert main(["simulate", "--preset", "fig1b", "--config", cfg,
+                     "--out", str(tmp_path / "s")]) == EXIT_CONFIG
+        assert "t_end / sample_interval must be at most 1000000" in capsys.readouterr().err
+        assert not (tmp_path / "s" / "trajectory.csv").exists()
+
     def test_plot_emitted(self, tmp_path):
         cfg = write_cfg(tmp_path, FAST_SIM)
         assert main(["simulate", "--preset", "fig1a", "--config", cfg, "--plot",
@@ -455,6 +463,12 @@ class TestOracle:
         assert report["max_rel_deviation"] < 1e-7
         assert report["method"] == "taylor"
         assert report["steps_accepted"] > 0 and report["rhs_evals"] == rhs_evals(report)
+
+    def test_too_many_samples_is_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"params": {"alpha": 0.0}, "oracle": {"samples": 10**7}})
+        assert main(["oracle", "--preset", "fig1b", "--config", cfg, "--mode", "linear",
+                     "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "t_end / sample_interval must be at most 1000000" in capsys.readouterr().err
 
     def test_nonzero_alpha_rejected(self, tmp_path):
         code = main(["oracle", "--preset", "fig1b", "--mode", "linear",

@@ -88,6 +88,18 @@ class TestSettings:
                 sample_interval=math.inf,
             )
 
+    @pytest.mark.parametrize("t_end, interval", [(1.0, 1e-300), (2.0, 1e-6)])
+    def test_sample_count_is_bounded(self, t_end, interval):
+        # 1e300 samples would exhaust memory; the check comes before any step
+        with pytest.raises(ConfigurationError, match="t_end / sample_interval must be at most 1000000"):
+            integrate(
+                SystemState(2, 0, 0, 1, 0),
+                ModelParams(eps=1.05, gamma=0, delta=1.0, alpha=0.015, omega=1.0),
+                t_end,
+                IntegratorSettings(max_steps=1),
+                sample_interval=interval,
+            )
+
     @pytest.mark.parametrize("interval", [5e-324, 0.0, -1.0, math.nan])
     def test_renorm_interval_without_a_finite_mark_count(self, interval):
         # 1 / 5e-324 overflows to inf, whose ceiling has no integer
@@ -311,7 +323,7 @@ class TestGeneratedStep:
         # bit of y_new, k7, each component's dense quartic and the loop's decisions
         flow = {3: _three_flow, 5: integrator._base_flow, 10: integrator._augmented_flow}[n]
         rng = random.Random(n)
-        loop = integrator._loop(flow, n, n_err)
+        loop = integrator._compiled(integrator._loop_source, flow, n, n_err)
         overflowed = 0
         decisions, factors, stops = set(), set(), set()
         for trial in range(200):
@@ -335,7 +347,7 @@ class TestGeneratedStep:
             for tols in ((atol, rtol), (atol * tol_scale, rtol * tol_scale), (1e300, 1e300)):
                 settings = IntegratorSettings(abs_tol=tols[0], rel_tol=tols[1], max_steps=1,
                                               divergence_norm=bound)
-                got = loop(p, settings, 0.0, h, err_prev, y, k1, h, math.inf, 0.0, scan, 0, 0)
+                got = loop(p, settings, 0.0, h, err_prev, y, k1, h, scan, 0, 0)
                 err, y_new, last = _reference_attempt(flow, p, h, y, k1, *tols, n_err)
                 accepted, h_next, err_next = _reference_control(err, y_new, last[-1], h, err_prev)
                 if accepted:
@@ -356,8 +368,9 @@ class TestGeneratedStep:
 
     def test_source_is_compiled_once_per_state_length(self):
         base, augmented = integrator._base_flow, integrator._augmented_flow
-        assert integrator._loop(base, 5, 5) is integrator._loop(base, 5, 5)
-        assert integrator._loop(augmented, 10, 5) is not integrator._loop(augmented, 10, 10)
+        loop = lambda *args: integrator._compiled(integrator._loop_source, *args)
+        assert loop(base, 5, 5) is loop(base, 5, 5)
+        assert loop(augmented, 10, 5) is not loop(augmented, 10, 10)
         source = integrator._loop_source(base, 5, 5)
         assert "k2_4" in source and "e_4" in source and "e_5" not in source
         # an operation on parameters only is made once per call, not once per stage
@@ -375,10 +388,12 @@ class TestGeneratedStep:
         def divides(y, p):
             return [y[0] / p.eps]
 
-        with pytest.raises(TypeError):
-            integrator._loop_source(divides, 1, 1)
-        with pytest.raises(ValueError, match="returned 2"):
-            integrator._loop_source(lambda y, p: [y[0], y[0]], 1, 1)
+        # both generators record the flow alike; the last argument is n_err or the order
+        for source, last in ((integrator._loop_source, 1), (integrator._taylor_source, 2)):
+            with pytest.raises(TypeError):
+                source(divides, 1, last)
+            with pytest.raises(ValueError, match="returned 2"):
+                source(lambda y, p: [y[0], y[0]], 1, last)
 
 
 def _three_flow(y, p):
@@ -436,9 +451,9 @@ class TestSteppingLoop:
 
     @pytest.mark.parametrize("n", sorted(LOOP_FLOWS))
     def test_every_accepted_step_matches_the_per_step_reference(self, n):
-        # a sample always due stops the loop after every accepted step
-        ref, stepper = self.pair(n)
-        stepper.wake = -math.inf
+        # a divergence bound that every state leaves stops the loop after every accepted step
+        ref, stepper = self.pair(n, IntegratorSettings(abs_tol=1e-10, rel_tol=1e-10, h_init=1.0,
+                                                       divergence_norm=sys.float_info.min))
         marks = [0.7 * m for m in range(1, 30)]
         want, got = [], []
         for t_mark in marks:
@@ -466,22 +481,6 @@ class TestSteppingLoop:
         assert stepper.t == 3.3 and stepper.stats.accepted >= 3.3 / 0.02
         self.assert_same(ref, stepper)
         assert not (stepper.diverged or stepper.crossing)
-
-    @pytest.mark.parametrize("n", sorted(LOOP_FLOWS))
-    def test_stops_when_a_sample_is_due(self, n):
-        ref, stepper = self.pair(n)
-        stepper.wake, stepper.slack = 1.25, 1e-12 * 0.25
-        self.first_stop(ref, 20.0, lambda r: 1.25 <= r.t + 1e-12 * 0.25)
-        stepper.advance(20.0)
-        assert 1.25 <= stepper.t < 20.0
-        self.assert_same(ref, stepper)
-        assert not (stepper.diverged or stepper.crossing)
-        # a sample due exactly at a step end: the 40th from here
-        for _ in range(40):
-            ref.step(20.0)
-        stepper.wake, stepper.slack = ref.t, 0.0
-        stepper.advance(20.0)
-        self.assert_same(ref, stepper)
 
     @pytest.mark.parametrize("n", sorted(LOOP_FLOWS))
     def test_stops_where_a_crossing_may_lie(self, n):
@@ -614,7 +613,7 @@ class TestTaylorStep:
     def test_coefficients_match_the_hand_written_recurrence(self, order):
         # h = 2**-12, h_max: every power of h is exact, so each scaled coefficient
         # in the step polynomials keeps every bit of the coefficient
-        step = integrator._taylor(integrator._base_flow, 5, order)
+        step = integrator._compiled(integrator._taylor_source, integrator._base_flow, 5, order)
         rng = random.Random(order)
         settings = IntegratorSettings(h_max=2.0 ** -12)
         for _ in range(50):
@@ -629,7 +628,7 @@ class TestTaylorStep:
         # the step from the reference coefficients, clipped by h_max or by t_limit or
         # not at all; coefficient m scaled by h**m (repeated products), and y_new the
         # Horner sum of each step polynomial at theta = 1, bit for bit
-        step = integrator._taylor(integrator._base_flow, 5, order)
+        step = integrator._compiled(integrator._taylor_source, integrator._base_flow, 5, order)
         rng = random.Random(100 + order)
         clips, decisions = set(), set()
         for trial in range(150):
@@ -658,8 +657,11 @@ class TestTaylorStep:
 
     def test_source_is_compiled_once_per_order(self):
         base = integrator._base_flow
-        assert integrator._taylor(base, 5, 18) is integrator._taylor(base, 5, 18)
-        assert integrator._taylor(base, 5, 18) is not integrator._taylor(base, 5, 13)
+        taylor = lambda *args: integrator._compiled(integrator._taylor_source, *args)
+        assert taylor(base, 5, 18) is taylor(base, 5, 18)
+        assert taylor(base, 5, 18) is not taylor(base, 5, 13)
+        # one cache serves both generators
+        assert taylor(base, 5, 5) is not integrator._compiled(integrator._loop_source, base, 5, 5)
         source = integrator._taylor_source(base, 5, 18)
         # an operation on parameters only is made once per call
         assert source.count("2.0 * p_eps") == 1
@@ -952,6 +954,27 @@ class TestBrentq:
         monkeypatch.setattr(integrator, "_EVENT_MAX_ITER", 1)
         with pytest.raises(NumericalFailureError, match="converge"):
             integrator._refine_crossing(None, slow_cubic, 0.0, 1.0)
+
+    def test_refinement_holds_where_float_time_is_coarse(self):
+        # nearly linear steps at t in [1e4, 3e4] with dX/dt near omega * p, 1.5 to 3 in
+        # size: brentq may stop a few ulps of t from the root, where |x| can exceed
+        # 1e-12 * (1 + |y|) (3e-12 to 4.2e-12 here), and the refinement must still hold;
+        # each transit is found within the time tolerance brentq is given
+        rng = random.Random(24)
+        for _ in range(1000):
+            t_old, h = rng.uniform(1e4, 3e4), rng.uniform(0.01, 0.5)
+            v = rng.choice([-1.0, 1.0]) * rng.uniform(1.5, 3.0)
+            c, theta = rng.uniform(-0.1, 0.1), rng.uniform(0.01, 0.99)
+            # x = (theta' - theta) * (v * h + c * h**2 * (theta' + theta)), one root in the step
+            x_poly = (-v * h * theta - c * h * h * theta * theta, v * h, c * h * h)
+            st = SimpleNamespace(p=FIG1B, t_old=t_old, h_last=h, t=t_old + h, crossing=True,
+                                 polys=((1.0,), (0.1,), (0.2,), x_poly, (v,)))
+            st.dense = lambda t, st=st: [integrator._horner(q, (t - st.t_old) / st.h_last) for q in st.polys]
+            events = []
+            integrator._crossing_scan(FIG1B, 0.0, events)(st)
+            assert len(events) == 1 and events[0].direction == (1 if v > 0 else -1)
+            t_root = t_old + theta * h
+            assert abs(events[0].t_cross - t_root) <= 1e-15 + 4 * sys.float_info.epsilon * t_root + 1e-13
 
 
 class TestAugmented:

@@ -148,7 +148,7 @@ class TestInvariants:
 
     def test_effective_energy_reference_point(self):
         s = SystemState(n1=2, om=0, op=0, x=1, p=-2.54950976)
-        # the reference momentum is truncated to 9 digits, hence the slack
+        # the reference momentum is truncated to 9 digits, hence the tolerance
         assert effective_energy(s, P_REF) == pytest.approx(4.8, rel=1e-8)
         assert effective_energy(SystemState(1, 0, 0, 0, 0), P_REF) == 0.0
         s2 = SystemState(1, 0, 0, 0, math.sqrt(2))
