@@ -1,4 +1,5 @@
-"""Poincare sections, largest Lyapunov exponent and regime classification."""
+"""Poincare sections, largest Lyapunov exponent and regime classification; check_schedule
+is the one check of a Lyapunov schedule, made before any step or sweep cell."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from enum import Enum
 
 from .errors import ConfigurationError, DivergentTrajectoryError
 from .integrator import CrossingEvent, GrowthLog, IntegrationStatus, IntegratorSettings, Samples, StepStats
-from .integrator import Trajectory, integrate_augmented, integrate_with_events
+from .integrator import Trajectory, integrate_augmented, integrate_with_events, renorm_marks
 from .model import ModelParams, SystemState
 
 __all__ = [
@@ -20,6 +21,7 @@ __all__ = [
     "largest_lyapunov",
     "classify_regime",
     "cluster_count",
+    "check_schedule",
 ]
 
 CHAOS_THRESHOLD = 5e-3          # in units where delta = 1
@@ -105,26 +107,35 @@ def largest_lyapunov(
     interval's growth rate, over its own length, is treated as an independent
     sample for the standard error.  Divergence before the transient completes
     raises; divergence afterwards yields a partial estimate with diverged_at
-    set.  A negative transient, one at or past total, or fewer than two
-    intervals that start at or after it is a ConfigurationError.
+    set.  A schedule that check_schedule rejects is a ConfigurationError,
+    raised before any step.
     """
-    _check_transient(transient, total, "total")
+    check_schedule(transient, total, renorm_interval)
     log = integrate_augmented(
         s0, _TANGENT0, p, total, settings, renorm_interval=renorm_interval
     )
     return _estimate(log, transient)
 
 
-def _check_transient(transient: float, total: float, name: str):
-    """The transient must be >= 0 and shorter than total, which the caller calls name."""
+def check_schedule(transient: float, total: float, renorm_interval: float, name: str = "total"):
+    """ConfigurationError unless transient >= 0, total (which the caller calls name) >
+    transient, renorm_marks accepts (total, renorm_interval) and at least two intervals
+    between its marks start at or after the transient."""
     if not transient >= 0:
         raise ConfigurationError(f"transient must be >= 0, got {transient}")
     if not total > transient:
         raise ConfigurationError(f"{name} ({total}) must exceed transient ({transient})")
+    marks = renorm_marks(total, renorm_interval)
+    n = sum(t0 >= transient for t0 in [0.0, *marks[:-1]])
+    if n < 2:
+        raise ConfigurationError(
+            f"{n} renormalization interval(s) start at or after the transient {transient:g} "
+            f"and end by t={total:g}: renorm_interval is too long, at least 2 are needed"
+        )
 
 
 def _estimate(log: GrowthLog, transient: float) -> LyapunovEstimate:
-    """Benettin average of the growth log over the whole intervals after the transient."""
+    """Benettin average of the growth log over the intervals that start at or after the transient."""
     reached = log.times[-1] if len(log.times) else 0.0
     if log.status is IntegrationStatus.DIVERGED and reached <= transient:
         raise DivergentTrajectoryError("trajectory diverged before the transient completed", log.t_div)
@@ -133,12 +144,7 @@ def _estimate(log: GrowthLog, transient: float) -> LyapunovEstimate:
             if t0 >= transient]
     n = len(kept)
     if n < 2:
-        if log.status is IntegrationStatus.DIVERGED:
-            raise DivergentTrajectoryError("too few growth samples past the transient", log.t_div)
-        raise ConfigurationError(
-            f"{n} renormalization interval(s) start at or after the transient {transient:g} "
-            f"and end by t={reached:g}: renorm_interval is too long, at least 2 are needed"
-        )
+        raise DivergentTrajectoryError("too few growth samples past the transient", log.t_div)
     lam = math.fsum(g for _, _, g in kept) / (reached - kept[0][0])
     rates = [g / (t1 - t0) for t0, t1, g in kept]
     mean = math.fsum(rates) / n
@@ -200,42 +206,32 @@ def classify_regime(
     otherwise the Poincare-section cluster structure separates Periodic (small
     saturating cluster count) from Quasiperiodic.  Fewer than 50 crossings
     yields Inconclusive with the evidence attached.  The transient is used as
-    given: a negative one, or one at or past the budget, is a
-    ConfigurationError.
+    given; a schedule that check_schedule rejects is a ConfigurationError,
+    raised before any step.
     """
-    _check_transient(transient, budget, "budget")
+    check_schedule(transient, budget, renorm_interval, "budget")
     log = integrate_augmented(
         s0, _TANGENT0, p, budget, settings, renorm_interval=renorm_interval, crossings=True
     )
-    n_cross = len(log.crossings)
+    result = RegimeClassification(Regime.DIVERGENT, n_crossings=len(log.crossings), stats=log.stats)
     try:
-        est = _estimate(log, transient)
+        result.lyapunov = est = _estimate(log, transient)
     except DivergentTrajectoryError as exc:
-        return RegimeClassification(
-            label=Regime.DIVERGENT, divergence_time=exc.t_div, n_crossings=n_cross, stats=log.stats,
-            notes="diverged before the Lyapunov transient completed",
-        )
+        result.divergence_time = exc.t_div
+        result.notes = "diverged before the Lyapunov transient completed"
+        return result
     if est.diverged_at is not None:
-        return RegimeClassification(
-            label=Regime.DIVERGENT, lyapunov=est, divergence_time=est.diverged_at, n_crossings=n_cross,
-            stats=log.stats,
-        )
-    if est.lambda_max > CHAOS_THRESHOLD and est.lambda_max > SIGNIFICANCE_SIGMA * est.standard_error:
-        return RegimeClassification(label=Regime.CHAOTIC, lyapunov=est, n_crossings=n_cross, stats=log.stats)
-
-    if n_cross < MIN_CROSSINGS:
-        return RegimeClassification(
-            label=Regime.INCONCLUSIVE, lyapunov=est, n_crossings=n_cross, stats=log.stats,
-            notes=f"only {n_cross} crossings (< {MIN_CROSSINGS}) within the budget",
-        )
-    pts = [(e.state.om, e.state.op) for e in log.crossings]
-    # crossings at one point (spread 0) still cover as one cluster: distance 0 <= 0
-    spread = max(max(c) - min(c) for c in zip(*pts))
-    n_half, n_full = cluster_count(pts, CLUSTER_RADIUS_FACTOR * spread)
-    if n_full <= MAX_PERIODIC_CLUSTERS and n_full == n_half:
-        label = Regime.PERIODIC
+        result.divergence_time = est.diverged_at
+    elif est.lambda_max > CHAOS_THRESHOLD and est.lambda_max > SIGNIFICANCE_SIGMA * est.standard_error:
+        result.label = Regime.CHAOTIC
+    elif result.n_crossings < MIN_CROSSINGS:
+        result.label = Regime.INCONCLUSIVE
+        result.notes = f"only {result.n_crossings} crossings (< {MIN_CROSSINGS}) within the budget"
     else:
-        label = Regime.QUASIPERIODIC
-    return RegimeClassification(
-        label=label, lyapunov=est, n_crossings=n_cross, n_clusters=n_full, stats=log.stats
-    )
+        pts = [(e.state.om, e.state.op) for e in log.crossings]
+        # crossings at one point (spread 0) still cover as one cluster: distance 0 <= 0
+        spread = max(max(c) - min(c) for c in zip(*pts))
+        n_half, result.n_clusters = cluster_count(pts, CLUSTER_RADIUS_FACTOR * spread)
+        periodic = result.n_clusters <= MAX_PERIODIC_CLUSTERS and result.n_clusters == n_half
+        result.label = Regime.PERIODIC if periodic else Regime.QUASIPERIODIC
+    return result

@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+from enum import Enum
 from pathlib import Path
 
 from . import analysis
@@ -29,7 +30,7 @@ from .errors import (
     InfeasibleConstraintError,
     NumericalFailureError,
 )
-from .integrator import IntegratorSettings, StepStats, integrate
+from .integrator import MAX_SAMPLES, IntegratorSettings, StepStats, integrate
 from .linear_oracle import QuantumTriple, StabilityClass, classify, evolve_classical, evolve_critical, evolve_linear
 from .model import (
     ModelParams,
@@ -39,7 +40,7 @@ from .model import (
     invariant_I,
 )
 from .svgplot import write_svg
-from .sweep import AxisSpec, InitialRecipe, SweepSpec, run_sweep
+from .sweep import AxisSpec, CellResult, InitialRecipe, SweepSpec, run_sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -267,6 +268,15 @@ def _max_abs_drift(e_vals, i_vals) -> dict:
             "i_inv": max(abs(i - i_vals[0]) for i in i_vals)}
 
 
+def _csv_entry(v):
+    """A regimes.csv entry: "" for None, an enum's value, a float in g17, else v."""
+    if v is None:
+        return ""
+    if isinstance(v, Enum):
+        return v.value
+    return g17(v) if isinstance(v, float) else v
+
+
 def _write_csv(path: Path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -353,8 +363,8 @@ def cmd_oracle(args):
             s0 = _initial_recipe(cfg["initial"]).build(p)
             settings = _build_settings(cfg["integrator"], 1e-12)
             osec = _read(cfg["oracle"], "oracle", _SECTIONS["oracle"])
-            if osec["samples"] < 2:
-                raise ConfigurationError(f"oracle.samples must be at least 2, got {osec['samples']}")
+            if not 2 <= osec["samples"] <= MAX_SAMPLES:
+                raise ConfigurationError(f"oracle.samples must be from 2 to {MAX_SAMPLES}, got {osec['samples']}")
             traj, max_abs, max_rel = _oracle_compare(
                 p, s0, settings, osec["t_end"], osec["samples"], critical=(mode == "critical")
             )
@@ -479,27 +489,14 @@ def cmd_sweep(args):
         except OSError as exc:
             raise ConfigurationError(f"{target} cannot be written: {exc}") from exc
         regime_map = run_sweep(spec, max_workers=workers)
-        rows = []
-        for cell in regime_map.cells:
-            rows.append([
-                spec.axis1.name, g17(cell.axis1_value),
-                spec.axis2.name, g17(cell.axis2_value),
-                "" if cell.regime is None else cell.regime.value,
-                "" if cell.lambda_max is None else g17(cell.lambda_max),
-                "" if cell.standard_error is None else g17(cell.standard_error),
-                "" if cell.divergence_time is None else g17(cell.divergence_time),
-                cell.status,
-                "" if cell.n_crossings is None else cell.n_crossings,
-                "" if cell.n_clusters is None else cell.n_clusters,
-                cell.notes,
-                "" if cell.steps_accepted is None else cell.steps_accepted,
-                "" if cell.rhs_evals is None else cell.rhs_evals,
-            ])
+        # the columns after the axes are CellResult's fields after its grid position
+        columns = [f.name for f in dataclasses.fields(CellResult)[4:]]
         _write_csv(target,
                    ["axis1_name", "axis1_value", "axis2_name", "axis2_value",
-                    "regime", "lambda_max", "stderr", "divergence_time", "status",
-                    "n_crossings", "n_clusters", "notes", "steps_accepted", "rhs_evals"],
-                   rows)
+                    *("stderr" if c == "standard_error" else c for c in columns)],
+                   [[spec.axis1.name, g17(cell.axis1_value), spec.axis2.name, g17(cell.axis2_value),
+                     *(_csv_entry(getattr(cell, c)) for c in columns)]
+                    for cell in regime_map.cells])
         results["cells"] = len(regime_map)
 
 

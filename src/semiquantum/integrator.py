@@ -74,6 +74,8 @@ __all__ = [
     "integrate",
     "integrate_with_events",
     "integrate_augmented",
+    "renorm_marks",
+    "MAX_SAMPLES",
 ]
 
 _EPS = sys.float_info.epsilon
@@ -90,8 +92,9 @@ _TAYLOR_MIN_ORDER = 2
 _TAYLOR_STEP = math.exp(-2.0)
 _TAYLOR_SAFETY = 0.7
 
-# the most samples integrate emits, t_end / sample_interval: about 0.2 GB of floats before packing
-_MAX_SAMPLES = 10**6
+# the most samples integrate emits, t_end / sample_interval, and the most renormalizations
+# integrate_augmented makes, t_end / renorm_interval: about 0.2 GB of floats before packing
+MAX_SAMPLES = 10**6
 
 _EVENT_MAX_ITER = 100
 # number of sign-check subintervals per accepted step when locating crossings
@@ -785,14 +788,14 @@ def integrate(
     the final reached time; step-size control is never distorted by output
     requests; settings.h_init is not used.  Integration stops early with DIVERGED status when the max-norm
     of the state exceeds settings.divergence_norm.  A t_end / sample_interval
-    above _MAX_SAMPLES is a ConfigurationError, raised before any step.
+    above MAX_SAMPLES is a ConfigurationError, raised before any step.
     """
     settings = settings or IntegratorSettings()
     _check_t_end(t_end)
     if not 0 < sample_interval < math.inf:
         raise ConfigurationError(f"sample_interval must be positive and finite, got {sample_interval}")
-    if not t_end / sample_interval <= _MAX_SAMPLES:
-        raise ConfigurationError(f"t_end / sample_interval must be at most {_MAX_SAMPLES}, "
+    if not t_end / sample_interval <= MAX_SAMPLES:
+        raise ConfigurationError(f"t_end / sample_interval must be at most {MAX_SAMPLES}, "
                                  f"got {t_end / sample_interval:.6g}")
 
     stepper = _Taylor(_base_flow, p, s0.as_tuple(), settings)
@@ -928,6 +931,17 @@ def _norm(v) -> float:
     return math.sqrt(sum(c * c for c in v))
 
 
+def renorm_marks(t_end: float, renorm_interval: float) -> list:
+    """integrate_augmented's renormalization instants: every multiple of renorm_interval below
+    t_end (a quotient within round-off of an integer counts as that integer), then t_end.
+    ConfigurationError unless renorm_interval > 0 and t_end / renorm_interval <= MAX_SAMPLES."""
+    if not (renorm_interval > 0 and t_end / renorm_interval <= MAX_SAMPLES):
+        raise ConfigurationError(f"renorm_interval must be positive, and t_end / renorm_interval must be "
+                                 f"finite and at most {MAX_SAMPLES}, got {t_end!r} / {renorm_interval!r}")
+    n_marks = max(1, math.ceil(t_end / renorm_interval * (1 - 1e-12)))
+    return [min(m * renorm_interval, t_end) for m in range(1, n_marks + 1)]
+
+
 def integrate_augmented(
     s0: SystemState,
     tangent0,
@@ -939,7 +953,7 @@ def integrate_augmented(
 ) -> GrowthLog:
     """Co-integrate the state with one tangent vector dv/dt = J(s) v.
 
-    At every multiple of renorm_interval below t_end, and at t_end itself, the
+    At each of renorm_marks(t_end, renorm_interval), checked before any step, the
     tangent vector is scaled to unit length and the log of its norm before
     scaling is recorded (Benettin et al. 1980); so the last interval may be
     shorter.  A norm that is zero or not finite is a NumericalFailureError.
@@ -949,9 +963,7 @@ def integrate_augmented(
     """
     settings = settings or IntegratorSettings()
     _check_t_end(t_end)
-    if not (renorm_interval > 0 and math.isfinite(t_end / renorm_interval)):
-        raise ConfigurationError(
-            f"renorm_interval must be positive, with t_end / renorm_interval finite, got {renorm_interval!r}")
+    marks = renorm_marks(t_end, renorm_interval)
     try:
         tangent = list(tangent0)
     except TypeError:                                   # not iterable
@@ -983,10 +995,6 @@ def integrate_augmented(
         st.stats.renorms += 1
         st.restart()                                    # FSAL stage is stale after renorm
 
-    # marks at every multiple of renorm_interval below t_end, then t_end itself; a
-    # quotient within round-off of an integer counts as that integer
-    n_marks = max(1, math.ceil(t_end / renorm_interval * (1 - 1e-12)))
-    marks = (min(m * renorm_interval, t_end) for m in range(1, n_marks + 1))
     stepper.scan = crossings
     scan = _crossing_scan(p, s0.dn, events) if crossings else None
     status, t_div = _drive(stepper, marks, on_stop=scan, on_mark=renormalize)

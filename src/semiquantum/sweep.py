@@ -1,4 +1,8 @@
-"""Parameter-grid regime mapping with deterministic parallel execution."""
+"""Parameter-grid regime mapping with deterministic parallel execution.
+
+A SweepSpec checks its schedule when it is built, before any cell runs.  Each
+cell gives one flat CellResult, the record a worker sends back.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .analysis import Regime, classify_regime
+from .analysis import Regime, check_schedule, classify_regime
 from .errors import ConfigurationError, DivergentTrajectoryError, InfeasibleConstraintError, NumericalFailureError
 from .integrator import IntegratorSettings
 from .model import ModelParams, SystemState, linspace, make_initial
@@ -96,31 +100,26 @@ class SweepSpec:
     settings: IntegratorSettings = field(default_factory=lambda: IntegratorSettings(abs_tol=1e-10, rel_tol=1e-10))
 
     def __post_init__(self):
+        check_schedule(self.transient, self.budget, self.renorm_interval, "budget")
         if self.axis1.name == self.axis2.name:
             raise ConfigurationError(f"axes must name distinct parameters, both are {self.axis1.name!r}")
-        if not (0 < self.budget < math.inf and 0 <= self.transient < math.inf
-                and 0 < self.renorm_interval < math.inf):
-            raise ConfigurationError("sweep budgets must be positive and finite")
-        if not math.isfinite(self.budget / self.renorm_interval):
-            raise ConfigurationError(
-                f"sweep budget / renorm_interval must be finite, got {self.budget} / {self.renorm_interval!r}")
-        if not self.budget > self.transient:
-            raise ConfigurationError(f"sweep budget ({self.budget}) must exceed transient ({self.transient})")
 
 
 @dataclass(frozen=True)
 class CellResult:
-    """One grid cell: a full record, or an explicit skip/failure."""
+    """One grid cell: a full record, or an explicit skip/failure that leaves the
+    evidence empty.  The fields after axis2_value are regimes.csv's columns, in
+    order, so a new column is one new field here."""
 
     i: int
     j: int
     axis1_value: float
     axis2_value: float
-    regime: Regime | None
-    lambda_max: float | None
-    standard_error: float | None
-    divergence_time: float | None
-    status: str                      # "ok" | "skipped: ..." | "failed: ..."
+    regime: Regime | None = None
+    lambda_max: float | None = None
+    standard_error: float | None = None
+    divergence_time: float | None = None
+    status: str = field(kw_only=True)   # required: "ok" | "skipped: ..." | "failed: ..."
     # the section evidence of RegimeClassification
     n_crossings: int | None = None
     n_clusters: int | None = None
@@ -149,18 +148,18 @@ def _run_cell(args) -> CellResult:
     try:
         p = _cell_params(spec, v1, v2)
     except ConfigurationError as exc:
-        return CellResult(i, j, v1, v2, None, None, None, None, f"skipped: invalid params ({exc})")
+        return CellResult(i, j, v1, v2, status=f"skipped: invalid params ({exc})")
     try:
         s0 = spec.recipe.build(p)
     except InfeasibleConstraintError as exc:
-        return CellResult(i, j, v1, v2, None, None, None, None, f"skipped: {exc}")
+        return CellResult(i, j, v1, v2, status=f"skipped: {exc}")
     try:
         result = classify_regime(
             s0, p, spec.settings, budget=spec.budget,
             transient=spec.transient, renorm_interval=spec.renorm_interval,
         )
     except (NumericalFailureError, DivergentTrajectoryError) as exc:  # numerical outcomes are data
-        return CellResult(i, j, v1, v2, None, None, None, None, f"failed: {exc}")
+        return CellResult(i, j, v1, v2, status=f"failed: {exc}")
     est = result.lyapunov
     return CellResult(
         i, j, v1, v2,

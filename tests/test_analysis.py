@@ -188,6 +188,16 @@ class TestLyapunov:
         with pytest.raises(ConfigurationError, match=f"{budget} \\(300.0\\) must exceed transient"):
             estimator(S_BASE, P_WEAK, ST, transient=transient, **{budget: 300.0})
 
+    @pytest.mark.parametrize("estimator, budget", [(largest_lyapunov, "total"), (classify_regime, "budget")])
+    @pytest.mark.parametrize("transient, renorm_interval, n", [(10.0, 150.0, 1), (10.0, 400.0, 0), (150.0, 150.0, 1)])
+    def test_too_few_intervals_are_rejected_before_integrating(self, estimator, budget, transient,
+                                                               renorm_interval, n, monkeypatch):
+        # marks at 150 and 300 (or 300 alone): at most one interval starts at or after the transient
+        monkeypatch.setattr(analysis, "integrate_augmented", None)
+        with pytest.raises(ConfigurationError, match=f"^{n} renormalization interval.*renorm_interval is too long"):
+            estimator(S_BASE, P_WEAK, ST, transient=transient, renorm_interval=renorm_interval,
+                      **{budget: 300.0})
+
 
 class TestClassifyRegime:
     def test_weak_coupling_not_chaotic(self):

@@ -468,7 +468,7 @@ class TestOracle:
         cfg = write_cfg(tmp_path, {"params": {"alpha": 0.0}, "oracle": {"samples": 10**7}})
         assert main(["oracle", "--preset", "fig1b", "--config", cfg, "--mode", "linear",
                      "--out", str(tmp_path)]) == EXIT_CONFIG
-        assert "t_end / sample_interval must be at most 1000000" in capsys.readouterr().err
+        assert "oracle.samples must be from 2 to 1000000, got 10000000" in capsys.readouterr().err
 
     def test_nonzero_alpha_rejected(self, tmp_path):
         code = main(["oracle", "--preset", "fig1b", "--mode", "linear",
@@ -695,6 +695,23 @@ class TestLyapunov:
                      "--out", str(tmp_path / "lr")])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("lsec, message", [
+        # one interval, (2000, 3000], starts after the transient
+        ({"transient": 200.0, "total": 3000.0, "renorm_interval": 2000.0}, "renorm_interval is too long"),
+        # 5e7 renormalizations
+        ({"transient": 200.0, "total": 5000.0, "renorm_interval": 1e-4}, "must be finite and at most 1000000"),
+    ], ids=["one_interval", "too_many_marks"])
+    def test_bad_schedule_fails_before_any_step(self, tmp_path, capsys, monkeypatch, lsec, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the augmented pass ran")
+        monkeypatch.setattr(analysis, "integrate_augmented", refuse)
+        cfg = write_cfg(tmp_path, {"lyapunov": lsec})
+        code = main(["lyapunov", "--preset", "fig2d", "--config", cfg,
+                     "--out", str(tmp_path / "lb")])
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "lb" / "lyapunov.json").exists()
+
 
 class TestSweep:
     def test_regime_csv_contract(self, tmp_path):
@@ -861,6 +878,12 @@ class TestSweepSpecErrors:
 
     def test_transient_at_the_budget(self, tmp_path):
         assert self.run_spec(tmp_path, budget=10.0, transient=10.0) == EXIT_CONFIG
+
+    def test_one_interval_after_the_transient(self, tmp_path, capsys):
+        # marks at 400 and 600: one interval starts after the transient; nothing is written
+        assert self.run_spec(tmp_path, budget=600.0, transient=10.0, renorm_interval=400.0) == EXIT_CONFIG
+        assert "renorm_interval is too long" in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
 
     def test_e_eff_without_i_inv(self, tmp_path):
         assert self.run_spec(tmp_path, initial={"e_eff": 4.8}) == EXIT_CONFIG

@@ -5,8 +5,9 @@ No lint tool is part of the toolchain, so this walks each module's syntax
 tree with the standard library.  A name counts as used when the module
 refers to it anywhere (annotations included) or lists it in ``__all__``;
 ``__init__.py`` only re-exports and is exempt from the import check.
-Every name in a module's ``__all__`` exists, and every name the package
-re-exports is public in its module.
+Every name in a module's ``__all__`` exists, every name the package
+re-exports is public in its module, and no module imports another module's
+private name: what two modules share is public in the one that defines it.
 """
 
 import ast
@@ -61,6 +62,18 @@ def _unreferenced_private_names(path: Path) -> list:
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_no_unreferenced_private_names(module):
     assert _unreferenced_private_names(PACKAGE / module) == []
+
+
+def _private_imports(path: Path) -> list:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted(f"{node.module}.{alias.name} (line {node.lineno})"
+                  for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  for alias in node.names if alias.name.startswith("_") and not alias.name.startswith("__"))
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_private_name_imported(module):
+    assert _private_imports(PACKAGE / module) == []
 
 
 @pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py") if p.name != "__init__.py"))

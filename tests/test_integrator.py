@@ -19,6 +19,7 @@ from semiquantum.integrator import (
     integrate,
     integrate_augmented,
     integrate_with_events,
+    renorm_marks,
 )
 from semiquantum.linear_oracle import (
     QuantumTriple,
@@ -108,6 +109,17 @@ class TestSettings:
                 SystemState(2, 0, 0, 1, 0), [1.0] * 5,
                 ModelParams(eps=1.0, gamma=0, delta=1.0, alpha=0.0, omega=1.0),
                 1.0, renorm_interval=interval,
+            )
+
+    @pytest.mark.parametrize("t_end, interval", [(10.0, 1e-6), (5000.0, 1e-4)])
+    def test_renorm_count_is_bounded(self, t_end, interval, monkeypatch):
+        # 1e7 and 5e7 renormalizations; the check comes before a stepper is made
+        monkeypatch.setattr(integrator, "_Dopri5", None)
+        with pytest.raises(ConfigurationError, match="t_end / renorm_interval must be finite and at most 1000000"):
+            integrate_augmented(
+                SystemState(2, 0, 0, 1, 0), [1.0] * 5,
+                ModelParams(eps=1.05, gamma=0, delta=1.0, alpha=0.015, omega=1.0),
+                t_end, renorm_interval=interval,
             )
 
 
@@ -978,6 +990,22 @@ class TestBrentq:
 
 
 class TestAugmented:
+    @pytest.mark.parametrize("t_end, interval, n", [
+        (0.3, 0.1, 3),            # 0.3 / 0.1 rounds to 2.9999999999999996
+        (1.2, 0.4, 3),            # 3 * 0.4 is 1.2000000000000002, past t_end
+        (9.6, 1.0, 10),           # a short last interval, (9, 9.6]
+        (20.0, 1.0, 20),
+        (1.0, 5.0, 1),
+    ])
+    def test_marks_are_the_renormalization_times(self, t_end, interval, n):
+        p = ModelParams(eps=1.05, gamma=0.0, delta=1.0, alpha=0.015, omega=1.0)
+        log = integrate_augmented(SystemState(2, 0, 0, 1, -2.54950976), np.ones(5), p, t_end,
+                                  IntegratorSettings(abs_tol=1e-10, rel_tol=1e-10), renorm_interval=interval)
+        assert log.status is IntegrationStatus.COMPLETED
+        marks = renorm_marks(t_end, interval)
+        assert marks == list(log.times)
+        assert len(marks) == n and marks[-1] == t_end
+
     def test_stable_linear_rates_vanish(self):
         p = ModelParams(eps=1.3, gamma=0.0, delta=0.7, alpha=0.0, omega=1.0)
         s0 = SystemState(2, 0.2, 0.1, 1, 0)

@@ -74,6 +74,11 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="renorm_interval must be finite"):
             small_spec(renorm_interval=5e-324)
 
+    def test_renorm_count_is_bounded_when_built(self):
+        # 3e6 renormalizations per cell
+        with pytest.raises(ConfigurationError, match="renorm_interval must be finite and at most 1000000"):
+            small_spec(budget=300.0, renorm_interval=1e-4)
+
     @pytest.mark.parametrize("build", [
         lambda: IntegratorSettings(divergence_norm=float("nan")),
         lambda: IntegratorSettings(max_steps=float("nan")),
@@ -82,8 +87,9 @@ class TestValidation:
         lambda: small_spec(axis2=AxisSpec("eps", (1.3,))),
         lambda: ModelParams(eps=0.0, gamma=0.0, delta=1.0, alpha=0.0, omega=1.0),
         lambda: small_spec(budget=50.0, transient=50.0),
+        lambda: small_spec(budget=600.0, transient=10.0, renorm_interval=400.0),
     ], ids=["nan_divergence_norm", "nan_max_steps", "unknown_axis", "empty_recipe", "equal_axes", "zero_eps",
-            "transient_at_budget"])
+            "transient_at_budget", "one_interval_after_the_transient"])
     def test_config_rejects_a_bad_value_when_built(self, build):
         with pytest.raises(ConfigurationError):
             build()
