@@ -224,12 +224,14 @@ def _report(path: Path, head: dict):
     report is head, those results (which replace head's keys of the same
     name) and wall_time_s, the block's run time.  On a numerical failure or
     a divergence it is head, status, error and last_good_time or t_div, and
-    the exception goes on.  Any other exception writes nothing.  A directory
-    that cannot be made is a configuration error.
+    the exception goes on.  Any other exception writes nothing, and removes
+    the directories made here that the block left empty.  A directory that
+    cannot be made is a configuration error.
     """
     def write(fields):
         path.write_text(json.dumps({**head, **fields}, indent=2, sort_keys=True) + "\n")
 
+    made = [d for d in (path.parent, *path.parent.parents) if not d.exists()]     # innermost first
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -243,6 +245,11 @@ def _report(path: Path, head: dict):
         raise
     except DivergentTrajectoryError as exc:
         write({"status": "diverged", "error": str(exc), "t_div": exc.t_div})
+        raise
+    except BaseException:
+        with contextlib.suppress(OSError):      # a directory not empty stays, and so do its parents
+            for d in made:
+                d.rmdir()
         raise
     write({**results, "wall_time_s": time.perf_counter() - t0})
 
@@ -482,21 +489,29 @@ def cmd_sweep(args):
             "axis2": {"name": spec.axis2.name, "values": list(spec.axis2.values)},
             "budget": spec.budget}
     with _report(out / "summary.json", head) as results:
-        # fail on unwritable output before any computation
+        # fail on unwritable output before any computation, touching no file there: the
+        # table goes to a new file beside regimes.csv, which then replaces it whole
         target = out / "regimes.csv"
+        partial = out / f".regimes.csv.{os.getpid()}.tmp"
         try:
-            open(target, "w").close()
+            if target.is_dir():
+                raise IsADirectoryError(f"{target} is a directory")
+            open(partial, "w").close()
         except OSError as exc:
             raise ConfigurationError(f"{target} cannot be written: {exc}") from exc
-        regime_map = run_sweep(spec, max_workers=workers)
-        # the columns after the axes are CellResult's fields after its grid position
-        columns = [f.name for f in dataclasses.fields(CellResult)[4:]]
-        _write_csv(target,
-                   ["axis1_name", "axis1_value", "axis2_name", "axis2_value",
-                    *("stderr" if c == "standard_error" else c for c in columns)],
-                   [[spec.axis1.name, g17(cell.axis1_value), spec.axis2.name, g17(cell.axis2_value),
-                     *(_csv_entry(getattr(cell, c)) for c in columns)]
-                    for cell in regime_map.cells])
+        try:
+            regime_map = run_sweep(spec, max_workers=workers)
+            # the columns after the axes are CellResult's fields after its grid position
+            columns = [f.name for f in dataclasses.fields(CellResult)[4:]]
+            _write_csv(partial,
+                       ["axis1_name", "axis1_value", "axis2_name", "axis2_value",
+                        *("stderr" if c == "standard_error" else c for c in columns)],
+                       [[spec.axis1.name, g17(cell.axis1_value), spec.axis2.name, g17(cell.axis2_value),
+                         *(_csv_entry(getattr(cell, c)) for c in columns)]
+                        for cell in regime_map.cells])
+            os.replace(partial, target)
+        finally:
+            partial.unlink(missing_ok=True)
         results["cells"] = len(regime_map)
 
 

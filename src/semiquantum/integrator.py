@@ -14,16 +14,19 @@ both steppers keep: state, stats, the stop each advance leaves and its dense
 output.  ``rhs`` itself runs only when a flow is recorded and at the DOP5
 FSAL restarts (the first evaluation, and each after a renormalization).
 
-``integrate`` (behind ``simulate`` and ``oracle``) runs the Taylor stepper.
-``_taylor_source`` writes the recurrence of the solution's Taylor
-coefficients, y_{k+1} = f_k / (k + 1), at the order the tolerance gives and
-with Jorba & Zou's step size (2005, section 3).  The step's polynomials are
-its dense output.  Every accepted step is a stop; no step is rejected;
-``StepStats.rhs_evals`` counts the orders of the recurrence evaluated, the
-order once per step.
+``integrate`` (behind ``simulate`` and ``oracle``) and ``integrate_with_events``
+(behind ``poincare``) run the Taylor stepper.  ``_taylor_source`` writes the
+recurrence of the solution's Taylor coefficients, y_{k+1} = f_k / (k + 1),
+at the order the tolerance gives and with Jorba & Zou's step size (2005,
+section 3).  The step's polynomials are its dense output.  Every accepted
+step is a stop; no step is rejected; ``StepStats.rhs_evals`` counts the
+orders of the recurrence evaluated, the order once per step.  For the
+events pass the step is generated with scan: it decides whether an X = 0
+crossing may lie in it from the Bernstein coefficients of x's step
+polynomial, a test the plain step does not make.
 
-``integrate_with_events`` and ``integrate_augmented`` run adaptive
-Dormand-Prince 5(4).  The tableau is held as data, and ``_loop_source``
+``integrate_augmented`` runs adaptive Dormand-Prince 5(4), so the regime
+labels come from it.  The tableau is held as data, and ``_loop_source``
 writes from it one stepping loop for each flow and length of state, whose
 stages evaluate the flow as coefficient 0 of the recording.  The float
 operations are those of the stage sums written out by hand with the flow
@@ -41,7 +44,11 @@ field evaluations: 1 to start, 6 per attempt, 1 per renormalization.
 optional marks; it owns the status.  A stop hook (dense sampling or the
 X = 0 crossing scan) and a mark hook (renormalization of the one tangent
 vector carried by ``field_jvp``) make the three front ends; the augmented
-one can collect crossings in the same pass.
+one can collect crossings in the same pass.  The crossing scan
+(``_crossing_scan``) serves both steppers: it brackets the roots of x's
+step polynomial at the edges of the step's quarters, halving a quarter by
+de Casteljau where the polynomial's Bernstein coefficients show that it may
+hold more than one root, and refines each bracket with ``brentq``.
 
 Everything here is deterministic: identical inputs give bit-identical output
 on one platform.
@@ -52,6 +59,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import operator
 import sys
 from array import array
 from dataclasses import dataclass, field
@@ -97,8 +105,10 @@ _TAYLOR_SAFETY = 0.7
 MAX_SAMPLES = 10**6
 
 _EVENT_MAX_ITER = 100
-# number of sign-check subintervals per accepted step when locating crossings
+# number of sign-check subintervals per accepted step when locating crossings, and
+# the most halvings of one while isolating the roots of x in it
 _EVENT_SUBDIV = 4
+_EVENT_DEPTH = 40
 
 
 @dataclass(frozen=True)
@@ -550,8 +560,10 @@ class _Stepper:
     """What both steppers hold: the parameters p, time t, state y (a list of
     Python floats), settings s and stats; and, filled by advance() at each stop,
     the last accepted step from t_old, of length h_last, with every component's
-    polynomial in theta = (t - t_old) / h_last (polys, constant term first) and
-    the two decisions on it (diverged, crossing)."""
+    polynomial in theta = (t - t_old) / h_last (polys, constant term first: DOP5's
+    dense quartic, or the Taylor step polynomial of the stepper's order) and the
+    two decisions on it (diverged, and crossing: whether x's polynomial may
+    reach zero, decided only by a stepper that scans)."""
 
     def __init__(self, p, y0, settings: IntegratorSettings, stats: StepStats):
         self.p = p
@@ -623,7 +635,16 @@ def _taylor_order(settings: IntegratorSettings) -> int:
     return max(_TAYLOR_MIN_ORDER, math.ceil(1.0 - 0.5 * math.log(eps)))
 
 
-def _taylor_source(flow, n: int, order: int) -> str:
+@functools.cache
+def _bernstein_weights(degree: int) -> tuple:
+    """Row i holds C(i, j) / C(degree, j) for j = 0..i: Bernstein coefficient i on
+    theta in [0, 1] of a polynomial of that degree is the row's dot product with
+    its coefficients, constant term first."""
+    return tuple(tuple(math.comb(i, j) / math.comb(degree, j) for j in range(i + 1))
+                 for i in range(degree + 1))
+
+
+def _taylor_source(flow, n: int, order: int, scan: bool) -> str:
     """Source of one Taylor step of the autonomous flow(y, p) for a state of n
     components, straight-line code over named scalars.
 
@@ -643,10 +664,15 @@ def _taylor_source(flow, n: int, order: int) -> str:
     theta = 1.
 
     Every accepted step returns (None, t, y_new, (t_old, h, polys, diverged,
-    False), accepted): diverged is the bound test on the first five
-    components, and no crossing scan runs.  A step budget already spent, a
-    coefficient or y_new that is not finite, or a step size that underflows
-    returns (message, t, None, None, accepted) instead.
+    crossing), accepted): diverged is the bound test on the first five
+    components.  Without scan, crossing is False and the step makes no
+    test for it.  With scan, crossing is set unless x's step polynomial
+    (component 3) keeps one strict sign on theta in [0, 1] by its Bernstein
+    coefficients (see _bernstein_weights), each beyond twice the rounding of
+    them and of x's Horner value there: then no X = 0 crossing lies in the
+    step.  A step budget already spent, a coefficient or y_new that is not
+    finite, or a step size that underflows returns (message, t, None, None,
+    accepted) instead.
     """
     rec = _Recording(flow, n)
     series = rec.series([f"y{i}_0" for i in range(n)])
@@ -675,7 +701,7 @@ def _taylor_source(flow, n: int, order: int) -> str:
              *_CLIP,
              "q1 = h"]
     body += [f"q{m} = q{m - 1} * h" for m in range(2, order + 1)]
-    polys = []
+    polys = []                          # each component's scaled coefficients, as source text
     for i, sym in enumerate(rec.inputs):
         scaled = [f"y{i}_0"]
         for m in range(1, order + 1):
@@ -685,7 +711,20 @@ def _taylor_source(flow, n: int, order: int) -> str:
                 body.append(f"s{i}_{m} = {series[sym, m]} * q{m}")
                 scaled.append(f"s{i}_{m}")
         body.append(f"yn_{i} = {' + ('.join(scaled)}{')' * order}")
-        polys.append(f"({', '.join(scaled)})")
+        polys.append(scaled)
+    crossing = "False"
+    if scan:
+        # x's Bernstein coefficients b_i are off by at most order + 1 roundings (eps / 2) of
+        # the sum of |s_m|, and x's Horner value on [0, 1] by at most 2 * order: the margin
+        # is twice both together
+        x_terms = [(m, s) for m, s in enumerate(polys[3]) if s != "0.0"]
+        bs = ", ".join(f"b_{i}" for i in range(order + 1))
+        for i, row in enumerate(_bernstein_weights(order)):
+            terms = [s if row[m] == 1.0 else f"{_const(row[m])} * {s}" for m, s in x_terms if m <= i]
+            body.append(f"b_{i} = {' + '.join(terms)}")
+        body += [f"margin = {_const((3 * order + 1) * _EPS)} * ({' + '.join(f'abs({s})' for _, s in x_terms)})",
+                 f"crossing = not (min({bs}) > margin or max({bs}) < -margin)"]
+        crossing = "crossing"
     finite = " + ".join(f"(yn_{i} - yn_{i})" for i in range(n))
     body += [f"if not {finite} == 0.0:",
              '    return "non-finite Taylor coefficient or state", t, None, None, accepted',
@@ -695,7 +734,7 @@ def _taylor_source(flow, n: int, order: int) -> str:
              *_LAND,
              "diverged = " + " or ".join(f"abs(yn_{i}) > bound" for i in range(min(5, n))),
              f"return None, t, [{', '.join(f'yn_{i}' for i in range(n))}], "
-             f"(t_old, h, ({', '.join(polys)},), diverged, False), accepted + 1"]
+             f"(t_old, h, ({', '.join('(' + ', '.join(c) + ')' for c in polys)},), diverged, {crossing}), accepted + 1"]
     head = [f"{', '.join(f'y{i}_0' for i in range(n))}{',' if n == 1 else ''} = y", *rec.head, *_SETTINGS,
             "if accepted >= max_steps:",
             '    return "step budget exhausted", t, None, None, accepted']
@@ -707,15 +746,16 @@ class _Taylor(_Stepper):
     """Single-trajectory Taylor stepper of the order _taylor_order gives for the
     tolerances; the step is generated from flow's recurrence (see
     _taylor_source).  Every accepted step is a stop, which leaves the step's
-    polynomials in polys and its divergence decision; crossing is always
-    False.  There is no rejected step; rhs_evals counts the orders of the field
-    recurrence evaluated, the order once per step.
+    polynomials in polys and its two decisions; crossing is the test on x's
+    Bernstein coefficients with scan, and always False without.  There is
+    no rejected step; rhs_evals counts the orders of the field recurrence
+    evaluated, the order once per step.
     """
 
-    def __init__(self, flow, p, y0, settings: IntegratorSettings):
+    def __init__(self, flow, p, y0, settings: IntegratorSettings, scan: bool = False):
         self.order = _taylor_order(settings)
         super().__init__(p, y0, settings, StepStats(method="taylor", order=self.order))
-        self.step = _compiled(_taylor_source, flow, len(self.y), self.order)
+        self.step = _compiled(_taylor_source, flow, len(self.y), self.order, scan)
 
     def advance(self, t_limit: float):
         """Take one step, not beyond t_limit."""
@@ -877,27 +917,96 @@ def _refine_crossing(stepper: _Stepper, x, ta: float, tb: float):
     return t_cross, y_cross
 
 
+def _halves(b) -> tuple:
+    """de Casteljau at 1/2: the Bernstein coefficients of the two halves of the
+    piece whose coefficients are b."""
+    left, right = [b[0]], [b[-1]]
+    while len(b) > 1:
+        b = [0.5 * (u + v) for u, v in zip(b, b[1:])]
+        left.append(b[0])
+        right.append(b[-1])
+    return left, right[::-1]
+
+
+def _sign_changes(b, tiny: float) -> int:
+    """The sign changes along b, leaving out the coefficients within tiny of 0."""
+    signs = [c > 0.0 for c in b if abs(c) > tiny]
+    return sum(u != v for u, v in zip(signs, signs[1:]))
+
+
+def _isolating(b, ta: float, tb: float, tiny: float, depth: int = 0) -> list:
+    """The inner edges that halve [ta, tb], a piece whose Bernstein coefficients
+    are b, until the coefficients of each piece change sign at most once: by
+    Descartes' rule for the Bernstein basis each piece then holds at most one
+    root.  Halving stops _EVENT_DEPTH levels down, or where float time has no
+    midpoint left."""
+    tm = 0.5 * (ta + tb)
+    if depth == _EVENT_DEPTH or _sign_changes(b, tiny) <= 1 or not ta < tm < tb:
+        return []
+    left, right = _halves(b)
+    return [*_isolating(left, ta, tm, tiny, depth + 1), tm, *_isolating(right, tm, tb, tiny, depth + 1)]
+
+
+def _brackets(ts, gs) -> list:
+    """(ta, tb) for each pair of neighbouring edges ts whose values gs go from
+    nonzero to the opposite sign or to 0."""
+    return [(ta, tb) for ta, tb, ga, gb in zip(ts, ts[1:], gs, gs[1:])
+            if ga != 0.0 and (ga * gb < 0.0 or gb == 0.0)]
+
+
+def _isolated_brackets(q, x, edges, xs) -> list:
+    """The brackets of x's roots in one step: q is x's polynomial in theta, and
+    x(t) takes the values xs at the edges of the step's quarters.
+
+    Where q's Bernstein coefficients change sign at most once over the step,
+    these are the quarters whose ends bracket a root.  Otherwise each quarter
+    whose coefficients do so is halved (_isolating) until each piece holds at
+    most one root, so two roots in one quarter give two brackets; a quarter
+    whose pieces bracket one root keeps its own bracket.  Coefficients within
+    the rounding of the halvings of 0 count as 0, since x cannot be resolved
+    there.
+    """
+    b = [sum(map(operator.mul, row, q)) for row in _bernstein_weights(len(q) - 1)]
+    # each halving rounds a coefficient at most len(q) times by eps / 2 of the largest
+    tiny = (_EVENT_DEPTH + 4) * len(q) * _EPS * sum(map(abs, q))
+    if _sign_changes(b, tiny) <= 1:
+        return _brackets(edges, xs)
+    brackets = []
+    # the _EVENT_SUBDIV = 4 quarters: the step halved twice
+    for i, piece in enumerate(piece for half in _halves(b) for piece in _halves(half)):
+        inner = _isolating(piece, edges[i], edges[i + 1], tiny)
+        pieces = _brackets([edges[i], *inner, edges[i + 1]], [xs[i], *map(x, inner), xs[i + 1]])
+        own = _brackets(edges[i:i + 2], xs[i:i + 2])
+        brackets += pieces if len(pieces) > 1 or not own else own
+    return brackets
+
+
 def _crossing_scan(p: ModelParams, dn: float, events: list):
     """Stop hook appending the X = 0 transits of the last step to events; the
-    stepper's scan flag makes it stop, with crossing set, at every step where
-    x's dense quartic may reach zero (see _loop_source).
+    stepper's scan makes it stop, with crossing set, at every step where x's
+    step polynomial may reach zero (see _loop_source and _taylor_source).
 
-    x is read at the edges of _EVENT_SUBDIV subintervals off that quartic in
-    theta, the function brentq refines, so a sign change brackets a root.
+    x is read at the edges of _EVENT_SUBDIV subintervals off that polynomial
+    in theta, the function brentq refines, so a sign change brackets a root.
+    Where x may have more than one root in the step, _isolated_brackets
+    separates them.
     """
     def scan(st: _Stepper):
-        if not st.crossing:                     # the stepper's bound test on x's quartic
+        if not st.crossing:                     # the stepper's test on x's polynomial
             return
         q = st.polys[3]
         x = lambda t: _horner(q, (t - st.t_old) / st.h_last)
         dt = (st.t - st.t_old) / _EVENT_SUBDIV
         edges = [st.t_old + i * dt for i in range(_EVENT_SUBDIV)] + [st.t]
         xs = [x(t) for t in edges]
-        for i in range(_EVENT_SUBDIV):
-            ga, gb = xs[i], xs[i + 1]
-            if ga == 0.0 or not (ga * gb < 0.0 or gb == 0.0):
-                continue
-            t_cross, y_cross = _refine_crossing(st, x, edges[i], edges[i + 1])
+        # two roots need a root of x' between them, and x' has none on [0, 1]
+        # where |q1| > 2 |q2| + 3 |q3| + ...
+        if abs(q[1]) > sum(map(operator.mul, range(2, len(q)), map(abs, q[2:]))):
+            brackets = _brackets(edges, xs)
+        else:
+            brackets = _isolated_brackets(q, x, edges, xs)
+        for ta, tb in brackets:
+            t_cross, y_cross = _refine_crossing(st, x, ta, tb)
             direction = 1 if p.omega * y_cross[4] > 0 else -1
             events.append(CrossingEvent(t_cross, SystemState.from_array(y_cross, dn=dn), direction))
     return scan
@@ -909,7 +1018,8 @@ def integrate_with_events(
     t_end: float,
     settings: IntegratorSettings | None = None,
 ) -> tuple[Trajectory, list[CrossingEvent]]:
-    """Integrate and report every transit of the X = 0 plane, in time order.
+    """Integrate with the scanning Taylor stepper and report every transit of the
+    X = 0 plane, in time order (see _crossing_scan).
 
     Events require a sign change across a step: a start point sitting exactly
     on the plane is not reported.  Each event's direction is the sign of dX/dt
@@ -919,8 +1029,7 @@ def integrate_with_events(
     settings = settings or IntegratorSettings()
     _check_t_end(t_end)
 
-    stepper = _Dopri5(_base_flow, p, s0.as_tuple(), settings)
-    stepper.scan = True
+    stepper = _Taylor(_base_flow, p, s0.as_tuple(), settings, scan=True)
     events: list[CrossingEvent] = []
     status, t_div = _drive(stepper, [t_end], on_stop=_crossing_scan(p, s0.dn, events))
     return _trajectory(stepper, [0.0], list(s0.as_tuple()), s0.dn, status, t_div), events

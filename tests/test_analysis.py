@@ -12,7 +12,7 @@ from semiquantum.analysis import (
     poincare,
 )
 from semiquantum.errors import ConfigurationError, DivergentTrajectoryError
-from semiquantum.integrator import IntegrationStatus, IntegratorSettings
+from semiquantum.integrator import IntegrationStatus, IntegratorSettings, integrate_augmented
 from semiquantum.model import (
     ModelParams,
     SystemState,
@@ -68,6 +68,15 @@ class TestPoincare:
     def test_crossing_times_increase(self):
         _, events = poincare(S_BASE, P_MODERATE, 200.0, ST)
         assert np.all(np.diff([e.t_cross for e in events]) > 0)
+
+    def test_the_section_is_that_of_the_augmented_pass(self):
+        # fig2d from S0: the events pass (Taylor) and the augmented pass (DOP5, renorm 1)
+        # find the same transits, within the error of either at tolerance 1e-10
+        _, events = poincare(S_BASE, P_MODERATE, 300.0, ST)
+        log = integrate_augmented(S_BASE, analysis._TANGENT0, P_MODERATE, 300.0, ST, crossings=True)
+        assert len(events) == len(log.crossings) > 90
+        assert [e.direction for e in events] == [e.direction for e in log.crossings]
+        assert max(abs(a.t_cross - b.t_cross) for a, b in zip(events, log.crossings)) <= 1e-7
 
 
 class TestClusterAndConic:

@@ -532,10 +532,11 @@ class TestPoincare:
         members = json.loads((tmp_path / "fam" / "summary.json").read_text())["members"]
         assert len(members) == 2
         for m in members:
-            # a step cannot hold more than _EVENT_SUBDIV crossings
-            assert isinstance(m["steps_rejected"], int) and m["steps_rejected"] >= 0
-            assert 4 * m["steps_accepted"] >= m["crossings"] > 0
-            assert m["method"] == "dopri5" and m["rhs_evals"] == rhs_evals(m)
+            # the events pass runs the Taylor stepper, which rejects no step; a step's
+            # polynomial of degree order has at most order roots
+            assert (m["method"], m["order"], m["steps_rejected"]) == ("taylor", 13, 0)
+            assert m["order"] * m["steps_accepted"] >= m["crossings"] > 0
+            assert m["rhs_evals"] == rhs_evals(m)
 
     def test_members_report_drift_over_their_crossings(self, tmp_path):
         cfg = write_cfg(tmp_path, {"poincare": {"t_end": 60.0}})
@@ -778,6 +779,21 @@ class TestSweep:
         assert main(["sweep", spec, "--out", str(tmp_path / "sw")]) == EXIT_CONFIG
         assert f"{target} cannot be written" in capsys.readouterr().err
 
+    def test_an_interrupted_sweep_leaves_the_old_table(self, tmp_path, monkeypatch):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(cli, "run_sweep", interrupt)
+        out = tmp_path / "sw"
+        out.mkdir()
+        old = b"axis1_name,axis1_value\r\neps,1.05\r\n"
+        (out / "regimes.csv").write_bytes(old)
+        spec = write_cfg(tmp_path, SWEEP_SPEC, name="sweep.json")
+        with pytest.raises(KeyboardInterrupt):
+            main(["sweep", spec, "--out", str(out)])
+        # byte for byte, and no partial table or report beside it
+        assert (out / "regimes.csv").read_bytes() == old
+        assert [f.name for f in out.iterdir()] == ["regimes.csv"]
+
     def test_missing_specfile(self, tmp_path):
         code = main(["sweep", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
@@ -831,6 +847,34 @@ OBJECT_CASES = {
     "count": (None, {**SWEEP_SPEC, "axis1": {"name": "eps", "min": 1.0, "max": 1.1, "count": 2.5}},
               "axis1", "count"),
 }
+
+
+# argv before --out, and a config file, of a configuration error that _report's block finds
+BLOCK_ERRORS = {
+    "lyapunov_schedule": (["lyapunov", "--preset", "fig2d"],
+                          {"lyapunov": {"transient": 200.0, "total": 3000.0, "renorm_interval": 2000.0}}),
+    "oracle_alpha": (["oracle", "--preset", "fig1b", "--mode", "linear"], {}),
+}
+
+
+class TestReportDirectory:
+    """A configuration error found inside _report's block leaves no --out
+    directory it made, and leaves one that was there alone."""
+
+    @pytest.mark.parametrize("case", sorted(BLOCK_ERRORS))
+    def test_no_directory_is_left_behind(self, tmp_path, case):
+        argv, payload = BLOCK_ERRORS[case]
+        out = tmp_path / "new" / "run"
+        assert main([*argv, "--config", write_cfg(tmp_path, payload), "--out", str(out)]) == EXIT_CONFIG
+        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("case", sorted(BLOCK_ERRORS))
+    def test_a_directory_that_was_there_stays(self, tmp_path, case):
+        argv, payload = BLOCK_ERRORS[case]
+        out = tmp_path / "run"
+        out.mkdir()
+        assert main([*argv, "--config", write_cfg(tmp_path, payload), "--out", str(out)]) == EXIT_CONFIG
+        assert out.is_dir() and list(out.iterdir()) == []
 
 
 class TestConfigObjects:

@@ -400,12 +400,12 @@ class TestGeneratedStep:
         def divides(y, p):
             return [y[0] / p.eps]
 
-        # both generators record the flow alike; the last argument is n_err or the order
-        for source, last in ((integrator._loop_source, 1), (integrator._taylor_source, 2)):
+        # both generators record the flow alike; after n come n_err, or the order and scan
+        for source, rest in ((integrator._loop_source, (1,)), (integrator._taylor_source, (2, False))):
             with pytest.raises(TypeError):
-                source(divides, 1, last)
+                source(divides, 1, *rest)
             with pytest.raises(ValueError, match="returned 2"):
-                source(lambda y, p: [y[0], y[0]], 1, last)
+                source(lambda y, p: [y[0], y[0]], 1, *rest)
 
 
 def _three_flow(y, p):
@@ -625,7 +625,7 @@ class TestTaylorStep:
     def test_coefficients_match_the_hand_written_recurrence(self, order):
         # h = 2**-12, h_max: every power of h is exact, so each scaled coefficient
         # in the step polynomials keeps every bit of the coefficient
-        step = integrator._compiled(integrator._taylor_source, integrator._base_flow, 5, order)
+        step = integrator._compiled(integrator._taylor_source, integrator._base_flow, 5, order, False)
         rng = random.Random(order)
         settings = IntegratorSettings(h_max=2.0 ** -12)
         for _ in range(50):
@@ -640,7 +640,7 @@ class TestTaylorStep:
         # the step from the reference coefficients, clipped by h_max or by t_limit or
         # not at all; coefficient m scaled by h**m (repeated products), and y_new the
         # Horner sum of each step polynomial at theta = 1, bit for bit
-        step = integrator._compiled(integrator._taylor_source, integrator._base_flow, 5, order)
+        step = integrator._compiled(integrator._taylor_source, integrator._base_flow, 5, order, False)
         rng = random.Random(100 + order)
         clips, decisions = set(), set()
         for trial in range(150):
@@ -667,14 +667,40 @@ class TestTaylorStep:
             decisions.add(diverged)
         assert clips == {"free", "h_max", "t_limit"} and decisions == {False, True}
 
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_scanning_step_sets_crossing_wherever_x_changes_sign(self, order):
+        # x read off the step polynomial at 257 points of theta in [0, 1]; steps started
+        # near the plane with a small dX/dt hold grazing transits and near misses.  The
+        # plain step makes no test: crossing is always False
+        scanning = integrator._compiled(integrator._taylor_source, integrator._base_flow, 5, order, True)
+        plain = integrator._compiled(integrator._taylor_source, integrator._base_flow, 5, order, False)
+        rng = random.Random(300 + order)
+        seen = set()
+        for _ in range(300):
+            p, y = _random_system(rng)
+            y[3] = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6.0, 0.0)
+            y[4] = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-4.0, 0.5)
+            tol = 10.0 ** rng.uniform(-14.0, -6.0)
+            settings = IntegratorSettings(abs_tol=tol, rel_tol=tol)
+            failure, _, _, (_, _, polys, _, crossing), _ = scanning(p, settings, 0.0, y, 10.0, 0)
+            assert failure is None
+            xs = [integrator._horner(polys[3], k / 256) for k in range(257)]
+            changes = any(a * b <= 0.0 for a, b in zip(xs, xs[1:]))
+            assert crossing or not changes
+            assert plain(p, settings, 0.0, y, 10.0, 0)[3][4] is False
+            seen.add((changes, crossing))
+        assert seen == {(True, True), (False, True), (False, False)}
+
     def test_source_is_compiled_once_per_order(self):
         base = integrator._base_flow
         taylor = lambda *args: integrator._compiled(integrator._taylor_source, *args)
-        assert taylor(base, 5, 18) is taylor(base, 5, 18)
-        assert taylor(base, 5, 18) is not taylor(base, 5, 13)
+        assert taylor(base, 5, 18, False) is taylor(base, 5, 18, False)
+        assert taylor(base, 5, 18, False) is not taylor(base, 5, 13, False)
+        # scan is part of the key
+        assert taylor(base, 5, 18, True) is not taylor(base, 5, 18, False)
         # one cache serves both generators
-        assert taylor(base, 5, 5) is not integrator._compiled(integrator._loop_source, base, 5, 5)
-        source = integrator._taylor_source(base, 5, 18)
+        assert taylor(base, 5, 5, False) is not integrator._compiled(integrator._loop_source, base, 5, 5)
+        source = integrator._taylor_source(base, 5, 18, False)
         # an operation on parameters only is made once per call
         assert source.count("2.0 * p_eps") == 1
         # the field is inline: the only calls left are the norms'
@@ -987,6 +1013,65 @@ class TestBrentq:
             assert len(events) == 1 and events[0].direction == (1 if v > 0 else -1)
             t_root = t_old + theta * h
             assert abs(events[0].t_cross - t_root) <= 1e-15 + 4 * sys.float_info.epsilon * t_root + 1e-13
+
+
+def _from_roots(roots) -> list:
+    """The coefficients, constant term first, of the product of (theta - r) over roots."""
+    c = [1.0]
+    for r in roots:
+        c = [-r * c[0], *(c[k - 1] - r * c[k] for k in range(1, len(c))), c[-1]]
+    return c
+
+
+def _one_step(x_poly, t_old=100.0, h=0.45):
+    """A stop after one step of length h from t_old whose x polynomial in theta is
+    x_poly; p is dX/dt (omega = 1), so a transit's direction is the sign of x's slope."""
+    slope = tuple(m * c / h for m, c in enumerate(x_poly))[1:]
+    st = SimpleNamespace(p=FIG1B, t_old=t_old, h_last=h, t=t_old + h, crossing=True,
+                         polys=((1.0,), (0.1,), (0.2,), tuple(x_poly), slope))
+    st.dense = lambda t: [integrator._horner(q, (t - st.t_old) / st.h_last) for q in st.polys]
+    return st
+
+
+class TestCrossingScan:
+    @pytest.mark.parametrize("roots", [
+        (0.3, 0.32),                    # two in the second quarter
+        (0.4, 0.40001),                 # a grazing pair, 4.5e-6 apart in t
+        (0.6, 0.62, 0.7),               # three in the third quarter
+        (0.01, 0.2, 0.21, 0.99),        # three in the first, one in the last
+    ])
+    def test_every_root_in_a_quarter_is_an_event(self, roots):
+        x_poly = _from_roots(roots)
+        st = _one_step(x_poly)
+        events = []
+        integrator._crossing_scan(FIG1B, 0.0, events)(st)
+        assert len(events) == len(roots)
+        for event, r in zip(events, roots):
+            assert abs(event.t_cross - (st.t_old + r * st.h_last)) <= 1e-12
+        # x changes sign at each simple root: the directions alternate, + first where x < 0 at the start
+        first = 1 if x_poly[0] < 0.0 else -1
+        assert [e.direction for e in events] == [first * (-1) ** k for k in range(len(roots))]
+
+    def test_a_quarter_with_one_root_keeps_its_own_bracket(self, monkeypatch):
+        # the step's Bernstein coefficients change sign twice, so its quarters are
+        # examined; each holds one root, and brentq gets the quarter as bracket
+        brackets = []
+        refine = integrator.brentq
+        monkeypatch.setattr(integrator, "brentq",
+                            lambda f, a, b, **kw: brackets.append((a, b)) or refine(f, a, b, **kw))
+        st = _one_step(_from_roots((0.1, 0.6)))
+        events = []
+        integrator._crossing_scan(FIG1B, 0.0, events)(st)
+        dt = st.h_last / 4
+        assert brackets == [(st.t_old, st.t_old + dt), (st.t_old + 2 * dt, st.t_old + 3 * dt)]
+        assert [e.direction for e in events] == [-1, 1]
+
+    def test_a_double_root_ends_the_halving(self):
+        # x = (theta - 0.3)**2 touches the plane without crossing it: no event, and the
+        # halving stops at the depth cap or where float time has no midpoint left
+        events = []
+        integrator._crossing_scan(FIG1B, 0.0, events)(_one_step(_from_roots((0.3, 0.3))))
+        assert events == []
 
 
 class TestAugmented:

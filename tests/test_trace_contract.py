@@ -4,9 +4,9 @@ perfbench/tracer.py replaces functions at the names their callers look up,
 and reads facts off their results.  A refactor that drops or renames one of
 them, or changes a result the tracer reads, breaks the traced benchmark;
 these tests make it fail here as well.  Each stepper's rhs_evals follows its
-own rule from the step counts: for DOP5, the rule perfbench/layers.py derives
-integrator.rhs_evals by; for the Taylor stepper of integrate, the order of the
-recurrence once per step.  The wrapped semiquantum.integrator.rhs is called
+own rule from the step counts: for DOP5 (the augmented pass), the rule
+perfbench/layers.py derives integrator.rhs_evals by; for the Taylor stepper of
+integrate and integrate_with_events, the order of the recurrence once per step.  The wrapped semiquantum.integrator.rhs is called
 only at the DOP5 restarts and when a flow is recorded: the steps evaluate the
 field inline.
 """
@@ -71,7 +71,7 @@ def test_rhs_calls_follow_the_rhs_evals_formula(front_end, monkeypatch):
     monkeypatch.setattr(integrator, "rhs", lambda y, p: calls.append(1) or field(y, p))
     stats = RUNS[front_end]()
     assert stats.renorms == (40 if front_end == "augmented" else 0)
-    if front_end == "integrate":
+    if front_end != "augmented":
         # one order of the field recurrence per step, no step rejected, and no call
         # of integrator.rhs once the step is recorded
         assert (stats.method, stats.order, stats.rejected) == ("taylor", 13, 0)
