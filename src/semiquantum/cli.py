@@ -3,7 +3,9 @@
 Subcommands: simulate | oracle | poincare | lyapunov | sweep.
 Each command parses its configuration, then runs its work inside
 ``_report``, the one writer of its JSON report: on success, and also on a
-numerical failure or a divergence, which it records and lets through.  A
+numerical failure or a divergence, which it records and lets through.  The
+command's other files are staged beside their targets and replace them only
+on success, so an interrupted run leaves the files of the run before.  A
 configuration error writes no report.  Commands return nothing; ``main``
 maps every outcome to the exit code: 0 success, 1 configuration or usage
 error, 2 numerical failure (an exhausted step budget included),
@@ -218,18 +220,37 @@ def _setup(args, tol: float):
 
 @contextlib.contextmanager
 def _report(path: Path, head: dict):
-    """Make path's directory, run the block and write path's JSON report.
+    """Make path's directory, run the block and write path's JSON report; each
+    output appears whole or not at all.
 
-    The block adds its results to the dict it is given.  On success the
-    report is head, those results (which replace head's keys of the same
-    name) and wall_time_s, the block's run time.  On a numerical failure or
-    a divergence it is head, status, error and last_good_time or t_div, and
-    the exception goes on.  Any other exception writes nothing, and removes
-    the directories made here that the block left empty.  A directory that
-    cannot be made is a configuration error.
+    The block gets (results, stage).  It adds its results to the dict, and
+    writes each of its files to stage(target), a new file beside target; a
+    target that cannot be written is a configuration error, raised before
+    the block writes anything there.  On success the staged files replace
+    their targets, and then the report does: head, the results (which replace
+    head's keys of the same name) and wall_time_s, the block's run time.  On
+    any other exit the staged files are removed and no target is touched.  On
+    a numerical failure or a divergence the report is head, status, error and
+    last_good_time or t_div, and the exception goes on.  Any other exception
+    writes no report, and removes the directories made here that the block
+    left empty.  A directory that cannot be made is a configuration error.
     """
+    staged = {}                                 # target -> its staged file
+
+    def stage(target: Path) -> Path:
+        partial = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+        try:
+            if target.is_dir():
+                raise IsADirectoryError(f"{target} is a directory")
+            open(partial, "w").close()
+        except OSError as exc:
+            raise ConfigurationError(f"{target} cannot be written: {exc}") from exc
+        staged[target] = partial
+        return partial
+
     def write(fields):
-        path.write_text(json.dumps({**head, **fields}, indent=2, sort_keys=True) + "\n")
+        stage(path).write_text(json.dumps({**head, **fields}, indent=2, sort_keys=True) + "\n")
+        os.replace(staged.pop(path), path)
 
     made = [d for d in (path.parent, *path.parent.parents) if not d.exists()]     # innermost first
     try:
@@ -239,19 +260,25 @@ def _report(path: Path, head: dict):
     results = {}
     t0 = time.perf_counter()
     try:
-        yield results
-    except NumericalFailureError as exc:
-        write({"status": "numerical_failure", "error": str(exc), "last_good_time": exc.last_good_time})
+        yield results, stage
+    except BaseException as exc:
+        for partial in staged.values():
+            partial.unlink(missing_ok=True)
+        staged.clear()
+        if isinstance(exc, NumericalFailureError):
+            write({"status": "numerical_failure", "error": str(exc), "last_good_time": exc.last_good_time})
+        elif isinstance(exc, DivergentTrajectoryError):
+            write({"status": "diverged", "error": str(exc), "t_div": exc.t_div})
+        else:
+            with contextlib.suppress(OSError):  # a directory not empty stays, and so do its parents
+                for d in made:
+                    d.rmdir()
         raise
-    except DivergentTrajectoryError as exc:
-        write({"status": "diverged", "error": str(exc), "t_div": exc.t_div})
-        raise
-    except BaseException:
-        with contextlib.suppress(OSError):      # a directory not empty stays, and so do its parents
-            for d in made:
-                d.rmdir()
-        raise
-    write({**results, "wall_time_s": time.perf_counter() - t0})
+    wall_time = time.perf_counter() - t0
+    for target, partial in staged.items():
+        os.replace(partial, target)
+    staged.clear()
+    write({**results, "wall_time_s": wall_time})
 
 
 def _work(stats: StepStats) -> dict:
@@ -299,10 +326,10 @@ def cmd_simulate(args):
     head = {"command": "simulate", "params": dataclasses.asdict(p),
             "initial": dataclasses.asdict(s0), "settings": dataclasses.asdict(settings),
             "t_end": t_end, "sample_interval": interval}
-    with _report(out / "summary.json", head) as results:
+    with _report(out / "summary.json", head) as (results, stage):
         traj = integrate(s0, p, t_end, settings, sample_interval=interval)
         e_vals, i_vals = _invariants([SystemState.from_array(y) for y in traj.states], p)
-        _write_csv(out / "trajectory.csv",
+        _write_csv(stage(out / "trajectory.csv"),
                    ["t", "n1", "ominus", "oplus", "x", "p", "e_eff", "i_inv"],
                    [[g17(v) for v in (t, *y, e, i)]
                     for t, y, e, i in zip(traj.times, traj.states, e_vals, i_vals)])
@@ -315,7 +342,7 @@ def cmd_simulate(args):
         })
         if args.plot:
             n_vals = [y[0] - 1.0 for y in traj.states]
-            write_svg(out / "trajectory.svg",
+            write_svg(stage(out / "trajectory.svg"),
                       [(traj.times, n_vals), (traj.times, e_vals), (traj.times, i_vals)],
                       title="boson number and invariants", xlabel="t", ylabel="value",
                       labels=["<N>", "E_eff", "I"])
@@ -361,7 +388,7 @@ def cmd_oracle(args):
             "lambda_minus": {"re": regime.lambda_minus.real, "im": regime.lambda_minus.imag},
         },
     }
-    with _report(Path(args.out) / "oracle.json", head) as results:
+    with _report(Path(args.out) / "oracle.json", head) as (results, _):
         if mode != "classify":
             if p.alpha != 0.0:
                 raise ConfigurationError("oracle evolution comparison requires alpha = 0")
@@ -397,7 +424,7 @@ def cmd_poincare(args):
     head = {"command": "poincare", "params": dataclasses.asdict(p),
             "settings": dataclasses.asdict(settings), "t_end": t_end,
             "direction_filter": str(direction), "families": len(initials)}
-    with _report(out / "summary.json", head) as results:
+    with _report(out / "summary.json", head) as (results, stage):
         member_reports = []
         all_series = []
         header = ["t_cross", "ominus", "oplus", "n1", "p", "direction"]
@@ -409,7 +436,7 @@ def cmd_poincare(args):
                 for e in events
             ]
             name = "section.csv" if len(initials) == 1 else f"section_{idx:02d}.csv"
-            _write_csv(out / name, header, rows)
+            _write_csv(stage(out / name), header, rows)
             rec = {
                 "file": name,
                 "initial": dataclasses.asdict(ic),
@@ -426,7 +453,7 @@ def cmd_poincare(args):
             all_series.append(([e.state.om for e in events], [e.state.op for e in events]))
         results["members"] = member_reports
         if args.plot:
-            write_svg(out / "section.svg", all_series,
+            write_svg(stage(out / "section.svg"), all_series,
                       title="Poincare section at X=0", xlabel="<O->", ylabel="<O+>",
                       kinds=["scatter"] * len(all_series))
     t_divs = [m["t_div"] for m in member_reports if m["t_div"] is not None]
@@ -440,7 +467,7 @@ def cmd_lyapunov(args):
     head = {"command": "lyapunov", "params": dataclasses.asdict(p),
             "initial": dataclasses.asdict(s0),
             "transient": lsec["transient"], "total": lsec["total"]}
-    with _report(Path(args.out) / "lyapunov.json", head) as results:
+    with _report(Path(args.out) / "lyapunov.json", head) as (results, _):
         est = analysis.largest_lyapunov(
             s0, p, settings, transient=lsec["transient"], total=lsec["total"],
             renorm_interval=lsec["renorm_interval"],
@@ -488,30 +515,17 @@ def cmd_sweep(args):
             "axis1": {"name": spec.axis1.name, "values": list(spec.axis1.values)},
             "axis2": {"name": spec.axis2.name, "values": list(spec.axis2.values)},
             "budget": spec.budget}
-    with _report(out / "summary.json", head) as results:
-        # fail on unwritable output before any computation, touching no file there: the
-        # table goes to a new file beside regimes.csv, which then replaces it whole
-        target = out / "regimes.csv"
-        partial = out / f".regimes.csv.{os.getpid()}.tmp"
-        try:
-            if target.is_dir():
-                raise IsADirectoryError(f"{target} is a directory")
-            open(partial, "w").close()
-        except OSError as exc:
-            raise ConfigurationError(f"{target} cannot be written: {exc}") from exc
-        try:
-            regime_map = run_sweep(spec, max_workers=workers)
-            # the columns after the axes are CellResult's fields after its grid position
-            columns = [f.name for f in dataclasses.fields(CellResult)[4:]]
-            _write_csv(partial,
-                       ["axis1_name", "axis1_value", "axis2_name", "axis2_value",
-                        *("stderr" if c == "standard_error" else c for c in columns)],
-                       [[spec.axis1.name, g17(cell.axis1_value), spec.axis2.name, g17(cell.axis2_value),
-                         *(_csv_entry(getattr(cell, c)) for c in columns)]
-                        for cell in regime_map.cells])
-            os.replace(partial, target)
-        finally:
-            partial.unlink(missing_ok=True)
+    with _report(out / "summary.json", head) as (results, stage):
+        partial = stage(out / "regimes.csv")    # an unwritable table fails before any cell runs
+        regime_map = run_sweep(spec, max_workers=workers)
+        # the columns after the axes are CellResult's fields after its grid position
+        columns = [f.name for f in dataclasses.fields(CellResult)[4:]]
+        _write_csv(partial,
+                   ["axis1_name", "axis1_value", "axis2_name", "axis2_value",
+                    *("stderr" if c == "standard_error" else c for c in columns)],
+                   [[spec.axis1.name, g17(cell.axis1_value), spec.axis2.name, g17(cell.axis2_value),
+                     *(_csv_entry(getattr(cell, c)) for c in columns)]
+                    for cell in regime_map.cells])
         results["cells"] = len(regime_map)
 
 

@@ -14,19 +14,25 @@ both steppers keep: state, stats, the stop each advance leaves and its dense
 output.  ``rhs`` itself runs only when a flow is recorded and at the DOP5
 FSAL restarts (the first evaluation, and each after a renormalization).
 
-``integrate`` (behind ``simulate`` and ``oracle``) and ``integrate_with_events``
-(behind ``poincare``) run the Taylor stepper.  ``_taylor_source`` writes the
-recurrence of the solution's Taylor coefficients, y_{k+1} = f_k / (k + 1),
-at the order the tolerance gives and with Jorba & Zou's step size (2005,
-section 3).  The step's polynomials are its dense output.  Every accepted
-step is a stop; no step is rejected; ``StepStats.rhs_evals`` counts the
-orders of the recurrence evaluated, the order once per step.  For the
-events pass the step is generated with scan: it decides whether an X = 0
-crossing may lie in it from the Bernstein coefficients of x's step
-polynomial, a test the plain step does not make.
+``integrate`` (behind ``simulate`` and ``oracle``), ``integrate_with_events``
+(behind ``poincare``) and the Lyapunov pass, ``integrate_augmented`` without
+crossings (behind ``lyapunov``), run the Taylor stepper.  ``_taylor_source``
+writes the recurrence of the solution's Taylor coefficients, y_{k+1} =
+f_k / (k + 1), at the order the tolerance gives and with Jorba & Zou's step
+size (2005, section 3), taken over the first n_err components: the base
+state, for the augmented flow.  The step's polynomials are its dense output.
+Every accepted step is a stop; no step is rejected; ``StepStats.rhs_evals``
+counts the orders of the recurrence evaluated, the order once per step.  For
+the events pass the step is generated with scan: it decides whether an
+X = 0 crossing may lie in it from the Bernstein coefficients of x's step
+polynomial, a test the plain step does not make.  The Lyapunov pass runs to
+the end time alone, so no step is clipped at a renormalization mark: each
+mark is read off the polynomials of the step that holds it.  Its base part
+is recorded first, so it takes the events pass's steps, bit for bit.
 
-``integrate_augmented`` runs adaptive Dormand-Prince 5(4), so the regime
-labels come from it.  The tableau is held as data, and ``_loop_source``
+The labelling pass, ``integrate_augmented`` with crossings (behind
+``classify_regime`` and ``sweep``), runs adaptive Dormand-Prince 5(4), so
+the regime labels come from it.  The tableau is held as data, and ``_loop_source``
 writes from it one stepping loop for each flow and length of state, whose
 stages evaluate the flow as coefficient 0 of the recording.  The float
 operations are those of the stage sums written out by hand with the flow
@@ -41,10 +47,11 @@ raises as ``NumericalFailureError``.  Its ``StepStats.rhs_evals`` counts
 field evaluations: 1 to start, 6 per attempt, 1 per renormalization.
 
 ``_drive`` alone runs a stepper from stop to stop to the end time through
-optional marks; it owns the status.  A stop hook (dense sampling or the
-X = 0 crossing scan) and a mark hook (renormalization of the one tangent
-vector carried by ``field_jvp``) make the three front ends; the augmented
-one can collect crossings in the same pass.  The crossing scan
+optional marks; it owns the status.  A stop hook (dense sampling, the
+X = 0 crossing scan, or the renormalization marks read off a Taylor step)
+and a mark hook (DOP5's renormalization of the one tangent vector carried
+by ``field_jvp``) make the front ends; the labelling pass collects crossings
+in the same pass.  The crossing scan
 (``_crossing_scan``) serves both steppers: it brackets the roots of x's
 step polynomial at the edges of the step's quarters, halving a quarter by
 de Casteljau where the polynomial's Bernstein coefficients show that it may
@@ -117,8 +124,9 @@ class IntegratorSettings:
 
     The default tolerances are near the double-precision floor; they were
     chosen so the conserved quantities drift by less than 1e-10 over
-    t = 1000 on the bundled scenarios.  h_init is the first DOP5 step; the
-    Taylor stepper sizes every step, the first too, from its coefficients.
+    t = 1000 on the bundled scenarios.  h_init is the first DOP5 step, so it
+    sizes only the labelling pass (classify_regime and sweep); the Taylor
+    stepper sizes every step, the first too, from its coefficients.
     """
 
     abs_tol: float = 1e-14
@@ -644,7 +652,7 @@ def _bernstein_weights(degree: int) -> tuple:
                  for i in range(degree + 1))
 
 
-def _taylor_source(flow, n: int, order: int, scan: bool) -> str:
+def _taylor_source(flow, n: int, order: int, scan: bool, n_err: int | None = None) -> str:
     """Source of one Taylor step of the autonomous flow(y, p) for a state of n
     components, straight-line code over named scalars.
 
@@ -656,7 +664,9 @@ def _taylor_source(flow, n: int, order: int, scan: bool) -> str:
     The step size follows Jorba & Zou (2005, section 3): rho, the smaller of
     (scale / |y_{order-1}|)**(1 / (order - 1)) and (scale / |y_order|)**(1 / order)
     over the max-norms of the last two coefficients, where scale is 1 while
-    rel_tol * |y| <= abs_tol and |y| otherwise; then h = rho / e**2 *
+    rel_tol * |y| <= abs_tol and |y| otherwise; each max-norm runs over the
+    first n_err components, every component when n_err is None (the text is
+    then the same as with n_err = n); then h = rho / e**2 *
     exp(-0.7 / (order - 1)) (_TAYLOR_STEP and _TAYLOR_SAFETY), clipped by
     h_max and by t_limit, on which it lands exactly.  Coefficient m
     scaled by h**m (by repeated products) gives each component's step
@@ -687,7 +697,7 @@ def _taylor_source(flow, n: int, order: int, scan: bool) -> str:
             series[rec.inputs[i], k + 1] = f
 
     def norm(k):
-        terms = [f"abs({series[sym, k]})" for sym in rec.inputs if series[sym, k] is not None]
+        terms = [f"abs({series[sym, k]})" for sym in rec.inputs[:n_err] if series[sym, k] is not None]
         return f"max({', '.join(terms)})" if len(terms) > 1 else terms[0] if terms else "0.0"
 
     body += ["# the step size from the last two coefficients (Jorba & Zou 2005, section 3)",
@@ -747,15 +757,17 @@ class _Taylor(_Stepper):
     tolerances; the step is generated from flow's recurrence (see
     _taylor_source).  Every accepted step is a stop, which leaves the step's
     polynomials in polys and its two decisions; crossing is the test on x's
-    Bernstein coefficients with scan, and always False without.  There is
-    no rejected step; rhs_evals counts the orders of the field recurrence
-    evaluated, the order once per step.
+    Bernstein coefficients with scan, and always False without.  n_err
+    limits the step-size norms to the leading components (the Lyapunov pass
+    sizes its steps on the base state only).  There is no rejected step;
+    rhs_evals counts the orders of the field recurrence evaluated, the order
+    once per step.
     """
 
-    def __init__(self, flow, p, y0, settings: IntegratorSettings, scan: bool = False):
+    def __init__(self, flow, p, y0, settings: IntegratorSettings, scan: bool = False, n_err: int | None = None):
         self.order = _taylor_order(settings)
         super().__init__(p, y0, settings, StepStats(method="taylor", order=self.order))
-        self.step = _compiled(_taylor_source, flow, len(self.y), self.order, scan)
+        self.step = _compiled(_taylor_source, flow, len(self.y), self.order, scan, n_err)
 
     def advance(self, t_limit: float):
         """Take one step, not beyond t_limit."""
@@ -1063,12 +1075,22 @@ def integrate_augmented(
     """Co-integrate the state with one tangent vector dv/dt = J(s) v.
 
     At each of renorm_marks(t_end, renorm_interval), checked before any step, the
-    tangent vector is scaled to unit length and the log of its norm before
-    scaling is recorded (Benettin et al. 1980); so the last interval may be
-    shorter.  A norm that is zero or not finite is a NumericalFailureError.
-    Step control is driven by the base-state error only.  With crossings,
-    the X = 0 transits of the base state are also collected in the same pass
-    into GrowthLog.crossings, as integrate_with_events reports them.
+    log of the tangent's growth over the interval before is recorded with the
+    base state (Benettin et al. 1980); so the last interval may be shorter.
+    A norm that is zero or not finite is a NumericalFailureError.  Step
+    control is driven by the base state only.  A step that diverges logs no
+    mark.
+
+    Without crossings (the Lyapunov pass) the Taylor stepper runs to t_end
+    alone and takes integrate_with_events's steps.  Each mark in a step is
+    read off its polynomials, and its growth is the log of the tangent's
+    norm there minus that at the mark before, in the stepper's scaling; a
+    step that holds a mark ends with the tangent divided by its norm at the
+    last one, which by linearity is that mark's renormalization.  With
+    crossings (the labelling pass) DOP5 lands on every mark and scales the
+    tangent to unit length there, and the X = 0 transits of the base state
+    are collected in the same pass into GrowthLog.crossings, as
+    integrate_with_events reports them.
     """
     settings = settings or IntegratorSettings()
     _check_t_end(t_end)
@@ -1085,28 +1107,58 @@ def integrate_augmented(
         raise ConfigurationError(f"the tangent vector must be nonzero and finite, got {tangent}")
 
     y0 = [*s0.as_tuple(), *(c / norm0 for c in tangent)]
-    stepper = _Dopri5(_augmented_flow, p, y0, settings, err_dim=5)
     log_times = []
     log_norms = []
     log_states = []
     events: list[CrossingEvent] = []
 
-    def renormalize(st: _Dopri5):
-        v = st.y[5:]
+    def tangent_norm(v, t: float) -> float:
         norm = _norm(v)
         if not 0.0 < norm < math.inf:
-            raise NumericalFailureError(f"the tangent norm is {norm}, not finite and positive",
-                                        last_good_time=st.t)
-        log_norms.append(math.log(norm))
-        log_times.append(st.t)
-        log_states.extend(st.y[:5])
-        st.y = st.y[:5] + [c / norm for c in v]
-        st.stats.renorms += 1
-        st.restart()                                    # FSAL stage is stale after renorm
+            raise NumericalFailureError(f"the tangent norm is {norm}, not finite and positive", last_good_time=t)
+        return norm
 
-    stepper.scan = crossings
-    scan = _crossing_scan(p, s0.dn, events) if crossings else None
-    status, t_div = _drive(stepper, marks, on_stop=scan, on_mark=renormalize)
+    if crossings:
+        stepper = _Dopri5(_augmented_flow, p, y0, settings, err_dim=5)
+
+        def renormalize(st: _Dopri5):
+            v = st.y[5:]
+            norm = tangent_norm(v, st.t)
+            log_norms.append(math.log(norm))
+            log_times.append(st.t)
+            log_states.extend(st.y[:5])
+            st.y = st.y[:5] + [c / norm for c in v]
+            st.stats.renorms += 1
+            st.restart()                                # FSAL stage is stale after renorm
+
+        stepper.scan = True
+        status, t_div = _drive(stepper, marks, on_stop=_crossing_scan(p, s0.dn, events), on_mark=renormalize)
+    else:
+        stepper = _Taylor(_augmented_flow, p, y0, settings, n_err=5)
+        pending = iter(marks)
+        t_mark = next(pending)
+
+        def read_marks(st: _Taylor):
+            """Log every mark in (t_old, t] off the step's polynomials, each growth from
+            the mark before in the stepper's current scaling; then carry the last mark's
+            renormalization to the step end, by linearity.  A diverged step logs none."""
+            nonlocal t_mark
+            if st.diverged:
+                return
+            logged, norm = 0.0, None
+            while t_mark <= st.t:
+                y = st.dense(t_mark) if t_mark < st.t else st.y
+                norm = tangent_norm(y[5:], t_mark)
+                log_norms.append(math.log(norm) - logged)
+                logged = math.log(norm)
+                log_times.append(t_mark)
+                log_states.extend(y[:5])
+                st.stats.renorms += 1
+                t_mark = next(pending, math.inf)
+            if norm is not None:
+                st.y = st.y[:5] + [c / norm for c in st.y[5:]]
+
+        status, t_div = _drive(stepper, [t_end], on_stop=read_marks)
     return GrowthLog(
         times=Samples(log_times),
         log_norms=Samples(log_norms),

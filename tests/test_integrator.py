@@ -115,6 +115,7 @@ class TestSettings:
     def test_renorm_count_is_bounded(self, t_end, interval, monkeypatch):
         # 1e7 and 5e7 renormalizations; the check comes before a stepper is made
         monkeypatch.setattr(integrator, "_Dopri5", None)
+        monkeypatch.setattr(integrator, "_Taylor", None)
         with pytest.raises(ConfigurationError, match="t_end / renorm_interval must be finite and at most 1000000"):
             integrate_augmented(
                 SystemState(2, 0, 0, 1, 0), [1.0] * 5,
@@ -691,6 +692,17 @@ class TestTaylorStep:
             seen.add((changes, crossing))
         assert seen == {(True, True), (False, True), (False, False)}
 
+    @pytest.mark.parametrize("scan", [False, True])
+    def test_step_size_from_the_leading_components(self, scan):
+        # n_err covering the whole state writes the text n_err unset writes; on the
+        # augmented flow the step-size norms run over the base state only
+        for order in ORDERS:
+            plain = integrator._taylor_source(integrator._base_flow, 5, order, scan)
+            assert integrator._taylor_source(integrator._base_flow, 5, order, scan, n_err=5) == plain
+        source = integrator._taylor_source(integrator._augmented_flow, 10, 13, scan, n_err=5)
+        assert "    xn = max(abs(y0_0), abs(y1_0), abs(y2_0), abs(y3_0), abs(y4_0))\n" in source
+        assert "abs(y5_" not in source.split("    xn = ")[1].split("    h = ")[0]
+
     def test_source_is_compiled_once_per_order(self):
         base = integrator._base_flow
         taylor = lambda *args: integrator._compiled(integrator._taylor_source, *args)
@@ -1151,6 +1163,62 @@ class TestAugmented:
             log = integrate_augmented(s0, s0.to_array(), p, 6.0, settings, renorm_interval=renorm)
             assert len(log.log_norms) == round(6.0 / renorm)
             assert math.fsum(log.log_norms) == pytest.approx(expected, abs=1e-8)
+
+    @pytest.mark.parametrize("alpha", [0.015, 1e-4], ids=["fig2d", "fig1a"])
+    @pytest.mark.parametrize("tol", [1e-10, 1e-14])
+    def test_the_lyapunov_pass_follows_the_events_pass(self, alpha, tol, monkeypatch):
+        # step size from the base state, and no step clipped at a mark: at every renorm
+        # interval the Lyapunov pass takes integrate_with_events's steps, bit for bit,
+        # and the log-norms sum to one growth whatever the schedule
+        steps = []
+        advance = integrator._Taylor.advance
+
+        def recorded(st, t_limit):
+            advance(st, t_limit)
+            steps[-1].append((st.t_old, st.h_last, st.t, *st.y[:5]))
+
+        monkeypatch.setattr(integrator._Taylor, "advance", recorded)
+        p, s0 = FIG1B.replace(alpha=alpha), SystemState(*FIG1B_Y0)
+        settings = IntegratorSettings(abs_tol=tol, rel_tol=tol)
+        steps.append([])
+        traj, _ = integrate_with_events(s0, p, 100.0, settings)
+        sums = []
+        for renorm in (0.3, 1.0, 7.0):
+            steps.append([])
+            log = integrate_augmented(s0, np.ones(5), p, 100.0, settings, renorm_interval=renorm)
+            assert log.status is traj.status is IntegrationStatus.COMPLETED
+            assert log.stats.accepted == traj.stats.accepted == len(steps[0]) > 100
+            assert _bits(steps[-1]) == _bits(steps[0])
+            assert _bits(log.states[-1]) == _bits(traj.states[-1])
+            assert log.stats.renorms == len(log.times) == len(renorm_marks(100.0, renorm))
+            sums.append(math.fsum(log.log_norms))
+        assert max(sums) - min(sums) <= 1e-9
+
+    def test_marks_inside_one_step(self):
+        # every step spans several marks: each is read off the step's polynomials, so
+        # the base states are integrate's samples at the same instants, bit for bit
+        s0, settings = SystemState(*FIG1B_Y0), IntegratorSettings(abs_tol=1e-10, rel_tol=1e-10)
+        log = integrate_augmented(s0, np.ones(5), FIG1B, 30.0, settings, renorm_interval=0.05)
+        assert list(log.times) == renorm_marks(30.0, 0.05)
+        assert log.stats.renorms == 600 > 4 * log.stats.accepted
+        traj = integrate(s0, FIG1B, 30.0, settings, sample_interval=0.05)
+        assert _bits(list(log.states)) == _bits(list(traj.states)[1:])
+        # and the growth over every schedule is the same
+        coarse = integrate_augmented(s0, np.ones(5), FIG1B, 30.0, settings, renorm_interval=30.0)
+        assert math.fsum(log.log_norms) == pytest.approx(coarse.log_norms[0], abs=1e-9)
+
+    def test_a_diverging_orbit_logs_only_marks_before_the_divergence(self):
+        # fig1c diverges at t = 7.46; the step that leaves the bound logs no mark
+        p = ModelParams(eps=2.0, gamma=0.0, delta=1.0, alpha=1.1, omega=1.0)
+        s0, settings = SystemState(*FIG1B_Y0), IntegratorSettings(abs_tol=1e-10, rel_tol=1e-10)
+        log = integrate_augmented(s0, np.ones(5), p, 100.0, settings, renorm_interval=0.1)
+        traj, _ = integrate_with_events(s0, p, 100.0, settings)
+        assert log.status is traj.status is IntegrationStatus.DIVERGED
+        assert log.t_div == traj.t_div < 10.0
+        assert list(log.times) == renorm_marks(100.0, 0.1)[:len(log.times)]
+        assert len(log.times) > 50 and log.times[-1] < log.t_div
+        assert all(math.isfinite(v) for row in log.states for v in row)
+        assert all(math.isfinite(g) for g in log.log_norms)
 
     def test_augmented_field_is_rhs_plus_jvp(self):
         from semiquantum.integrator import _augmented_flow

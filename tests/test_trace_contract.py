@@ -4,11 +4,13 @@ perfbench/tracer.py replaces functions at the names their callers look up,
 and reads facts off their results.  A refactor that drops or renames one of
 them, or changes a result the tracer reads, breaks the traced benchmark;
 these tests make it fail here as well.  Each stepper's rhs_evals follows its
-own rule from the step counts: for DOP5 (the augmented pass), the rule
-perfbench/layers.py derives integrator.rhs_evals by; for the Taylor stepper of
-integrate and integrate_with_events, the order of the recurrence once per step.  The wrapped semiquantum.integrator.rhs is called
-only at the DOP5 restarts and when a flow is recorded: the steps evaluate the
-field inline.
+own rule from the step counts: for DOP5, which runs only the labelling pass
+(integrate_augmented with crossings=True), the rule perfbench/layers.py
+derives integrator.rhs_evals by; for the Taylor stepper of integrate,
+integrate_with_events and the Lyapunov pass (integrate_augmented without
+crossings), the order of the recurrence once per step.  The wrapped
+semiquantum.integrator.rhs is called only at the DOP5 restarts and when a
+flow is recorded: the steps evaluate the field inline.
 """
 
 import importlib
