@@ -225,15 +225,17 @@ def _report(path: Path, head: dict):
 
     The block gets (results, stage).  It adds its results to the dict, and
     writes each of its files to stage(target), a new file beside target; a
-    target that cannot be written is a configuration error, raised before
-    the block writes anything there.  On success the staged files replace
-    their targets, and then the report does: head, the results (which replace
-    head's keys of the same name) and wall_time_s, the block's run time.  On
-    any other exit the staged files are removed and no target is touched.  On
-    a numerical failure or a divergence the report is head, status, error and
-    last_good_time or t_div, and the exception goes on.  Any other exception
-    writes no report, and removes the directories made here that the block
-    left empty.  A directory that cannot be made is a configuration error.
+    target that cannot be written is a configuration error.  The commands
+    stage every target before their work, so that error comes first.  On
+    success the staged files replace their targets, and then the report
+    does: head, the results (which replace head's keys of the same name) and
+    wall_time_s, the block's run time.  On any other exit the staged files
+    are removed.  On a numerical failure or a divergence the targets are
+    removed too, so no earlier output stays beside the new report: head,
+    status, error and last_good_time or t_div; the exception goes on.  Any
+    other exception touches no target, writes no report, and removes the
+    directories made here that the block left empty.  A directory that
+    cannot be made is a configuration error.
     """
     staged = {}                                 # target -> its staged file
 
@@ -262,8 +264,11 @@ def _report(path: Path, head: dict):
     try:
         yield results, stage
     except BaseException as exc:
-        for partial in staged.values():
+        failed = isinstance(exc, (NumericalFailureError, DivergentTrajectoryError))
+        for target, partial in staged.items():
             partial.unlink(missing_ok=True)
+            if failed:
+                target.unlink(missing_ok=True)
         staged.clear()
         if isinstance(exc, NumericalFailureError):
             write({"status": "numerical_failure", "error": str(exc), "last_good_time": exc.last_good_time})
@@ -327,9 +332,11 @@ def cmd_simulate(args):
             "initial": dataclasses.asdict(s0), "settings": dataclasses.asdict(settings),
             "t_end": t_end, "sample_interval": interval}
     with _report(out / "summary.json", head) as (results, stage):
+        table = stage(out / "trajectory.csv")
+        plot = stage(out / "trajectory.svg") if args.plot else None
         traj = integrate(s0, p, t_end, settings, sample_interval=interval)
         e_vals, i_vals = _invariants([SystemState.from_array(y) for y in traj.states], p)
-        _write_csv(stage(out / "trajectory.csv"),
+        _write_csv(table,
                    ["t", "n1", "ominus", "oplus", "x", "p", "e_eff", "i_inv"],
                    [[g17(v) for v in (t, *y, e, i)]
                     for t, y, e, i in zip(traj.times, traj.states, e_vals, i_vals)])
@@ -340,9 +347,9 @@ def cmd_simulate(args):
             "max_abs_drift": _max_abs_drift(e_vals, i_vals),
             **_work(traj.stats),
         })
-        if args.plot:
+        if plot:
             n_vals = [y[0] - 1.0 for y in traj.states]
-            write_svg(stage(out / "trajectory.svg"),
+            write_svg(plot,
                       [(traj.times, n_vals), (traj.times, e_vals), (traj.times, i_vals)],
                       title="boson number and invariants", xlabel="t", ylabel="value",
                       labels=["<N>", "E_eff", "I"])
@@ -424,19 +431,21 @@ def cmd_poincare(args):
     head = {"command": "poincare", "params": dataclasses.asdict(p),
             "settings": dataclasses.asdict(settings), "t_end": t_end,
             "direction_filter": str(direction), "families": len(initials)}
+    names = ["section.csv"] if len(initials) == 1 else [f"section_{i:02d}.csv" for i in range(len(initials))]
     with _report(out / "summary.json", head) as (results, stage):
+        tables = [stage(out / name) for name in names]
+        plot = stage(out / "section.svg") if args.plot else None
         member_reports = []
         all_series = []
         header = ["t_cross", "ominus", "oplus", "n1", "p", "direction"]
-        for idx, ic in enumerate(initials):
+        for name, table, ic in zip(names, tables, initials):
             traj, events = analysis.poincare(ic, p, t_end, settings, direction_filter=direction)
             rows = [
                 [g17(e.t_cross), g17(e.state.om), g17(e.state.op), g17(e.state.n1), g17(e.state.p),
                  str(e.direction)]
                 for e in events
             ]
-            name = "section.csv" if len(initials) == 1 else f"section_{idx:02d}.csv"
-            _write_csv(stage(out / name), header, rows)
+            _write_csv(table, header, rows)
             rec = {
                 "file": name,
                 "initial": dataclasses.asdict(ic),
@@ -452,8 +461,8 @@ def cmd_poincare(args):
             member_reports.append(rec)
             all_series.append(([e.state.om for e in events], [e.state.op for e in events]))
         results["members"] = member_reports
-        if args.plot:
-            write_svg(stage(out / "section.svg"), all_series,
+        if plot:
+            write_svg(plot, all_series,
                       title="Poincare section at X=0", xlabel="<O->", ylabel="<O+>",
                       kinds=["scatter"] * len(all_series))
     t_divs = [m["t_div"] for m in member_reports if m["t_div"] is not None]

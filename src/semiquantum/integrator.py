@@ -19,16 +19,17 @@ FSAL restarts (the first evaluation, and each after a renormalization).
 crossings (behind ``lyapunov``), run the Taylor stepper.  ``_taylor_source``
 writes the recurrence of the solution's Taylor coefficients, y_{k+1} =
 f_k / (k + 1), at the order the tolerance gives and with Jorba & Zou's step
-size (2005, section 3), taken over the first n_err components: the base
-state, for the augmented flow.  The step's polynomials are its dense output.
-Every accepted step is a stop; no step is rejected; ``StepStats.rhs_evals``
-counts the orders of the recurrence evaluated, the order once per step.  For
-the events pass the step is generated with scan: it decides whether an
-X = 0 crossing may lie in it from the Bernstein coefficients of x's step
-polynomial, a test the plain step does not make.  The Lyapunov pass runs to
-the end time alone, so no step is clipped at a renormalization mark: each
-mark is read off the polynomials of the step that holds it.  Its base part
-is recorded first, so it takes the events pass's steps, bit for bit.
+size (2005, section 3), taken over the first five components, the base
+state (the tangent of the augmented flow does not size the step).  The
+step's polynomials are its dense output.  Every accepted step is a stop; no
+step is rejected; ``StepStats.rhs_evals`` counts the orders of the
+recurrence evaluated, the order once per step.  For the events pass the
+step is generated with scan: it decides whether an X = 0 crossing may lie
+in it from the Bernstein coefficients of x's step polynomial, a test the
+plain step does not make.  The Lyapunov pass runs to the end time alone, so
+no step is clipped at a renormalization mark: each mark is read off the
+polynomials of the step that holds it.  Its base part is recorded first,
+so it takes the events pass's steps, bit for bit.
 
 The labelling pass, ``integrate_augmented`` with crossings (behind
 ``classify_regime`` and ``sweep``), runs adaptive Dormand-Prince 5(4), so
@@ -652,7 +653,7 @@ def _bernstein_weights(degree: int) -> tuple:
                  for i in range(degree + 1))
 
 
-def _taylor_source(flow, n: int, order: int, scan: bool, n_err: int | None = None) -> str:
+def _taylor_source(flow, n: int, order: int, scan: bool) -> str:
     """Source of one Taylor step of the autonomous flow(y, p) for a state of n
     components, straight-line code over named scalars.
 
@@ -665,8 +666,7 @@ def _taylor_source(flow, n: int, order: int, scan: bool, n_err: int | None = Non
     (scale / |y_{order-1}|)**(1 / (order - 1)) and (scale / |y_order|)**(1 / order)
     over the max-norms of the last two coefficients, where scale is 1 while
     rel_tol * |y| <= abs_tol and |y| otherwise; each max-norm runs over the
-    first n_err components, every component when n_err is None (the text is
-    then the same as with n_err = n); then h = rho / e**2 *
+    first five components, the base state; then h = rho / e**2 *
     exp(-0.7 / (order - 1)) (_TAYLOR_STEP and _TAYLOR_SAFETY), clipped by
     h_max and by t_limit, on which it lands exactly.  Coefficient m
     scaled by h**m (by repeated products) gives each component's step
@@ -697,7 +697,7 @@ def _taylor_source(flow, n: int, order: int, scan: bool, n_err: int | None = Non
             series[rec.inputs[i], k + 1] = f
 
     def norm(k):
-        terms = [f"abs({series[sym, k]})" for sym in rec.inputs[:n_err] if series[sym, k] is not None]
+        terms = [f"abs({series[sym, k]})" for sym in rec.inputs[:5] if series[sym, k] is not None]
         return f"max({', '.join(terms)})" if len(terms) > 1 else terms[0] if terms else "0.0"
 
     body += ["# the step size from the last two coefficients (Jorba & Zou 2005, section 3)",
@@ -757,17 +757,15 @@ class _Taylor(_Stepper):
     tolerances; the step is generated from flow's recurrence (see
     _taylor_source).  Every accepted step is a stop, which leaves the step's
     polynomials in polys and its two decisions; crossing is the test on x's
-    Bernstein coefficients with scan, and always False without.  n_err
-    limits the step-size norms to the leading components (the Lyapunov pass
-    sizes its steps on the base state only).  There is no rejected step;
-    rhs_evals counts the orders of the field recurrence evaluated, the order
-    once per step.
+    Bernstein coefficients with scan, and always False without.  There is
+    no rejected step; rhs_evals counts the orders of the field recurrence
+    evaluated, the order once per step.
     """
 
-    def __init__(self, flow, p, y0, settings: IntegratorSettings, scan: bool = False, n_err: int | None = None):
+    def __init__(self, flow, p, y0, settings: IntegratorSettings, scan: bool = False):
         self.order = _taylor_order(settings)
         super().__init__(p, y0, settings, StepStats(method="taylor", order=self.order))
-        self.step = _compiled(_taylor_source, flow, len(self.y), self.order, scan, n_err)
+        self.step = _compiled(_taylor_source, flow, len(self.y), self.order, scan)
 
     def advance(self, t_limit: float):
         """Take one step, not beyond t_limit."""
@@ -1134,7 +1132,7 @@ def integrate_augmented(
         stepper.scan = True
         status, t_div = _drive(stepper, marks, on_stop=_crossing_scan(p, s0.dn, events), on_mark=renormalize)
     else:
-        stepper = _Taylor(_augmented_flow, p, y0, settings, n_err=5)
+        stepper = _Taylor(_augmented_flow, p, y0, settings)
         pending = iter(marks)
         t_mark = next(pending)
 

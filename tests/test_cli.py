@@ -27,6 +27,7 @@ from semiquantum.cli import (
     main,
 )
 from semiquantum import analysis, svgplot
+from semiquantum.errors import NumericalFailureError
 from semiquantum.integrator import IntegratorSettings, integrate, integrate_augmented
 from semiquantum.model import ModelParams, SystemState, effective_energy, invariant_I
 from semiquantum.sweep import InitialRecipe
@@ -587,14 +588,14 @@ class TestInterruptedRun:
     ARGV = ["poincare", "--preset", "fig2d", "--families", "3", "--plot"]
 
     @staticmethod
-    def interrupt_the_second_member(monkeypatch):
+    def interrupt_the_second_member(monkeypatch, exc=KeyboardInterrupt):
         members = []
         poincare = analysis.poincare
 
         def interrupted(*args, **kwargs):
             members.append(args)
             if len(members) == 2:
-                raise KeyboardInterrupt
+                raise exc
             return poincare(*args, **kwargs)
 
         monkeypatch.setattr(analysis, "poincare", interrupted)
@@ -620,6 +621,18 @@ class TestInterruptedRun:
         with pytest.raises(KeyboardInterrupt):
             main([*self.ARGV, "--config", cfg, "--out", str(out)])
         assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+
+    def test_a_failure_report_replaces_the_earlier_run(self, tmp_path, monkeypatch):
+        # the failure report stands alone: no file of the earlier run stays beside it
+        out = tmp_path / "fam"
+        cfg = write_cfg(tmp_path, {"poincare": {"t_end": 20.0}})
+        assert main([*self.ARGV, "--config", cfg, "--out", str(out)]) == EXIT_OK
+        self.interrupt_the_second_member(
+            monkeypatch, NumericalFailureError("step size underflow", last_good_time=1.5))
+        assert main([*self.ARGV, "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+        assert [f.name for f in out.iterdir()] == ["summary.json"]
+        report = json.loads((out / "summary.json").read_text())
+        assert (report["status"], report["last_good_time"]) == ("numerical_failure", 1.5)
 
 
 class TestPlots:
