@@ -25,7 +25,9 @@ __all__ = [
 ]
 
 CHAOS_THRESHOLD = 5e-3          # in units where delta = 1
-SIGNIFICANCE_SIGMA = 3.0
+# MEGNO <Y> tends to 2 on tori and on periodic orbits of a non-isochronous system, and
+# grows like lambda * t / 2 in chaos (Cincotta & Simo 2000)
+MEGNO_CHAOS = 4.0
 MIN_CROSSINGS = 50
 CLUSTER_RADIUS_FACTOR = 1e-3
 MAX_PERIODIC_CLUSTERS = 64
@@ -34,7 +36,8 @@ MAX_PERIODIC_CLUSTERS = 64
 @dataclass(frozen=True)
 class LyapunovEstimate:
     """Benettin estimate of the largest Lyapunov exponent, with the step counts of its
-    pass and the base state at each of its renormalizations (GrowthLog.states)."""
+    pass, the base state at each of its renormalizations (GrowthLog.states) and the
+    pass's MEGNO <Y> (GrowthLog.megno)."""
 
     lambda_max: float
     standard_error: float
@@ -42,6 +45,7 @@ class LyapunovEstimate:
     renorm_count: int
     stats: StepStats
     states: Samples
+    megno: float
     diverged_at: float | None = None
 
 
@@ -156,6 +160,7 @@ def _estimate(log: GrowthLog, transient: float) -> LyapunovEstimate:
         renorm_count=n,
         stats=log.stats,
         states=log.states,
+        megno=log.megno,
         diverged_at=log.t_div,
     )
 
@@ -200,11 +205,13 @@ def classify_regime(
 ) -> RegimeClassification:
     """Label a trajectory Periodic / Quasiperiodic / Chaotic / Divergent.
 
-    One augmented pass to the budget gives both pieces of evidence: the
-    Benettin growth log and the X = 0 crossings of its base state.  Divergence
-    wins; then a significantly positive Lyapunov exponent means Chaotic;
-    otherwise the Poincare-section cluster structure separates Periodic (small
-    saturating cluster count) from Quasiperiodic.  Fewer than 50 crossings
+    One augmented pass to the budget on the Taylor stepper gives both pieces
+    of evidence: the Benettin growth log with MEGNO <Y>, and the X = 0
+    crossings of its base state.  Divergence wins; then lambda_max above
+    CHAOS_THRESHOLD with <Y> above MEGNO_CHAOS means Chaotic (the standard
+    error is reported, and decides nothing); otherwise the Poincare-section
+    cluster structure separates Periodic (small saturating cluster count)
+    from Quasiperiodic: <Y> tends to 2 on both.  Fewer than 50 crossings
     yields Inconclusive with the evidence attached.  The transient is used as
     given; a schedule that check_schedule rejects is a ConfigurationError,
     raised before any step.
@@ -222,7 +229,7 @@ def classify_regime(
         return result
     if est.diverged_at is not None:
         result.divergence_time = est.diverged_at
-    elif est.lambda_max > CHAOS_THRESHOLD and est.lambda_max > SIGNIFICANCE_SIGMA * est.standard_error:
+    elif est.lambda_max > CHAOS_THRESHOLD and est.megno > MEGNO_CHAOS:
         result.label = Regime.CHAOTIC
     elif result.n_crossings < MIN_CROSSINGS:
         result.label = Regime.INCONCLUSIVE

@@ -288,7 +288,7 @@ def _report(path: Path, head: dict):
 
 def _work(stats: StepStats) -> dict:
     """The integrator work behind a result, as every summary reports it, with the
-    stepper it comes from ("taylor" with its order, or "dopri5")."""
+    stepper it comes from ("taylor", with its order)."""
     work = {"method": stats.method, "steps_accepted": stats.accepted, "steps_rejected": stats.rejected,
             "rhs_evals": stats.rhs_evals, "renorms": stats.renorms}
     if stats.order is not None:
@@ -488,6 +488,7 @@ def cmd_lyapunov(args):
             "total": est.total_time,
             "renorm_count": est.renorm_count,
             "diverged_at": est.diverged_at,
+            "megno": est.megno,
             # over the base states at the renormalizations, from the initial values
             "max_abs_drift": _max_abs_drift(
                 *_invariants([s0, *(SystemState.from_array(y) for y in est.states)], p)),

@@ -1,62 +1,49 @@
-"""Integration of the coupled system by two generated steppers.
+"""Integration of the coupled system by a generated Taylor stepper.
 
 A flow is an autonomous ``flow(y, p)`` written in plain arithmetic
 (``_base_flow`` and ``_augmented_flow``, through ``rhs`` and
 ``field_jvp``).  ``_Recording`` runs it once on recorder symbols (``_Tape``),
 which write one entry per float operation.  One emitter, ``_term``, writes a
 recorded operation as source for coefficient k of its Taylor series, whose
-coefficient 0 is the operation itself.  From that recording two generators
-write each stepper as straight-line code over named scalar components, with
-the settings read, the clips, the underflow check and the landing on the
-limit in common; ``_compiled`` compiles each on first use and caches it, so
-the field is inline and no step calls a function.  ``_Stepper`` holds what
-both steppers keep: state, stats, the stop each advance leaves and its dense
-output.  ``rhs`` itself runs only when a flow is recorded and at the DOP5
-FSAL restarts (the first evaluation, and each after a renormalization).
+coefficient 0 is the operation itself.  ``_taylor_source`` writes the
+stepper from that recording as straight-line code over named scalar
+components, with the settings read, the clips, the underflow check and the
+landing on the limit kept apart (``_SETTINGS``, ``_CLIP``, ``_UNDERFLOW``,
+``_LAND``), so that the tests' Dormand-Prince reference
+(``tests/dopri5_reference.py``) generates its loop from the same pieces;
+``_compiled`` compiles each on first use and caches it, so the field is
+inline and no step calls a function.  ``_Stepper`` holds what a stepper
+keeps: state, stats, the stop each advance leaves and its dense output.
+``rhs`` itself runs only when a flow is recorded.
 
-``integrate`` (behind ``simulate`` and ``oracle``), ``integrate_with_events``
-(behind ``poincare``) and the Lyapunov pass, ``integrate_augmented`` without
-crossings (behind ``lyapunov``), run the Taylor stepper.  ``_taylor_source``
-writes the recurrence of the solution's Taylor coefficients, y_{k+1} =
-f_k / (k + 1), at the order the tolerance gives and with Jorba & Zou's step
-size (2005, section 3), taken over the first five components, the base
-state (the tangent of the augmented flow does not size the step).  The
-step's polynomials are its dense output.  Every accepted step is a stop; no
-step is rejected; ``StepStats.rhs_evals`` counts the orders of the
-recurrence evaluated, the order once per step.  For the events pass the
-step is generated with scan: it decides whether an X = 0 crossing may lie
-in it from the Bernstein coefficients of x's step polynomial, a test the
-plain step does not make.  The Lyapunov pass runs to the end time alone, so
-no step is clipped at a renormalization mark: each mark is read off the
-polynomials of the step that holds it.  Its base part is recorded first,
-so it takes the events pass's steps, bit for bit.
-
-The labelling pass, ``integrate_augmented`` with crossings (behind
-``classify_regime`` and ``sweep``), runs adaptive Dormand-Prince 5(4), so
-the regime labels come from it.  The tableau is held as data, and ``_loop_source``
-writes from it one stepping loop for each flow and length of state, whose
-stages evaluate the flow as coefficient 0 of the recording.  The float
-operations are those of the stage sums written out by hand with the flow
-called on each, and of the PI step-size controller, in the same order, so
-the generated loop changes no bit.  The loop keeps the state and the FSAL
-stage in locals, and decides once per step whether it leaves the divergence
-bound and whether an X = 0 crossing may lie in it.  It hands control back to
-Python only at a stop: a step that lands on its limit (a renormalization
-mark or the end time) or has either decision, with every component's dense
-quartic and the two decisions; or a failure, which ``_Dopri5.advance``
-raises as ``NumericalFailureError``.  Its ``StepStats.rhs_evals`` counts
-field evaluations: 1 to start, 6 per attempt, 1 per renormalization.
+Every front end runs the Taylor stepper: ``integrate`` (behind ``simulate``
+and ``oracle``), ``integrate_with_events`` (behind ``poincare``) and
+``integrate_augmented``, both its Lyapunov pass (behind ``lyapunov``) and,
+with crossings, its labelling pass (behind ``classify_regime`` and
+``sweep``, so every regime label).  The step is the recurrence of the
+solution's Taylor coefficients, y_{k+1} = f_k / (k + 1), at the order the
+tolerance gives and with Jorba & Zou's step size (2005, section 3), taken
+over the first five components, the base state (the tangent of the
+augmented flow does not size the step).  The step's polynomials are its
+dense output.  Every accepted step is a stop; no step is rejected;
+``StepStats.rhs_evals`` counts the orders of the recurrence evaluated, the
+order once per step.  For the events and labelling passes the step is
+generated with scan: it decides whether an X = 0 crossing may lie in it
+from the Bernstein coefficients of x's step polynomial, a test the plain
+step does not make.  The augmented passes run to the end time alone, so no
+step is clipped at a renormalization mark: each mark is read off the
+polynomials of the step that holds it.  Their base part is recorded first,
+so they take the events pass's steps, bit for bit.
 
 ``_drive`` alone runs a stepper from stop to stop to the end time through
 optional marks; it owns the status.  A stop hook (dense sampling, the
-X = 0 crossing scan, or the renormalization marks read off a Taylor step)
-and a mark hook (DOP5's renormalization of the one tangent vector carried
-by ``field_jvp``) make the front ends; the labelling pass collects crossings
-in the same pass.  The crossing scan
-(``_crossing_scan``) serves both steppers: it brackets the roots of x's
-step polynomial at the edges of the step's quarters, halving a quarter by
-de Casteljau where the polynomial's Bernstein coefficients show that it may
-hold more than one root, and refines each bracket with ``brentq``.
+X = 0 crossing scan, or the renormalization marks and MEGNO terms read off
+an augmented step) makes each front end; the labelling pass runs the
+crossing scan and then the marks in one hook.  The crossing scan
+(``_crossing_scan``) brackets the roots of x's step polynomial at the edges
+of the step's quarters, halving a quarter by de Casteljau where the
+polynomial's Bernstein coefficients show that it may hold more than one
+root, and refines each bracket with ``brentq``.
 
 Everything here is deterministic: identical inputs give bit-identical output
 on one platform.
@@ -95,12 +82,6 @@ __all__ = [
 ]
 
 _EPS = sys.float_info.epsilon
-_SAFETY = 0.9
-_MIN_FACTOR = 0.2
-_MAX_FACTOR = 10.0
-# PI controller exponents for a 5th-order error estimator
-_PI_ALPHA = 0.7 / 5.0
-_PI_BETA = 0.4 / 5.0
 
 # Taylor steps (Jorba & Zou 2005, section 3): the lowest order, and the factors of
 # h = rho / e**2 * exp(-0.7 / (order - 1)), rho the radius the last two coefficients give
@@ -125,9 +106,10 @@ class IntegratorSettings:
 
     The default tolerances are near the double-precision floor; they were
     chosen so the conserved quantities drift by less than 1e-10 over
-    t = 1000 on the bundled scenarios.  h_init is the first DOP5 step, so it
-    sizes only the labelling pass (classify_regime and sweep); the Taylor
-    stepper sizes every step, the first too, from its coefficients.
+    t = 1000 on the bundled scenarios.  h_init sizes no step of the program:
+    the Taylor stepper sizes every step, the first too, from its
+    coefficients (the tests' Dormand-Prince reference takes it as its first
+    step).
     """
 
     abs_tol: float = 1e-14
@@ -157,7 +139,7 @@ class IntegrationStatus(Enum):
 class StepStats:
     accepted: int = 0
     rejected: int = 0
-    rhs_evals: int = 0            # dopri5: field evaluations, 1 to start, 6 per attempt, 1 per renormalization;
+    rhs_evals: int = 0            # dopri5: field evaluations, 1 to start, 6 per attempt;
                                   # taylor: orders of the field recurrence, the order once per step
     renorms: int = 0              # renormalizations of the tangent vector
     method: str = "dopri5"        # the stepper the counts come from: "dopri5" or "taylor"
@@ -232,49 +214,12 @@ class GrowthLog:
     states: Samples               # rows (n1, om, op, x, p): the base state at each instant
     status: IntegrationStatus
     stats: StepStats
+    # MEGNO <Y> (Cincotta & Simo 2000) at the last step end before any divergence: per step,
+    # A += (t_old + t) / 2 * (the step's log growth of the tangent), Y = 2 A / t, and <Y>
+    # the trapezoid time mean of Y over the step ends from Y(0) = 0 (0 before any step)
+    megno: float
     t_div: float | None = None
     crossings: list = field(default_factory=list)   # X = 0 transits, when requested
-
-
-# Dormand & Prince (1980) 5(4) tableau, each rational as (numerator, denominator):
-# nodes c and stage rows a for k1..k7; b is the 5th-order solution, which is also
-# row a7 (k7 = f(t + h, y_new) is the next step's k1, FSAL); e = b - b* weighs the
-# error estimate.
-_C = ((0, 1), (1, 5), (3, 10), (4, 5), (8, 9), (1, 1), (1, 1))
-_A = (
-    (),
-    ((1, 5),),
-    ((3, 40), (9, 40)),
-    ((44, 45), (-56, 15), (32, 9)),
-    ((19372, 6561), (-25360, 2187), (64448, 6561), (-212, 729)),
-    ((9017, 3168), (-355, 33), (46732, 5247), (49, 176), (-5103, 18656)),
-)
-_B = ((35, 384), (0, 1), (500, 1113), (125, 192), (-2187, 6784), (11, 84), (0, 1))
-_E = ((71, 57600), (0, 1), (-71, 16695), (71, 1920), (-17253, 339200), (22, 525), (-1, 40))
-# the 4th-order dense interpolant (Hairer, Norsett & Wanner, Solving ODEs I, II.6):
-# y_old + sum over m = 1..4 of theta**m * h * (row m . k), theta = (t - t_old) / h
-_DENSE = (
-    ((1, 1), (0, 1), (0, 1), (0, 1), (0, 1), (0, 1), (0, 1)),
-    ((-8048581381, 2820520608), (0, 1), (131558114200, 32700410799), (-1754552775, 470086768),
-     (127303824393, 49829197408), (-282668133, 205662961), (40617522, 29380423)),
-    ((8663915743, 2820520608), (0, 1), (-68118460800, 10900136933), (14199869525, 1410260304),
-     (-318862633887, 49829197408), (2019193451, 616988883), (-110615467, 29380423)),
-    ((-12715105075, 11282082432), (0, 1), (87487479700, 32700410799), (-10690763975, 1880347072),
-     (701980252875, 199316789632), (-1453857185, 822651844), (69997945, 29380423)),
-)
-# field evaluations per attempt: every stage but k1, which the last step's k7 gives
-_ATTEMPT_EVALS = len(_C) - 1
-
-
-def _combo(row, names) -> str:
-    """row . names as source text: the nonzero terms in stage order, left to right."""
-    terms = []
-    for (num, den), name in zip(row, names):
-        if num:
-            term = name if abs(num) == den else f"{abs(num)} / {den} * {name}"
-            sign = ("" if num > 0 else "-") if not terms else ("+ " if num > 0 else "- ")
-            terms.append(sign + term)
-    return " ".join(terms)
 
 
 class _Sym:
@@ -443,130 +388,18 @@ _UNDERFLOW = ["at = abs(t)", f"h_min = {_const(16.0 * _EPS)} * (at if at > 1.0 e
 _LAND = ["t_old = t", "t = t_limit if h == h_clip else t + h"]
 
 
-def _loop_source(flow, n: int, n_err: int) -> str:
-    """Source of the stepping loop of the autonomous flow(y, p) for a state of
-    n components, straight-line code over named scalars.
-
-    Each stage k2..k7 evaluates the recording of flow inline (see _Recording),
-    as coefficient 0 of its operations.  The error norm is the RMS over the
-    first n_err components.  The float operations and their order are
-    those of the stage sums y_old + h * (a . k) written out by hand, with flow
-    called on each, and of the PI controller, whose min and max are written as
-    the conditionals they equal for every input.
-
-    The loop keeps y and the FSAL stage k1 in locals across accepted steps.
-    Each accepted step decides once whether it leaves the divergence bound on
-    the first five components (diverged) and, with scan, whether it may hold
-    an X = 0 crossing (crossing: a bound test on x's dense quartic).  It
-    returns after an accepted step that reaches t_limit or has either
-    decision; or with a failure message when the step budget runs out or the
-    step size underflows.  It returns (failure, t, h_next, err_prev, y, k1,
-    (t_old, h_last, quartics, diverged, crossing) or None, accepted,
-    rejected); quartics holds each component's dense quartic in theta =
-    (t - t_old) / h_last, constant term first.
-    """
-    rec = _Recording(flow, n)
-    stages = [f"k{j + 1}" for j in range(len(_C))]
-    k7 = stages[-1]
-
-    def evaluate(prefix, stage):
-        """flow on the components prefix_i, each output computed into stage_i."""
-        series = rec.series([f"{prefix}_{i}" for i in range(n)])
-        targets = {}
-        for i, sym in enumerate(rec.outputs):
-            if isinstance(sym, _Sym) and (sym, 0) not in series and sym not in targets:
-                targets[sym] = f"{stage}_{i}"
-        lines = rec.emit(series, 0, targets)
-        return lines + [f"{stage}_{i} = {_coef(series, sym, 0)}" for i, sym in enumerate(rec.outputs)
-                        if targets.get(sym) != f"{stage}_{i}"]
-
-    def listed(prefix):
-        return f"[{', '.join(f'{prefix}_{i}' for i in range(n))}]"
-
-    def unpack(prefix):
-        return f"{', '.join(f'{prefix}_{i}' for i in range(n))}{',' if n == 1 else ''} = {prefix}"
-
-    def dot(row, i):
-        return _combo(row, [f"{stage}_{i}" for stage in stages])
-
-    def fail(message):
-        return f'    return "{message}", t, h_next, err_prev, {listed("y")}, {listed("k1")}, None, accepted, rejected'
-
-    safety, lo, hi = _const(_SAFETY), _const(_MIN_FACTOR), _const(_MAX_FACTOR)
-    head = [unpack("y"), unpack("k1"), *rec.head, *_SETTINGS]
-    head += [f"a_{i} = abs(y_{i})" for i in range(n_err)] + _UNDERFLOW
-
-    body = ["if accepted + rejected >= max_steps:", fail("step budget exhausted"),
-            "h = h_next", *_CLIP,
-            "if h <= h_min:", fail("step size underflow")]
-    for j in range(1, len(_A)):
-        body += [f"z_{i} = y_{i} + h * ({dot(_A[j], i)})" for i in range(n)]
-        body += evaluate("z", stages[j])
-    body += [f"yn_{i} = y_{i} + h * ({dot(_B, i)})" for i in range(n)]
-    body += evaluate("yn", k7)
-    body.append("# RMS of the scaled 5th- minus 4th-order solution (e * e, as ** raises on overflow)")
-    # |y_i| and |yn_i| are kept in a_i and an_i over the error's components
-    for i in range(n_err):
-        body += [f"an_{i} = abs(yn_{i})",
-                 f"e_{i} = h * (({dot(_E, i)}) / (atol + rtol * (an_{i} if an_{i} > a_{i} else a_{i})))"]
-    squares = ", ".join(f"e_{i} * e_{i}" for i in range(n_err))
-    body.append(f"err = math.sqrt(sum([{squares}]) / {n_err})")
-    # x - x is 0.0 if x is finite and NaN if not.  One finiteness check is enough:
-    # the field is autonomous and each of its inputs reaches an output (0 * inf is
-    # NaN), so a non-finite trial stage reaches y_new or the error through b3..b6.
-    finite = " + ".join(["(err - err)", *(f"({v}_{i} - {v}_{i})" for v in ("yn", k7) for i in range(n))])
-    body += [f"if not {finite} == 0.0:", "    h_next = h * 0.1", "    rejected += 1", "    continue",
-             "if not err <= 1.0:",
-             f"    r = {safety} * err ** {_const(-0.2)}",
-             f"    h_next = h * (r if r > {lo} else {lo})",
-             "    rejected += 1",
-             "    continue",
-             "if err_prev is None or err == 0.0:",
-             f"    factor = {hi} if err == 0.0 else {safety} * err ** {_const(-0.2)}",
-             "else:",
-             f"    factor = {safety} * err ** {_const(-_PI_ALPHA)} * err_prev ** {_const(_PI_BETA)}",
-             f"factor = factor if factor > {lo} else {lo}",
-             f"factor = factor if factor < {hi} else {hi}",
-             *_LAND,
-             "h_next = h * factor",
-             "err_prev = 1e-10 if 1e-10 > err else err",
-             "accepted += 1"]
-
-    # the step's two decisions, each made once; y_new is finite here
-    body.append("diverged = " + " or ".join(f"an_{i} > bound" if i < n_err else f"abs(yn_{i}) > bound"
-                                            for i in range(min(5, n))))
-    if n > 3:
-        # |x - q0| <= |q1| + ... + |q4| for 0 <= theta <= 1: with this margin no rounding
-        # of a value of x's quartic q can reach zero or q0's opposite sign
-        quartic = " + ".join(f"abs(h * ({dot(row, 3)}))" for row in _DENSE)
-        body.append(f"crossing = scan and not {'a_3' if n_err > 3 else 'abs(y_3)'} > 2.0 * ({quartic})")
-    else:
-        body.append("crossing = False")
-    quartics = ", ".join(f"({', '.join([f'y_{i}', *(f'h * ({dot(row, i)})' for row in _DENSE)])})"
-                         for i in range(n))
-    body += ["if t >= t_limit or diverged or crossing:",
-             f"    return (None, t, h_next, err_prev, {listed('yn')}, {listed(k7)},"
-             f" (t_old, h, ({quartics},), diverged, crossing), accepted, rejected)",
-             *(f"y_{i} = yn_{i}" for i in range(n)),
-             *(f"k1_{i} = {k7}_{i}" for i in range(n)),
-             *(f"a_{i} = an_{i}" for i in range(n_err)),
-             *_UNDERFLOW]
-    lines = ["def advance(p, settings, t, h_next, err_prev, y, k1, t_limit, scan, accepted, rejected):"]
-    lines += ["    " + line for line in head] + ["    while True:"] + ["        " + line for line in body]
-    return "\n".join(lines) + "\n"
-
-
 @functools.cache
 def _compiled(source, *args):
-    """The advance function that source(*args) writes (_loop_source or
-    _taylor_source), compiled in this module's globals on first use and cached."""
+    """The advance function that source(*args) writes (_taylor_source, or the
+    tests' Dormand-Prince loop), compiled in this module's globals on first use and cached."""
     namespace = {}
     exec(compile(source(*args), f"<{source.__name__}>", "exec"), globals(), namespace)
     return namespace["advance"]
 
 
 class _Stepper:
-    """What both steppers hold: the parameters p, time t, state y (a list of
+    """What a stepper holds (the Taylor stepper, and the tests' Dormand-Prince
+    reference): the parameters p, time t, state y (a list of
     Python floats), settings s and stats; and, filled by advance() at each stop,
     the last accepted step from t_old, of length h_last, with every component's
     polynomial in theta = (t - t_old) / h_last (polys, constant term first: DOP5's
@@ -588,45 +421,6 @@ class _Stepper:
         """The polynomials of the last accepted step at t, every component."""
         theta = (t - self.t_old) / self.h_last
         return [_horner(q, theta) for q in self.polys]
-
-
-class _Dopri5(_Stepper):
-    """Single-trajectory Dormand-Prince 5(4) stepper with PI step control.
-
-    flow(y, p) is an autonomous field written in plain arithmetic; the stepping
-    is one loop generated from the tableau with flow inline (see _loop_source),
-    which hands control back only at a stop.  err_dim limits the error norm to
-    the leading components of the state (the augmented mode controls the step
-    on the base state only).  scan turns on the X = 0 crossing test.  A stop
-    leaves the last step's dense quartics in polys.
-    """
-
-    def __init__(self, flow, p, y0, settings: IntegratorSettings, err_dim=None):
-        super().__init__(p, y0, settings, StepStats())
-        self.flow = flow
-        n = len(self.y)
-        self.loop = _compiled(_loop_source, flow, n, err_dim if err_dim is not None else n)
-        self.h = min(settings.h_init, settings.h_max)
-        self.err_prev = None
-        self.restart()
-        self.scan = False
-
-    def restart(self):
-        """Evaluate the FSAL stage k1 afresh at the current state."""
-        self.k1 = self.flow(self.y, self.p)
-        self.stats.rhs_evals += 1
-
-    def advance(self, t_limit: float):
-        """Take accepted steps, not beyond t_limit, up to the next stop."""
-        stats = self.stats
-        attempts = stats.accepted + stats.rejected
-        (failure, self.t, self.h, self.err_prev, self.y, self.k1, stop, stats.accepted,
-         stats.rejected) = self.loop(self.p, self.s, self.t, self.h, self.err_prev, self.y, self.k1,
-                                     t_limit, self.scan, stats.accepted, stats.rejected)
-        stats.rhs_evals += _ATTEMPT_EVALS * (stats.accepted + stats.rejected - attempts)
-        if failure is not None:
-            raise NumericalFailureError(failure, last_good_time=self.t)
-        self.t_old, self.h_last, self.polys, self.diverged, self.crossing = stop
 
 
 def _horner(c, theta: float) -> float:
@@ -798,7 +592,7 @@ def _drive(stepper: _Stepper, marks, on_stop=None, on_mark=None):
     """Advance stepper through ascending stop marks; returns (status, t_div).
 
     Steps are clipped to land exactly on each mark.  The stepper hands back
-    control only at a stop (see _loop_source and _taylor_source); the steps
+    control only at a stop (see _taylor_source); the steps
     between stops are those on which on_stop and the guard would do nothing.
     on_stop(stepper)
     runs at every stop, before the divergence guard, which acts on the
@@ -992,9 +786,9 @@ def _isolated_brackets(q, x, edges, xs) -> list:
 
 
 def _crossing_scan(p: ModelParams, dn: float, events: list):
-    """Stop hook appending the X = 0 transits of the last step to events; the
-    stepper's scan makes it stop, with crossing set, at every step where x's
-    step polynomial may reach zero (see _loop_source and _taylor_source).
+    """Stop hook appending the X = 0 transits of the last step to events, for the
+    events and labelling passes: their Taylor step, generated with scan, sets
+    crossing wherever x's step polynomial may reach zero (see _taylor_source).
 
     x is read at the edges of _EVENT_SUBDIV subintervals off that polynomial
     in theta, the function brentq refines, so a sign change brackets a root.
@@ -1070,25 +864,26 @@ def integrate_augmented(
     renorm_interval: float = 1.0,
     crossings: bool = False,
 ) -> GrowthLog:
-    """Co-integrate the state with one tangent vector dv/dt = J(s) v.
+    """Co-integrate the state with one tangent vector dv/dt = J(s) v, on the
+    Taylor stepper, to t_end alone: it takes integrate_with_events's steps.
 
     At each of renorm_marks(t_end, renorm_interval), checked before any step, the
     log of the tangent's growth over the interval before is recorded with the
     base state (Benettin et al. 1980); so the last interval may be shorter.
-    A norm that is zero or not finite is a NumericalFailureError.  Step
-    control is driven by the base state only.  A step that diverges logs no
-    mark.
+    Each mark in a step is read off its polynomials, and its growth is the log
+    of the tangent's norm there minus that at the mark before, in the
+    stepper's scaling; a step that holds a mark ends with the tangent divided
+    by its norm at the last one, which by linearity is that mark's
+    renormalization.  Each step also adds its log growth, ln|v(t)| -
+    ln|v(t_old)| in the scaling at its start (ln|v(t_old)| is the step
+    before's ln|v(t)| less the log of the norm it was divided by), to MEGNO
+    (GrowthLog.megno).  A
+    norm that is zero or not finite is a NumericalFailureError.  A step that
+    diverges logs no mark and no MEGNO term.
 
-    Without crossings (the Lyapunov pass) the Taylor stepper runs to t_end
-    alone and takes integrate_with_events's steps.  Each mark in a step is
-    read off its polynomials, and its growth is the log of the tangent's
-    norm there minus that at the mark before, in the stepper's scaling; a
-    step that holds a mark ends with the tangent divided by its norm at the
-    last one, which by linearity is that mark's renormalization.  With
-    crossings (the labelling pass) DOP5 lands on every mark and scales the
-    tangent to unit length there, and the X = 0 transits of the base state
-    are collected in the same pass into GrowthLog.crossings, as
-    integrate_with_events reports them.
+    With crossings (the labelling pass) the step is generated with scan, and
+    the X = 0 transits of the base state are collected in the same pass into
+    GrowthLog.crossings, equal to integrate_with_events's.
     """
     settings = settings or IntegratorSettings()
     _check_t_end(t_end)
@@ -1116,53 +911,52 @@ def integrate_augmented(
             raise NumericalFailureError(f"the tangent norm is {norm}, not finite and positive", last_good_time=t)
         return norm
 
-    if crossings:
-        stepper = _Dopri5(_augmented_flow, p, y0, settings, err_dim=5)
+    stepper = _Taylor(_augmented_flow, p, y0, settings, scan=crossings)
+    scan = _crossing_scan(p, s0.dn, events) if crossings else None
+    pending = iter(marks)
+    t_mark = next(pending)
+    # MEGNO: the integral of Y, A and Y at t_reached, and ln|v| at the next step's start
+    area = a_int = y_end = t_reached = 0.0
+    ln_start = math.log(tangent_norm(y0[5:], 0.0))
 
-        def renormalize(st: _Dopri5):
-            v = st.y[5:]
-            norm = tangent_norm(v, st.t)
-            log_norms.append(math.log(norm))
-            log_times.append(st.t)
-            log_states.extend(st.y[:5])
-            st.y = st.y[:5] + [c / norm for c in v]
+    def read_marks(st: _Taylor):
+        """The step's X = 0 transits, with crossings.  Unless the step diverged, its MEGNO
+        terms, and every mark in (t_old, t] logged off its polynomials, each growth from
+        the mark before in the stepper's current scaling; then carry the last mark's
+        renormalization to the step end, by linearity, and ln|v| with it."""
+        nonlocal t_mark, area, a_int, y_end, t_reached, ln_start
+        if scan is not None:
+            scan(st)
+        if st.diverged:
+            return
+        ln_end = math.log(tangent_norm(st.y[5:], st.t))
+        a_int += 0.5 * (st.t_old + st.t) * (ln_end - ln_start)
+        y_old, y_end = y_end, 2.0 * a_int / st.t
+        area += 0.5 * (y_old + y_end) * (st.t - st.t_old)
+        t_reached = st.t
+        logged, norm = 0.0, None
+        while t_mark <= st.t:
+            y = st.dense(t_mark) if t_mark < st.t else st.y
+            norm = tangent_norm(y[5:], t_mark)
+            ln_mark = math.log(norm)
+            log_norms.append(ln_mark - logged)
+            logged = ln_mark
+            log_times.append(t_mark)
+            log_states.extend(y[:5])
             st.stats.renorms += 1
-            st.restart()                                # FSAL stage is stale after renorm
+            t_mark = next(pending, math.inf)
+        if norm is not None:
+            st.y = st.y[:5] + [c / norm for c in st.y[5:]]
+        ln_start = ln_end - logged
 
-        stepper.scan = True
-        status, t_div = _drive(stepper, marks, on_stop=_crossing_scan(p, s0.dn, events), on_mark=renormalize)
-    else:
-        stepper = _Taylor(_augmented_flow, p, y0, settings)
-        pending = iter(marks)
-        t_mark = next(pending)
-
-        def read_marks(st: _Taylor):
-            """Log every mark in (t_old, t] off the step's polynomials, each growth from
-            the mark before in the stepper's current scaling; then carry the last mark's
-            renormalization to the step end, by linearity.  A diverged step logs none."""
-            nonlocal t_mark
-            if st.diverged:
-                return
-            logged, norm = 0.0, None
-            while t_mark <= st.t:
-                y = st.dense(t_mark) if t_mark < st.t else st.y
-                norm = tangent_norm(y[5:], t_mark)
-                log_norms.append(math.log(norm) - logged)
-                logged = math.log(norm)
-                log_times.append(t_mark)
-                log_states.extend(y[:5])
-                st.stats.renorms += 1
-                t_mark = next(pending, math.inf)
-            if norm is not None:
-                st.y = st.y[:5] + [c / norm for c in st.y[5:]]
-
-        status, t_div = _drive(stepper, [t_end], on_stop=read_marks)
+    status, t_div = _drive(stepper, [t_end], on_stop=read_marks)
     return GrowthLog(
         times=Samples(log_times),
         log_norms=Samples(log_norms),
         states=Samples(log_states, 5),
         status=status,
         stats=stepper.stats,
+        megno=area / t_reached if t_reached else 0.0,
         t_div=t_div,
         crossings=events,
     )

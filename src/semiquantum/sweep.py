@@ -127,6 +127,7 @@ class CellResult:
     # the work of the cell's one pass (RegimeClassification.stats)
     steps_accepted: int | None = None
     rhs_evals: int | None = None
+    megno: float | None = None          # LyapunovEstimate.megno
 
 
 @dataclass
@@ -173,6 +174,7 @@ def _run_cell(args) -> CellResult:
         notes=result.notes,
         steps_accepted=result.stats.accepted,
         rhs_evals=result.stats.rhs_evals,
+        megno=None if est is None else est.megno,
     )
 
 

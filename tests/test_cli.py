@@ -164,14 +164,10 @@ class TestPresets:
 
 
 def rhs_evals(report: dict) -> int:
-    """The field work of an unrenormalized run by the rule of the stepper the report
-    names: taylor evaluates its order of the field recurrence once per step and
-    rejects no step; dopri5 calls the field once to start and six times per attempt."""
-    if report["method"] == "taylor":
-        assert report["steps_rejected"] == 0
-        return report["order"] * report["steps_accepted"]
-    assert report["method"] == "dopri5" and "order" not in report
-    return 1 + 6 * (report["steps_accepted"] + report["steps_rejected"])
+    """The field work of a run on the Taylor stepper, which every command reports:
+    its order of the field recurrence once per step, and no step rejected."""
+    assert report["method"] == "taylor" and report["steps_rejected"] == 0
+    return report["order"] * report["steps_accepted"]
 
 
 def readme_config_table():
@@ -684,6 +680,8 @@ class TestLyapunov:
         assert abs(report["lambda_max"]) < 0.05
         assert report["standard_error"] > 0
         assert report["renorm_count"] > 150
+        # fig1a is near the isochronous alpha = 0 limit, where MEGNO tends to 0
+        assert 0.0 < report["megno"] < 0.1
 
     def test_report_step_counts(self, tmp_path):
         cfg = write_cfg(tmp_path, {"lyapunov": {"transient": 10.0, "total": 30.0,
@@ -786,7 +784,7 @@ class TestSweep:
         rows = read_csv(tmp_path / "sw" / "regimes.csv")
         assert rows[0] == ["axis1_name", "axis1_value", "axis2_name", "axis2_value",
                            "regime", "lambda_max", "stderr", "divergence_time", "status",
-                           "n_crossings", "n_clusters", "notes", "steps_accepted", "rhs_evals"]
+                           "n_crossings", "n_clusters", "notes", "steps_accepted", "rhs_evals", "megno"]
         assert len(rows) == 3
         for r in rows[1:]:
             assert r[0] == "eps" and r[2] == "alpha"

@@ -27,7 +27,17 @@ from semiquantum.linear_oracle import (
     evolve_critical,
     evolve_linear,
 )
-from semiquantum.model import ModelParams, SystemState, effective_energy, field, field_jvp, invariant_I
+from semiquantum.model import (
+    ModelParams,
+    SystemState,
+    effective_energy,
+    field,
+    field_jvp,
+    invariant_I,
+    make_initial,
+)
+
+import dopri5_reference as reference
 
 TIGHT = IntegratorSettings(abs_tol=1e-12, rel_tol=1e-12)
 
@@ -114,7 +124,6 @@ class TestSettings:
     @pytest.mark.parametrize("t_end, interval", [(10.0, 1e-6), (5000.0, 1e-4)])
     def test_renorm_count_is_bounded(self, t_end, interval, monkeypatch):
         # 1e7 and 5e7 renormalizations; the check comes before a stepper is made
-        monkeypatch.setattr(integrator, "_Dopri5", None)
         monkeypatch.setattr(integrator, "_Taylor", None)
         with pytest.raises(ConfigurationError, match="t_end / renorm_interval must be finite and at most 1000000"):
             integrate_augmented(
@@ -179,14 +188,12 @@ class TestFinitenessCheck:
     def test_non_finite_stage_without_weight_rejects_the_step(self):
         # stage 2 has zero weight in the solution and the error; its inf must
         # still reject the step through the stages that read it
-        from semiquantum.integrator import _base_flow, _Dopri5
-
         p = ModelParams(eps=1.05, gamma=0.0, delta=1.0, alpha=0.015, omega=1.0)   # fig2d
         y, h = [1.0, 1e11, 0.0, 1.0, 1e300], 1.0
         k1 = field(y, p)
         k2 = field([v + h * (1 / 5 * g) for v, g in zip(y, k1)], p)
         assert all(map(math.isfinite, k1)) and k2[:2] == [math.inf, math.inf]
-        stepper = _Dopri5(_base_flow, p, y, IntegratorSettings(h_init=h, max_steps=1))
+        stepper = reference.Dopri5(integrator._base_flow, p, y, IntegratorSettings(h_init=h, max_steps=1))
         with pytest.raises(NumericalFailureError, match="step budget exhausted"):
             stepper.advance(10.0)
         assert (stepper.stats.accepted, stepper.stats.rejected) == (0, 1)
@@ -235,17 +242,11 @@ def _reference_quartic(h, y0, g1, g3, g4, g5, g6, g7):
     )
 
 
-def _reference_stop(h, stages, y_new, bound, scan):
+def _reference_stop(h, stages, y_new, bound):
     """What an accepted step hands back besides y_new and k7, from the reference's
-    stages (y, k1, k3..k7): (h, every component's dense quartic, diverged, crossing)."""
+    stages (y, k1, k3..k7): (h, every component's dense quartic, diverged)."""
     quartics = tuple(_reference_quartic(h, *comps) for comps in zip(*stages))
-    diverged = max(map(abs, y_new[:5])) > bound
-    return h, quartics, diverged, scan and len(y_new) > 3 and _may_cross(quartics[3])
-
-
-def _may_cross(q):
-    """The X = 0 bound test on x's dense quartic q, as the crossing scan used to make it."""
-    return not abs(q[0]) > 2.0 * (abs(q[1]) + abs(q[2]) + abs(q[3]) + abs(q[4]))
+    return h, quartics, max(map(abs, y_new[:5])) > bound
 
 
 def _reference_control(err, y_new, k7, h, err_prev):
@@ -315,17 +316,17 @@ class TestGeneratedStep:
         return [Fraction(num, den) for num, den in row]
 
     def test_tableau_order_conditions(self):
-        c = self._exact(integrator._C)
-        for i, row in enumerate(integrator._A):
+        c = self._exact(reference.C)
+        for i, row in enumerate(reference.A):
             assert sum(self._exact(row), Fraction(0)) == c[i]
-        b = self._exact(integrator._B)
+        b = self._exact(reference.B)
         # k7 is evaluated at y_new, so b is its stage row and sums to its node
         assert sum(b) == 1 == c[-1]
-        assert sum(self._exact(integrator._E)) == 0
+        assert sum(self._exact(reference.E)) == 0
         # the quartic at theta = 1 is the 5th-order solution
-        dense = [self._exact(row) for row in integrator._DENSE]
+        dense = [self._exact(row) for row in reference.DENSE]
         assert [sum(col) for col in zip(*dense)] == b
-        assert integrator._ATTEMPT_EVALS == len(c) - 1 == 6
+        assert reference.ATTEMPT_EVALS == len(c) - 1 == 6
 
     @pytest.mark.parametrize("n, n_err", [(3, 3), (5, 5), (10, 5)])
     def test_attempt_matches_the_hand_written_stages(self, n, n_err):
@@ -333,10 +334,10 @@ class TestGeneratedStep:
         # the hand-written stages and the controller: with the trial's tolerances, and
         # with tolerances scaled to put the error near 0.5, the decision, the next
         # step size and err_prev; with tolerances no finite error fails, also every
-        # bit of y_new, k7, each component's dense quartic and the loop's decisions
+        # bit of y_new, k7, each component's dense quartic and the loop's divergence decision
         flow = {3: _three_flow, 5: integrator._base_flow, 10: integrator._augmented_flow}[n]
         rng = random.Random(n)
-        loop = integrator._compiled(integrator._loop_source, flow, n, n_err)
+        loop = integrator._compiled(reference.loop_source, flow, n, n_err)
         overflowed = 0
         decisions, factors, stops = set(), set(), set()
         for trial in range(200):
@@ -353,20 +354,18 @@ class TestGeneratedStep:
             err_prev = None if trial % 2 else 1e-10 if trial % 4 == 0 else 10.0 ** rng.uniform(-10.0, 0.0)
             err = _reference_attempt(flow, p, h, y, k1, atol, rtol, n_err)[0]
             tol_scale = err / 0.5 if 0.0 < err < math.inf else 1.0
-            # scan on every other trial; on two trials in three, a divergence bound that
-            # some of the new states leave
+            # on two trials in three, a divergence bound that some of the new states leave
             bound = 10.0 ** rng.uniform(-1.0, 1.0) if trial % 3 else 1e8
-            scan = trial % 2 == 0
             for tols in ((atol, rtol), (atol * tol_scale, rtol * tol_scale), (1e300, 1e300)):
                 settings = IntegratorSettings(abs_tol=tols[0], rel_tol=tols[1], max_steps=1,
                                               divergence_norm=bound)
-                got = loop(p, settings, 0.0, h, err_prev, y, k1, h, scan, 0, 0)
+                got = loop(p, settings, 0.0, h, err_prev, y, k1, h, 0, 0)
                 err, y_new, last = _reference_attempt(flow, p, h, y, k1, *tols, n_err)
                 accepted, h_next, err_next = _reference_control(err, y_new, last[-1], h, err_prev)
                 if accepted:
-                    stop = _reference_stop(h, last, y_new, bound, scan)
+                    stop = _reference_stop(h, last, y_new, bound)
                     want = (None, h, h_next, err_next, y_new, last[-1], (0.0, *stop), 1, 0)
-                    stops.add(stop[-2:])
+                    stops.add(stop[-1])
                 else:
                     want = ("step budget exhausted", 0.0, h_next, err_next, y, k1, None, 0, 1)
                 assert _bits(got) == _bits(want)
@@ -376,15 +375,15 @@ class TestGeneratedStep:
         assert 0 < overflowed < 200
         assert decisions == {(True, True), (True, False), (False, True), (False, False)}
         assert {0.2, 10.0} < factors
-        # both decisions were made both ways (a 3-component state has no x to scan)
-        assert stops == {(d, c) for d in (False, True) for c in (False, n > 3)}
+        # the divergence decision was made both ways
+        assert stops == {False, True}
 
     def test_source_is_compiled_once_per_state_length(self):
         base, augmented = integrator._base_flow, integrator._augmented_flow
-        loop = lambda *args: integrator._compiled(integrator._loop_source, *args)
+        loop = lambda *args: integrator._compiled(reference.loop_source, *args)
         assert loop(base, 5, 5) is loop(base, 5, 5)
         assert loop(augmented, 10, 5) is not loop(augmented, 10, 10)
-        source = integrator._loop_source(base, 5, 5)
+        source = reference.loop_source(base, 5, 5)
         assert "k2_4" in source and "e_4" in source and "e_5" not in source
         # an operation on parameters only is made once per call, not once per stage
         assert source.count("2.0 * p_eps") == 1
@@ -393,7 +392,7 @@ class TestGeneratedStep:
     def test_model_flows_are_inline(self, n, n_err):
         # no stage calls a function: the only calls left are the error norm's
         flow = {5: integrator._base_flow, 10: integrator._augmented_flow}[n]
-        tree = ast.parse(integrator._loop_source(flow, n, n_err))
+        tree = ast.parse(reference.loop_source(flow, n, n_err))
         calls = {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
         assert calls <= {"math.sqrt", "sum", "max", "abs"}
 
@@ -402,7 +401,7 @@ class TestGeneratedStep:
             return [y[0] / p.eps]
 
         # both generators record the flow alike; after n come n_err, or the order and scan
-        for source, rest in ((integrator._loop_source, (1,)), (integrator._taylor_source, (2, False))):
+        for source, rest in ((reference.loop_source, (1,)), (integrator._taylor_source, (2, False))):
             with pytest.raises(TypeError):
                 source(divides, 1, *rest)
             with pytest.raises(ValueError, match="returned 2"):
@@ -418,7 +417,7 @@ def _three_flow(y, p):
 
 FIG1B = ModelParams(eps=1.05, gamma=0.0, delta=1.0, alpha=0.015, omega=1.0)
 FIG1B_Y0 = [2.0, 0.0, 0.0, 1.0, -2.54950976]
-# the flows of the front ends: (flow, n_err) by state length, started on fig1b
+# the model's flows: (flow, n_err) by state length, started on fig1b
 LOOP_FLOWS = {5: (integrator._base_flow, 5), 10: (integrator._augmented_flow, 5)}
 
 
@@ -442,17 +441,17 @@ class TestSteppingLoop:
         flow, n_err = LOOP_FLOWS[n]
         y0 = _loop_initial(n)
         return (_ReferenceStepper(flow, FIG1B, y0, settings, n_err),
-                integrator._Dopri5(flow, FIG1B, y0, settings, err_dim=n_err))
+                reference.Dopri5(flow, FIG1B, y0, settings, err_dim=n_err))
 
     @staticmethod
     def assert_same(ref, stepper):
         """Equal state, counts and controller, and the stop the reference's last step
-        makes: its dense quartics, bit for bit, and the two decisions."""
+        makes: its dense quartics, bit for bit, and its divergence decision."""
         assert _packed(stepper) == _packed(ref)
         assert (stepper.stats.accepted, stepper.stats.rejected) == (ref.accepted, ref.rejected)
         assert _bits((stepper.h, stepper.err_prev, stepper.k1)) == _bits((ref.h, ref.err_prev, ref.k1))
-        want = _reference_stop(ref.h_last, ref.last, ref.y, stepper.s.divergence_norm, stepper.scan)
-        got = (stepper.h_last, stepper.polys, stepper.diverged, stepper.crossing)
+        want = _reference_stop(ref.h_last, ref.last, ref.y, stepper.s.divergence_norm)
+        got = (stepper.h_last, stepper.polys, stepper.diverged)
         assert _bits((stepper.t_old, *got)) == _bits((ref.t_old, *want))
 
     @staticmethod
@@ -493,33 +492,7 @@ class TestSteppingLoop:
         stepper.advance(3.3)
         assert stepper.t == 3.3 and stepper.stats.accepted >= 3.3 / 0.02
         self.assert_same(ref, stepper)
-        assert not (stepper.diverged or stepper.crossing)
-
-    @pytest.mark.parametrize("n", sorted(LOOP_FLOWS))
-    def test_stops_where_a_crossing_may_lie(self, n):
-        def may_cross(r):
-            return _may_cross(_reference_quartic(r.h_last, *[c[3] for c in r.last]))
-
-        ref, stepper = self.pair(n)
-        stepper.scan = True
-        self.first_stop(ref, 20.0, may_cross)
-        stepper.advance(20.0)
-        assert stepper.t < 20.0 and abs(stepper.y[3]) < 0.1
-        self.assert_same(ref, stepper)
-        assert stepper.crossing and not stepper.diverged
-        # every stop carries the decision: a mark that clips the first step where x
-        # may cross (the default h_init, so that no earlier step is clipped)
-        settings = IntegratorSettings(abs_tol=1e-10, rel_tol=1e-10)
-        ref, stepper = self.pair(n, settings)
-        self.first_stop(ref, 20.0, may_cross)
-        t_mark = ref.t_old + 0.9 * ref.h_last
-        ref, stepper = self.pair(n, settings)
-        stepper.scan = True
-        self.first_stop(ref, t_mark, lambda r: False)
-        stepper.advance(t_mark)
-        assert stepper.t == t_mark
-        self.assert_same(ref, stepper)
-        assert stepper.crossing
+        assert not stepper.diverged
 
     @pytest.mark.parametrize("n", sorted(LOOP_FLOWS))
     def test_stops_past_the_divergence_bound(self, n):
@@ -530,7 +503,7 @@ class TestSteppingLoop:
         stepper.advance(20.0)
         assert stepper.t < 20.0
         self.assert_same(ref, stepper)
-        assert stepper.diverged and not stepper.crossing
+        assert stepper.diverged
         assert integrator._drive(stepper, [20.0]) == (IntegrationStatus.DIVERGED, stepper.t)
 
     @pytest.mark.parametrize("n", sorted(LOOP_FLOWS))
@@ -554,7 +527,7 @@ class TestSteppingLoop:
 
         settings = IntegratorSettings(abs_tol=1e-10, rel_tol=1e-10, divergence_norm=1e300)
         ref = _ReferenceStepper(blow_up, FIG1B, [1.0], settings, 1)
-        stepper = integrator._Dopri5(blow_up, FIG1B, [1.0], settings)
+        stepper = reference.Dopri5(blow_up, FIG1B, [1.0], settings)
         with pytest.raises(NumericalFailureError, match="step size underflow") as want:
             self.first_stop(ref, 2.0, lambda r: False)
         with pytest.raises(NumericalFailureError, match="step size underflow") as got:
@@ -564,7 +537,7 @@ class TestSteppingLoop:
         assert (stepper.stats.accepted, stepper.stats.rejected) == (ref.accepted, ref.rejected)
         assert _bits((stepper.y, stepper.h)) == _bits((ref.y, ref.h))
         # a step of exactly 16 eps at t <= 1 is too short already
-        stepper = integrator._Dopri5(blow_up, FIG1B, [1.0], settings)
+        stepper = reference.Dopri5(blow_up, FIG1B, [1.0], settings)
         with pytest.raises(NumericalFailureError, match="step size underflow"):
             stepper.advance(16.0 * sys.float_info.epsilon)
         assert stepper.stats.accepted + stepper.stats.rejected == 0
@@ -707,7 +680,7 @@ class TestTaylorStep:
         # scan is part of the key
         assert taylor(base, 5, 18, True) is not taylor(base, 5, 18, False)
         # one cache serves both generators
-        assert taylor(base, 5, 5, False) is not integrator._compiled(integrator._loop_source, base, 5, 5)
+        assert taylor(base, 5, 5, False) is not integrator._compiled(reference.loop_source, base, 5, 5)
         source = integrator._taylor_source(base, 5, 18, False)
         # an operation on parameters only is made once per call
         assert source.count("2.0 * p_eps") == 1
@@ -726,7 +699,7 @@ class TestTaylorStep:
         # only and output copied from its input, against DOP5 at a tighter tolerance
         p = ModelParams(eps=1.3, gamma=0.0, delta=-0.4, alpha=0.7, omega=0.9)
         taylor = integrator._Taylor(_three_flow, p, [0.3, -0.2, 0.5], IntegratorSettings(abs_tol=1e-12, rel_tol=1e-12))
-        dopri5 = integrator._Dopri5(_three_flow, p, [0.3, -0.2, 0.5], IntegratorSettings(abs_tol=1e-14, rel_tol=1e-14))
+        dopri5 = reference.Dopri5(_three_flow, p, [0.3, -0.2, 0.5], IntegratorSettings(abs_tol=1e-14, rel_tol=1e-14))
         for stepper in (taylor, dopri5):
             assert integrator._drive(stepper, [0.5, 1.0]) == (IntegrationStatus.COMPLETED, None)
         assert taylor.t == dopri5.t == 1.0
@@ -788,7 +761,7 @@ class TestTaylorAccuracy:
         for tol in (1e-14, 1e-10):
             settings = IntegratorSettings(abs_tol=tol, rel_tol=tol)
             taylor = integrate(s0, FIG1B, 10.0, settings, sample_interval=10.0)
-            dopri5 = integrator._Dopri5(integrator._base_flow, FIG1B, FIG1B_Y0, settings)
+            dopri5 = reference.Dopri5(integrator._base_flow, FIG1B, FIG1B_Y0, settings)
             integrator._drive(dopri5, [10.0])
             assert taylor.times[-1] == dopri5.t == 10.0
             errors = [max(abs(a - b) for a, b in zip(y_end, ref)) for y_end in (taylor.states[-1], dopri5.y)]
@@ -809,7 +782,7 @@ class TestFirstOrderInAlpha:
         s0 = SystemState(n1=2.0, om=0.0, op=0.0, x=1.0, p=-2.54950976)
         critical = ModelParams(eps=1.0, gamma=0.0, delta=1.0, alpha=0.0, omega=1.0)
         settings = IntegratorSettings(abs_tol=1e-13, rel_tol=1e-13)
-        stepper = integrator._Dopri5(with_alpha_derivative, critical, s0.as_tuple() + (0.0,) * 5, settings)
+        stepper = reference.Dopri5(with_alpha_derivative, critical, s0.as_tuple() + (0.0,) * 5, settings)
         s_n1 = [0.0]
         integrator._drive(stepper, [k * 0.05 for k in range(1, 401)],
                           on_mark=lambda st: s_n1.append(st.y[5]))
@@ -1229,18 +1202,68 @@ class TestAugmented:
             assert np.array_equal(out, rhs(base, p).tolist() + field_jvp(base, v, p))
             assert np.allclose(out[5:], jacobian_matrix(np.array(base), p) @ v, rtol=1e-13, atol=1e-13)
 
+    # (start, parameters, t_end, renorm interval): fig2d's S0; the om0 = 2.5 member of its
+    # (E_eff, I) = (4.8, 4) shell; and that member at eps 1.2, alpha 0.07, which diverges
+    ONE_ORBIT = {
+        "fig2d": (SystemState(*FIG1B_Y0), FIG1B, 300.0, 1.0),
+        "member": (make_initial(4.8, 4.0, 2.5, 0.0, 1.0, 0.0, FIG1B, momentum_sign=-1), FIG1B, 1000.0, 50.0),
+        "diverging": (make_initial(4.8, 4.0, 2.5, 0.0, 1.0, 0.0, FIG1B.replace(eps=1.2, alpha=0.07),
+                                   momentum_sign=-1), FIG1B.replace(eps=1.2, alpha=0.07), 1000.0, 50.0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(ONE_ORBIT))
+    def test_the_labelling_pass_is_the_events_and_lyapunov_passes(self, case):
+        # with crossings the augmented pass finds integrate_with_events's crossings, bit for
+        # bit (CrossingEvent equality), and logs what the pass without crossings logs
+        s0, p, t_end, renorm = self.ONE_ORBIT[case]
+        settings = IntegratorSettings(abs_tol=1e-10, rel_tol=1e-10)
+        traj, events = integrate_with_events(s0, p, t_end, settings)
+        labelling = integrate_augmented(s0, np.ones(5), p, t_end, settings, renorm_interval=renorm, crossings=True)
+        lyapunov = integrate_augmented(s0, np.ones(5), p, t_end, settings, renorm_interval=renorm)
+        assert labelling.crossings == events and len(events) > 5
+        for log in (labelling, lyapunov):
+            assert log.status is traj.status and log.t_div == traj.t_div
+            assert log.stats.accepted == traj.stats.accepted
+        assert _bits([list(labelling.times), list(labelling.log_norms), list(labelling.states), labelling.megno]) \
+            == _bits([list(lyapunov.times), list(lyapunov.log_norms), list(lyapunov.states), lyapunov.megno])
+        if case == "diverging":
+            assert traj.t_div == pytest.approx(36.0327, abs=1e-4)
+        else:
+            assert traj.status is IntegrationStatus.COMPLETED
+
+    def test_megno_follows_its_limits(self):
+        # at alpha = 0 the tangent flow is linear: with a real rate lambda, ln|v| tends to
+        # lambda * t, so <Y> to lambda * t / 2; on the stable (isochronous) side it tends to 0
+        unstable = ModelParams(eps=1.0, gamma=0.0, delta=2.0, alpha=0.0, omega=1.0)
+        settings = IntegratorSettings(abs_tol=1e-12, rel_tol=1e-12, divergence_norm=1e300)
+        log = integrate_augmented(SystemState(2, 0, 0, 1, 0), np.ones(5), unstable, 6.0, settings,
+                                  renorm_interval=0.05)
+        assert log.megno == pytest.approx(math.sqrt(3.0) * 6.0, rel=0.01)
+        stable = ModelParams(eps=1.3, gamma=0.0, delta=0.7, alpha=0.0, omega=1.0)
+        settings = IntegratorSettings(abs_tol=1e-10, rel_tol=1e-10)
+        megnos = [integrate_augmented(SystemState(2, 0.2, 0.1, 1, 0), [1.0, 0, 0, 0, 0], stable, t_end, settings,
+                                      renorm_interval=5.0).megno for t_end in (100.0, 1000.0)]
+        assert 0.0 < megnos[1] < 0.2 * megnos[0] < 0.01
+
+    def test_megno_does_not_depend_on_the_renormalizations(self):
+        # each step's growth is taken in the scaling at its start, so the schedule moves
+        # <Y> only by rounding; on fig2d's torus it reads about 2
+        settings = IntegratorSettings(abs_tol=1e-10, rel_tol=1e-10)
+        megnos = [integrate_augmented(SystemState(*FIG1B_Y0), np.ones(5), FIG1B, 1000.0, settings,
+                                      renorm_interval=renorm).megno for renorm in (0.3, 1.0, 50.0, 1000.0)]
+        assert max(megnos) - min(megnos) <= 1e-9
+        assert 1.5 < megnos[0] < 2.5
+
     def test_section_in_the_augmented_pass(self):
-        # the crossings of the base state, collected in the same pass, match
-        # integrate_with_events up to the step differences the renorm marks cause
+        # the crossings of the base state, collected in the same pass, are
+        # integrate_with_events's
         p = ModelParams(eps=1.0, gamma=0.0, delta=0.0, alpha=0.0, omega=1.0)
         s0 = SystemState(n1=1, om=0, op=0, x=1, p=0)
         log = integrate_augmented(s0, np.ones(5), p, 20.0, TIGHT, renorm_interval=1.0,
                                   crossings=True)
         _, events = integrate_with_events(s0, p, 20.0, TIGHT)
         assert len(log.crossings) == len(events) == 6
-        for a, b in zip(log.crossings, events):
-            assert abs(a.t_cross - b.t_cross) <= 1e-10
-            assert a.direction == b.direction
+        assert log.crossings == events
         assert integrate_augmented(s0, np.ones(5), p, 20.0, TIGHT).crossings == []
 
     def test_rejects_zero_tangent(self):

@@ -17,6 +17,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
+import dopri5_reference as reference  # noqa: E402
 from semiquantum import integrator  # noqa: E402
 from semiquantum.integrator import IntegrationStatus, IntegratorSettings, integrate  # noqa: E402
 from semiquantum.model import (  # noqa: E402
@@ -95,7 +96,7 @@ def stepper_deviation(p, s) -> float:
     on), both at TOL, relative to the largest component the run reaches."""
     taylor = integrate(s, p, T, TOL, sample_interval=0.25)
     dopri5 = [s.as_tuple()]
-    stepper = integrator._Dopri5(integrator._base_flow, p, s.as_tuple(), TOL)
+    stepper = reference.Dopri5(integrator._base_flow, p, s.as_tuple(), TOL)
     integrator._drive(stepper, [0.25 * k for k in range(1, 13)], on_mark=lambda st: dopri5.append(st.y))
     assert len(dopri5) == len(taylor) == 13
     size = max(max(map(abs, y)) for y in taylor.states)
@@ -107,7 +108,7 @@ def tangent_errors(p, s, v0) -> tuple:
     flow, (phi_T(s + d v0) - phi_T(s - d v0)) / 2d with d = 1e-4, relative to
     |v(T)|; and of the field at the state and tangent reached, with a step of
     1e-3 / |v(T)|, relative to |field_jvp|."""
-    stepper = integrator._Dopri5(integrator._augmented_flow, p, [*s.as_tuple(), *v0], TOL, err_dim=5)
+    stepper = reference.Dopri5(integrator._augmented_flow, p, [*s.as_tuple(), *v0], TOL, err_dim=5)
     integrator._drive(stepper, [T])
     y, v = stepper.y[:5], stepper.y[5:]
     v_norm = math.sqrt(sum(c * c for c in v))

@@ -3,14 +3,12 @@
 perfbench/tracer.py replaces functions at the names their callers look up,
 and reads facts off their results.  A refactor that drops or renames one of
 them, or changes a result the tracer reads, breaks the traced benchmark;
-these tests make it fail here as well.  Each stepper's rhs_evals follows its
-own rule from the step counts: for DOP5, which runs only the labelling pass
-(integrate_augmented with crossings=True), the rule perfbench/layers.py
-derives integrator.rhs_evals by; for the Taylor stepper of integrate,
-integrate_with_events and the Lyapunov pass (integrate_augmented without
-crossings), the order of the recurrence once per step.  The wrapped
-semiquantum.integrator.rhs is called only at the DOP5 restarts and when a
-flow is recorded: the steps evaluate the field inline.
+these tests make it fail here as well.  Every front end runs the Taylor
+stepper: integrate, integrate_with_events and integrate_augmented, whose
+labelling pass (crossings=True) is run here.  So rhs_evals is the order of
+the recurrence once per step, no step is rejected, and the wrapped
+semiquantum.integrator.rhs is called only when a flow is recorded: the steps
+evaluate the field inline.
 """
 
 import importlib
@@ -48,8 +46,7 @@ def test_wrapped_name_resolves_to_callable(module, attr):
 
 P = ModelParams(eps=1.05, gamma=0.0, delta=1.0, alpha=0.015, omega=1.0)
 S0 = SystemState(2, 0, 0, 1, -2.54950976)
-# a large first step forces DOP5 rejections, which cost six evaluations as well
-SETTINGS = IntegratorSettings(abs_tol=1e-10, rel_tol=1e-10, h_init=1.0)
+SETTINGS = IntegratorSettings(abs_tol=1e-10, rel_tol=1e-10)
 
 
 def _augmented():
@@ -73,18 +70,11 @@ def test_rhs_calls_follow_the_rhs_evals_formula(front_end, monkeypatch):
     monkeypatch.setattr(integrator, "rhs", lambda y, p: calls.append(1) or field(y, p))
     stats = RUNS[front_end]()
     assert stats.renorms == (40 if front_end == "augmented" else 0)
-    if front_end != "augmented":
-        # one order of the field recurrence per step, no step rejected, and no call
-        # of integrator.rhs once the step is recorded
-        assert (stats.method, stats.order, stats.rejected) == ("taylor", 13, 0)
-        assert stats.rhs_evals == stats.order * stats.accepted
-        assert calls == []
-        return
-    # perfbench/layers.py's formula counts field evaluations, inline stages included
-    assert stats.method == "dopri5" and stats.rejected > 0
-    assert stats.rhs_evals == 1 + 6 * (stats.accepted + stats.rejected) + stats.renorms
-    # the stages evaluate the field inline: integrator.rhs runs only at the restarts
-    assert len(calls) == 1 + stats.renorms
+    # one order of the field recurrence per step, no step rejected, and no call
+    # of integrator.rhs once the step is recorded
+    assert (stats.method, stats.order, stats.rejected) == ("taylor", 13, 0)
+    assert stats.rhs_evals == stats.order * stats.accepted
+    assert calls == []
 
 
 def _spec():
